@@ -7,9 +7,14 @@ Writes mittag_leffler.png when matplotlib is importable.
 import math
 
 import numpy as np
-from scipy.special import erfcx
 
 from expandiff import mittag_leffler
+
+
+def erfcx(x):
+    """exp(x^2) erfc(x), the closed form of E_1/2(-x)."""
+    return math.exp(x * x) * math.erfc(x)
+
 
 print("identities:")
 print("  E_1(-1)      =", mittag_leffler(1.0, -1.0), " vs exp(-1) =", math.exp(-1))

@@ -42,11 +42,16 @@ class Mesh1D:
         return x
 
 
+def require_count(value, minimum: int, name: str) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= ``minimum``."""
+    if not (float(value).is_integer() and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def build_mesh(n_cells: int) -> Mesh1D:
     """Uniform mesh with ``n_cells >= 2`` elements on (0, 1)."""
-    n = int(n_cells)
-    if n != n_cells or n < 2:
-        raise ValueError(f"n_cells must be an integer >= 2, got {n_cells!r}")
+    n = require_count(n_cells, 2, "n_cells")
     return Mesh1D(n_cells=n, h=1.0 / n)
 
 

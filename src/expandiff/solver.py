@@ -17,6 +17,7 @@ correction term moved to the right-hand side; ``step`` exposes it through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from . import cq
 from .fem1d import (Mesh1D, PiecewiseFn, TriDiagMatrix, assemble_mass,
                     assemble_stiffness, basis_integrals, build_mesh,
-                    l2_project, ritz_project, solve_tridiag)
+                    l2_project, require_count, ritz_project, solve_tridiag)
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,10 @@ class CoefficientLaw:
     exponent: float = 0.0
 
     def __post_init__(self):
-        if self.scale < 0.0:
-            raise ValueError(f"scale must be >= 0, got {self.scale}")
-        if self.exponent < 0.0:
-            raise ValueError(f"exponent must be >= 0, got {self.exponent}")
+        if not 0.0 <= self.scale < math.inf:
+            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
+        if not 0.0 <= self.exponent < math.inf:
+            raise ValueError(f"exponent must be finite and >= 0, got {self.exponent}")
 
     @classmethod
     def constant(cls, value: float) -> "CoefficientLaw":
@@ -71,8 +72,11 @@ class SourceTerm:
     time_exponent: float = 0.0
 
     def __post_init__(self):
-        if self.time_exponent < 0.0:
-            raise ValueError(f"time exponent must be >= 0, got {self.time_exponent}")
+        if not math.isfinite(self.time_scale):
+            raise ValueError(f"time scale must be finite, got {self.time_scale}")
+        if not 0.0 <= self.time_exponent < math.inf:
+            raise ValueError(
+                f"time exponent must be finite and >= 0, got {self.time_exponent}")
 
     @classmethod
     def zero(cls) -> "SourceTerm":
@@ -109,8 +113,8 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.final_time <= 0.0:
-            raise ValueError(f"final time must be positive, got {self.final_time}")
+        if not 0.0 < self.final_time < math.inf:
+            raise ValueError(f"final time must be finite and > 0, got {self.final_time}")
 
 
 @dataclass
@@ -214,8 +218,7 @@ def solve(spec: ProblemSpec, n_cells: int, n_steps: int) -> DiscreteRun:
     Deterministic: identical inputs produce bitwise-identical trajectories.
     The source's spatial integrals are computed once and reused across steps.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    n_steps = require_count(n_steps, 1, "n_steps")
     mesh = build_mesh(n_cells)
     tau = spec.final_time / n_steps
     weights = cq.generate(spec.alpha, tau, n_steps + 1)

@@ -123,6 +123,16 @@ def test_cli_invalid_config_exits_nonzero_without_csv(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_non_finite_coefficient_exits_nonzero_without_csv(tmp_path, capsys):
+    cfgfile = tmp_path / "inf.txt"
+    out = tmp_path / "never.csv"
+    cfgfile.write_text(CUSTOM.replace("coeff.scale = 1", "coeff.scale = inf")
+                       + f"\noutput = {out}\n")
+    assert main(["--config", str(cfgfile)]) == 1
+    assert not out.exists()
+    assert "scale must be finite" in capsys.readouterr().err
+
+
 def test_cli_unwritable_output(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text(CUSTOM)

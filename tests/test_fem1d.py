@@ -41,6 +41,12 @@ def test_build_mesh_rejects_small(bad):
         build_mesh(bad)
 
 
+@pytest.mark.parametrize("bad", [2.5, np.inf, np.nan])
+def test_build_mesh_rejects_non_integer(bad):
+    with pytest.raises(ValueError, match="n_cells must be an integer"):
+        build_mesh(bad)
+
+
 # -- assembly -----------------------------------------------------------------
 
 

@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import erfc, erfcx
+from scipy.special import erfc, erfcx, rgamma
 
+import expandiff
 from expandiff import exact_solution, mittag_leffler
-from expandiff.mittag_leffler import _asymptotic, _series_double, _series_mp
 
 # Reference values computed once at 60-digit precision with the
 # branch-cut integral representation
@@ -55,6 +59,45 @@ _REFERENCE = {
     (0.95, -50.0): 0.001067234039220843,
 }
 
+# Corners where a quadrature is weakest: a small order, whose decay factor
+# cuts off sharply, and orders near 1, whose density peaks sharply.  Computed
+# once with mpmath at 50 digits by adaptive tanh-sinh quadrature of
+#   E_a(-x) = int_0^inf exp(-(u x)^(1/a)) sin(a pi) / (pi a (u^2 + 2 u cos(a pi) + 1)) du,
+# split at u = 1/x and at the density's peak; cross-checked against the
+# power series summed at 50 extra digits and, for a = 0.2 and x >= 10.5,
+# against 80 terms of the asymptotic expansion, all to better than 1e-48.
+_REFERENCE_CORNERS = {
+    (0.2, -0.5): 0.642964991926139,
+    (0.2, -2.5): 0.25981009337060623,
+    (0.2, -10.5): 0.07608440679840905,
+    (0.2, -50.0): 0.01691371014778602,
+    (0.99, -0.5): 0.6060899526314165,
+    (0.99, -2.5): 0.08552279959611352,
+    (0.99, -10.5): 0.0012489625796911427,
+    (0.99, -50.0): 0.0002095764990060077,
+    (0.999, -0.5): 0.6064852913369113,
+    (0.999, -2.5): 0.0824304858620766,
+    (0.999, -10.5): 0.0001497883832487308,
+    (0.999, -50.0): 2.0862972463840595e-05,
+}
+
+_ORDERS = [0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
+
+
+def _power_series(alpha, z):
+    """sum_k z^k / Gamma(alpha k + 1); free of cancellation for |z| <= 1."""
+    terms = []
+    for k in range(400):
+        terms.append(z ** k / math.gamma(alpha * k + 1.0))
+        if abs(terms[-1]) < 1e-18 and alpha * k > 1.0:
+            return math.fsum(terms)
+    raise AssertionError("power series did not converge")
+
+
+def _asymptotic(alpha, z):
+    """-sum_{k=1}^{10} z^-k / Gamma(1 - alpha k); terms at poles of Gamma vanish."""
+    return -sum(rgamma(1.0 - alpha * k) / z ** k for k in range(1, 11))
+
 
 @pytest.mark.parametrize("alpha", [0.2, 0.4, 0.55, 0.9, 1.0])
 def test_value_at_zero(alpha):
@@ -91,19 +134,53 @@ def test_completely_monotone_profile(alpha):
     assert np.all(np.diff(vals) >= 0.0)  # non-decreasing towards z = 0
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
-def test_series_and_asymptotic_agree_on_overlap(alpha):
-    for z in np.linspace(-12.0, -8.0, 9):
-        xroot = (-z) ** (1.0 / alpha)
-        series = _series_mp(alpha, z, 40 + int(xroot / math.log(10.0)))
-        asym = _asymptotic(alpha, z)
-        assert abs(series - asym) <= 1e-6
+def test_frozen_corner_table():
+    for (alpha, z), ref in _REFERENCE_CORNERS.items():
+        assert mittag_leffler(alpha, z) == pytest.approx(ref, abs=1e-12), (alpha, z)
 
 
-def test_double_series_agrees_with_mp_in_safe_zone():
-    for alpha, z in [(0.7, -1.0), (0.9, -2.0), (0.5, -0.5)]:
-        assert _series_double(alpha, z) == pytest.approx(
-            _series_mp(alpha, z, 40), abs=1e-12)
+@pytest.mark.parametrize("alpha", _ORDERS)
+def test_matches_power_series(alpha):
+    # both sides of the switch to the two-term series at |z| = 1e-6
+    for z in np.concatenate([-np.geomspace(1e-10, 1.0, 21), [-0.5, -0.75]]):
+        assert mittag_leffler(alpha, z) == pytest.approx(
+            _power_series(alpha, z), abs=1e-12), z
+
+
+@pytest.mark.parametrize("alpha", _ORDERS)
+def test_matches_asymptotic_expansion(alpha):
+    def omitted(z):
+        return max(abs(rgamma(1.0 - alpha * k)) * abs(z) ** -k for k in (11, 12))
+
+    zs = [z for z in -np.geomspace(1.0, 1e8, 33) if omitted(z) <= 1e-13]
+    assert len(zs) >= 8
+    for z in zs:
+        assert mittag_leffler(alpha, z) == pytest.approx(
+            _asymptotic(alpha, z), abs=1e-12), z
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 1.0])
+def test_extreme_and_invalid_arguments(alpha):
+    with pytest.raises(ValueError):
+        mittag_leffler(alpha, math.nan)
+    assert mittag_leffler(alpha, -math.inf) == 0.0
+    for z in (-1e-300, -1e-30):
+        assert mittag_leffler(alpha, z) == pytest.approx(1.0, abs=1e-15), z
+    for z in (-1e30, -1e300):
+        value = mittag_leffler(alpha, z)
+        assert 0.0 <= value < 1e-29, z
+
+
+def test_package_import_leaves_out_heavy_modules():
+    # mpmath and the scipy submodules cost start-up time and memory on every run
+    heavy = ("mpmath", "scipy.special", "scipy.integrate")
+    code = f"import sys, expandiff; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(expandiff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_rejects_positive_argument():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,29 @@ def test_problem_spec_rejects_degenerate_time_and_order():
         ProblemSpec(alpha=1.5, final_time=1.0,
                     coefficient=CoefficientLaw.constant(1.0),
                     initial=PiecewiseFn.zero(), source=SourceTerm.zero())
+
+
+@pytest.mark.parametrize("final_time", [math.nan, math.inf])
+def test_problem_spec_rejects_non_finite_final_time(final_time):
+    with pytest.raises(ValueError):
+        ProblemSpec(alpha=0.5, final_time=final_time,
+                    coefficient=CoefficientLaw.constant(1.0),
+                    initial=PiecewiseFn.zero(), source=SourceTerm.zero())
+
+
+@pytest.mark.parametrize("scale, exponent", [(math.nan, 1.0), (math.inf, 1.0),
+                                             (1.0, math.nan), (1.0, math.inf)])
+def test_coefficient_law_rejects_non_finite(scale, exponent):
+    with pytest.raises(ValueError):
+        CoefficientLaw.power(scale, exponent)
+
+
+@pytest.mark.parametrize("time_scale, time_exponent", [
+    (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)])
+def test_source_term_rejects_non_finite(time_scale, time_exponent):
+    with pytest.raises(ValueError):
+        SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5),
+                             time_exponent=time_exponent, time_scale=time_scale)
 
 
 # -- projections and loads ------------------------------------------------------
@@ -241,6 +266,12 @@ def test_step_validates_index_and_weights():
 def test_solve_rejects_bad_steps():
     with pytest.raises(ValueError):
         solve(_forced(), 8, 0)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, math.inf, math.nan])
+def test_solve_rejects_non_integer_steps(n_steps):
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        solve(_forced(), 8, n_steps)
 
 
 def test_trajectory_shape_and_times():
