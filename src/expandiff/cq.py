@@ -29,7 +29,7 @@ class CQWeights:
 
     @cached_property
     def d_reversed(self) -> np.ndarray:
-        """d in reverse order; lets steppers take contiguous history slices."""
+        """d in reverse order; lets history sums take contiguous slices."""
         return self.d[::-1].copy()
 
 
@@ -70,7 +70,6 @@ def history_sum(weights: CQWeights, states, upto: int, exclude_current: bool = F
     needed = upto - i0
     if states.shape[0] < needed:
         raise ValueError(f"need {needed} states, have {states.shape[0]}")
-    if needed == 0:
-        return np.zeros(states.shape[1])
-    # d_i pairs with W^{upto-i}: reverse the state block W^1..W^{upto-i0}
-    return weights.d[i0:upto] @ states[upto - 1 - i0::-1]
+    # d_i pairs with W^{upto-i}: reversed weights d_{upto-1} .. d_{i0} meet W^1 .. in order
+    last = weights.count - 1
+    return weights.d_reversed[last - upto + 1:last - i0 + 1] @ states[:needed]

@@ -2,9 +2,11 @@
 
 Homogeneous Dirichlet conditions are enforced by elimination, so every
 nodal vector in this module has length ``n_cells - 1`` (interior nodes
-only).  Mass and stiffness matrices are symmetric tridiagonal and are
-solved with the Thomas algorithm; pivoting is unnecessary because every
-system assembled here is strictly diagonally dominant.
+only).  Mass and stiffness matrices are symmetric tridiagonal; the
+projections solve them with the Thomas algorithm, which needs no pivoting
+because every system assembled here is strictly diagonally dominant.  On
+the uniform mesh both matrices are diagonal in the discrete sine basis
+(``mode_eigenvalues``, ``sine_transform``), which the time stepper uses.
 """
 
 from __future__ import annotations
@@ -247,47 +249,45 @@ def assemble_stiffness(mesh: Mesh1D) -> TriDiagMatrix:
                          sup=np.full(m - 1, -1.0 / mesh.h))
 
 
+def mode_eigenvalues(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray]:
+    """Mass and stiffness eigenvalues h/3 (2 + cos k pi h) and 2/h (1 - cos k pi h)
+    of the sine modes sin(k pi x_j), k = 1 .. n_cells - 1."""
+    c = np.cos(np.pi * np.arange(1, mesh.n_cells) / mesh.n_cells)
+    return mesh.h / 3.0 * (2.0 + c), 2.0 / mesh.h * (1.0 - c)
+
+
+def sine_transform(rows: np.ndarray) -> np.ndarray:
+    """Unnormalised DST-I along the last axis, X_k = sum_j x_j sin(pi j k / (m + 1)),
+    from the real FFT of the odd extension; applied twice it is (m + 1)/2 times
+    the identity."""
+    m = rows.shape[-1]
+    ext = np.zeros(rows.shape[:-1] + (2 * m + 2,))
+    ext[..., 1:m + 1] = rows
+    ext[..., m + 2:] = -rows[..., ::-1]
+    return -0.5 * np.fft.rfft(ext)[..., 1:m + 1].imag
+
+
 def basis_integrals(g: PiecewiseFn, mesh: Mesh1D) -> np.ndarray:
     """b_j = integral of g * phi_j for every interior hat function phi_j.
 
-    Piecewise-polynomial data is integrated exactly (elements split at the
-    breakpoints of g); sine data uses the 4-point Gauss rule per element.
+    Elements are split at the breakpoints of g and the 4-point Gauss rule
+    runs on every piece.  Piecewise data has degree <= 3, so the rule is
+    exact for it; sine data carries the quadrature error of the rule.
     """
     n, h = mesh.n_cells, mesh.h
     nodes = mesh.nodes
-    b = np.zeros(mesh.n_interior)
-
-    if g.is_sine:
-        # Gauss points of every element at once: (n_cells, 4)
-        pts = nodes[:-1, None] + 0.5 * h * (_GAUSS_X[None, :] + 1.0)
-        vals = g(pts)
-        lam1 = (pts - nodes[:-1, None]) / h
-        c0 = 0.5 * h * ((vals * (1.0 - lam1)) @ _GAUSS_W)  # weight of left node
-        c1 = 0.5 * h * ((vals * lam1) @ _GAUSS_W)          # weight of right node
-        b += c1[:-1]   # element k feeds node k+1 for k = 0..n-2
-        b += c0[1:]    # element k feeds node k for k = 1..n-1
-        return b
-
-    # exact integration on the union grid of element edges and breakpoints
     pts = np.union1d(nodes, g.breakpoints)
-    for a, bb in zip(pts[:-1], pts[1:]):
-        if bb <= a:
-            continue
-        mid = 0.5 * (a + bb)
-        k = min(int(mid / h), n - 1)
-        piece = np.clip(np.searchsorted(g.breakpoints, mid, side="right") - 1,
-                        0, len(g.coeffs) - 1)
-        p = g.coeffs[piece]
-        # hat ramps on element k, in global coordinates
-        ramp_right = np.array([-nodes[k] / h, 1.0 / h])       # phi_{k+1}
-        ramp_left = np.array([nodes[k + 1] / h, -1.0 / h])    # phi_k
-        if k + 1 <= n - 1:
-            anti = npoly.polyint(npoly.polymul(p, ramp_right))
-            b[k] += npoly.polyval(bb, anti) - npoly.polyval(a, anti)
-        if k >= 1:
-            anti = npoly.polyint(npoly.polymul(p, ramp_left))
-            b[k - 1] += npoly.polyval(bb, anti) - npoly.polyval(a, anti)
-    return b
+    mid = 0.5 * (pts[:-1] + pts[1:])
+    half = 0.5 * (pts[1:] - pts[:-1])
+    k = np.minimum((mid / h).astype(int), n - 1)   # element of each piece
+    x = mid[:, None] + half[:, None] * _GAUSS_X
+    lam = (x - nodes[k, None]) / h                 # phi_{k+1} on element k
+    vals = g(x) * (half[:, None] * _GAUSS_W)
+    right = (vals * lam).sum(axis=1)
+    left = (vals * (1.0 - lam)).sum(axis=1)
+    full = np.bincount(np.concatenate((k, k + 1)),
+                       weights=np.concatenate((left, right)), minlength=n + 1)
+    return full[1:-1]
 
 
 # -- projections and solves --------------------------------------------------

@@ -1,15 +1,16 @@
 """Fully discrete stepper for the fractional diffusion model with
 time-dependent diffusivity kappa(t).
 
-Each implicit backward-Euler step solves the tridiagonal system
+Each implicit backward-Euler step solves
 
     (M/tau + d_0 kappa(t_n) S) W^n
         = M W^{n-1}/tau + b(t_n) - kappa(t_n) S sum_{i=1}^{n-1} d_i W^{n-i},
 
 where M and S are the P1 mass and stiffness matrices, b is the load vector
-of the source and d_i are the convolution-quadrature weights.  The system
-matrix is strictly diagonally dominant for every kappa >= 0, so the
-pivot-free Thomas solve is safe.  The scheme admits an equivalent
+of the source and d_i are the convolution-quadrature weights.  M and S are
+diagonal in the discrete sine basis, so the stepper advances sine
+coefficients by one division per mode and transforms the stored rows back
+to nodal values at the end.  The scheme admits an equivalent
 formulation with the diffusivity frozen at an arbitrary time level and a
 correction term moved to the right-hand side; ``step`` exposes it through
 ``frozen_time`` so the algebraic cancellation can be verified directly.
@@ -23,9 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cq
-from .fem1d import (Mesh1D, PiecewiseFn, TriDiagMatrix, assemble_mass,
-                    assemble_stiffness, basis_integrals, build_mesh,
-                    l2_project, require_count, ritz_project, solve_tridiag)
+from .fem1d import (Mesh1D, PiecewiseFn, basis_integrals, build_mesh,
+                    l2_project, mode_eigenvalues, require_count, ritz_project,
+                    sine_transform)
+
+
+def _power_law(law: str, scale: float, exponent: float, t: float) -> float:
+    """scale * t**exponent; ValueError naming the law and t on overflow."""
+    try:
+        return scale * float(t) ** exponent
+    except OverflowError:
+        raise ValueError(f"{law} {scale} * t**{exponent} overflows at t = {t}") from None
 
 
 @dataclass(frozen=True)
@@ -58,9 +67,7 @@ class CoefficientLaw:
         return self.exponent == 0.0
 
     def __call__(self, t: float) -> float:
-        if self.exponent == 0.0:
-            return self.scale
-        return self.scale * float(t) ** self.exponent
+        return _power_law("coefficient", self.scale, self.exponent, t)
 
 
 @dataclass(frozen=True)
@@ -95,9 +102,7 @@ class SourceTerm:
     def time_factor(self, t: float) -> float:
         if self.is_zero:
             return 0.0
-        if self.time_exponent == 0.0:
-            return self.time_scale
-        return self.time_scale * float(t) ** self.time_exponent
+        return _power_law("source time factor", self.time_scale, self.time_exponent, t)
 
 
 @dataclass(frozen=True)
@@ -153,44 +158,39 @@ def load_vector(source: SourceTerm, mesh: Mesh1D, t: float) -> np.ndarray:
     return source.time_factor(t) * basis_integrals(source.spatial, mesh)
 
 
-def _advance(spec: ProblemSpec, mass: TriDiagMatrix, stiff: TriDiagMatrix,
-             weights: cq.CQWeights, spatial_load: np.ndarray | None,
-             trajectory: np.ndarray, n: int, tau: float,
-             frozen_time: float | None) -> np.ndarray:
-    """Compute W^n from rows 0..n-1 of ``trajectory``."""
+def _modal_data(spec: ProblemSpec, mesh: Mesh1D):
+    """Mode eigenvalues of M and S and the sine coefficients of the load."""
+    lam_m, lam_s = mode_eigenvalues(mesh)
+    load = None
+    if not spec.source.is_zero:
+        load = sine_transform(basis_integrals(spec.source.spatial, mesh))
+    return lam_m, lam_s, load
+
+
+def _advance(spec: ProblemSpec, weights: cq.CQWeights, lam_m: np.ndarray,
+             lam_s: np.ndarray, load: np.ndarray | None, coeffs: np.ndarray,
+             n: int, tau: float, frozen_time: float | None) -> np.ndarray:
+    """Sine coefficients of W^n from rows 0..n-1 of ``coeffs``."""
     t_n = n * tau
     kap_n = spec.coefficient(t_n)
-    d = weights.d
-    d_rev = weights.d_reversed
-    last = weights.count - 1
+    d0 = weights.d[0]
 
-    rhs = mass.matvec(trajectory[n - 1]) / tau
-    if spatial_load is not None:
-        rhs = rhs + spec.source.time_factor(t_n) * spatial_load
-
-    hist = None
-    if n > 1:
-        # contiguous slice pairing d_{n-1}..d_1 with rows W^1..W^{n-1}
-        hist = stiff.matvec(d_rev[last - n + 1:last] @ trajectory[1:n])
+    rhs = lam_m * coeffs[n - 1] / tau
+    if load is not None:
+        rhs += spec.source.time_factor(t_n) * load
+    hist = lam_s * cq.history_sum(weights, coeffs[1:n], n, exclude_current=True)
 
     if frozen_time is None:
-        if hist is not None:
-            rhs = rhs - kap_n * hist
-        sys_diag = mass.diag / tau + d[0] * kap_n * stiff.diag
-        sys_off = mass.sup / tau + d[0] * kap_n * stiff.sup
+        rhs -= kap_n * hist
+        lead = d0 * kap_n
     else:
         # literal frozen-coefficient form: both the implicit part and the
         # right-hand correction carry kappa(t_m); the difference cancels
         # algebraically against the m-free form above.
         kap_m = spec.coefficient(float(frozen_time))
-        if hist is not None:
-            rhs = rhs - kap_m * hist + (kap_m - kap_n) * hist
-        lead = d[0] * kap_m - d[0] * (kap_m - kap_n)
-        sys_diag = mass.diag / tau + lead * stiff.diag
-        sys_off = mass.sup / tau + lead * stiff.sup
-
-    system = TriDiagMatrix(sub=sys_off, diag=sys_diag, sup=sys_off)
-    return solve_tridiag(system, rhs)
+        rhs = rhs - kap_m * hist + (kap_m - kap_n) * hist
+        lead = d0 * kap_m - d0 * (kap_m - kap_n)
+    return rhs / (lam_m / tau + lead * lam_s)
 
 
 def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
@@ -203,35 +203,34 @@ def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
     """
     if not 1 <= n <= run.n_steps:
         raise ValueError(f"step index must lie in 1..{run.n_steps}, got {n}")
-    if weights.count < n:
-        raise ValueError(f"need at least {n} weights, have {weights.count}")
-    spatial = None
-    if not spec.source.is_zero:
-        spatial = basis_integrals(spec.source.spatial, run.mesh)
-    return _advance(spec, assemble_mass(run.mesh), assemble_stiffness(run.mesh),
-                    weights, spatial, run.trajectory, n, run.tau, frozen_time)
+    lam_m, lam_s, load = _modal_data(spec, run.mesh)
+    coeffs = sine_transform(run.trajectory[:n])
+    w_hat = _advance(spec, weights, lam_m, lam_s, load, coeffs, n, run.tau, frozen_time)
+    return 2.0 / run.mesh.n_cells * sine_transform(w_hat)
 
 
 def solve(spec: ProblemSpec, n_cells: int, n_steps: int) -> DiscreteRun:
     """Full trajectory of the scheme on a fresh mesh with tau = T / n_steps.
 
     Deterministic: identical inputs produce bitwise-identical trajectories.
-    The source's spatial integrals are computed once and reused across steps.
+    Raises ValueError when any state comes out non-finite.
     """
     n_steps = require_count(n_steps, 1, "n_steps")
     mesh = build_mesh(n_cells)
     tau = spec.final_time / n_steps
     weights = cq.generate(spec.alpha, tau, n_steps + 1)
-    mass = assemble_mass(mesh)
-    stiff = assemble_stiffness(mesh)
-    spatial = None
-    if not spec.source.is_zero:
-        spatial = basis_integrals(spec.source.spatial, mesh)
+    lam_m, lam_s, load = _modal_data(spec, mesh)
 
-    trajectory = np.zeros((n_steps + 1, mesh.n_interior))
-    trajectory[0] = project_initial(spec, mesh)
-    run = DiscreteRun(mesh=mesh, n_steps=n_steps, tau=tau, trajectory=trajectory)
+    # rows hold sine coefficients while stepping, nodal values afterwards
+    trajectory = np.empty((n_steps + 1, mesh.n_interior))
+    trajectory[0] = sine_transform(project_initial(spec, mesh))
     for n in range(1, n_steps + 1):
-        trajectory[n] = _advance(spec, mass, stiff, weights, spatial,
+        trajectory[n] = _advance(spec, weights, lam_m, lam_s, load,
                                  trajectory, n, tau, None)
-    return run
+    for start in range(0, n_steps + 1, 16):  # blocks bound the transform's scratch
+        block = trajectory[start:start + 16]
+        block[:] = 2.0 / mesh.n_cells * sine_transform(block)
+        if not np.isfinite(block).all():
+            raise ValueError(f"solve produced non-finite states "
+                             f"(n_cells={mesh.n_cells}, n_steps={n_steps})")
+    return DiscreteRun(mesh=mesh, n_steps=n_steps, tau=tau, trajectory=trajectory)

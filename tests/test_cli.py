@@ -133,6 +133,38 @@ def test_cli_non_finite_coefficient_exits_nonzero_without_csv(tmp_path, capsys):
     assert "scale must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_non_finite_study_exits_nonzero_without_csv(tmp_path, capsys):
+    # kappa = 0 and a source growing like t over T = 1e300: the states overflow
+    cfgfile = tmp_path / "huge.txt"
+    out = tmp_path / "never.csv"
+    cfgfile.write_text(
+        "preset = custom\nalpha = 0.5\nfinal_time = 1e300\ncells = 16\n"
+        "tau_list = 2.5e299 1.25e299\ncoeff.kind = constant\ncoeff.scale = 0\n"
+        "w0.kind = zero\nsource.kind = chi\nsource.a = 0\nsource.b = 0.5\n"
+        f"source.exponent = 1\noutput = {out}\n")
+    assert main(["--config", str(cfgfile)]) == 1
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("law, old, new", [
+    ("coefficient", "coeff.exponent = 2.01", "coeff.exponent = 1e6"),
+    ("source time factor", "source.kind = zero",
+     "source.kind = chi\nsource.a = 0\nsource.b = 0.5\nsource.exponent = 1e6")],
+    ids=["coefficient", "source"])
+def test_cli_overflowing_power_law_exits_nonzero(tmp_path, capsys, law, old, new):
+    cfgfile = tmp_path / "pow.txt"
+    out = tmp_path / "never.csv"
+    cfgfile.write_text(CUSTOM.replace("final_time = 1", "final_time = 1e5")
+                       .replace("tau_list = 1/4 1/8 1/16", "tau_list = 25000 12500")
+                       .replace(old, new) + f"\noutput = {out}\n")
+    assert main(["--config", str(cfgfile)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + law) and "overflows at t = " in err
+
+
 def test_cli_unwritable_output(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text(CUSTOM)

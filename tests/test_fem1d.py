@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from expandiff import (PiecewiseFn, TriDiagMatrix, assemble_mass,
                        assemble_stiffness, basis_integrals, build_mesh,
                        l2_norm, l2_project, prolong, ritz_project,
                        solve_tridiag)
+from expandiff.fem1d import mode_eigenvalues, sine_transform
 
 
 # -- mesh ---------------------------------------------------------------------
@@ -156,6 +158,79 @@ def test_scaling_and_addition():
     np.testing.assert_allclose(combo(x), [2.0, 1.0, -1.0])
     s = PiecewiseFn.sine(1) * 0.5
     np.testing.assert_allclose(s(0.5), 0.5)
+
+
+# -- sine basis ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 15, 100])
+def test_sine_transform_twice_is_scaled_identity(m):
+    rng = np.random.default_rng(m)
+    rows = rng.standard_normal((3, m))
+    np.testing.assert_allclose(sine_transform(sine_transform(rows)),
+                               (m + 1) / 2 * rows, atol=1e-12)
+
+
+def test_sine_transform_matches_dense_sum():
+    m = 9
+    x = np.random.default_rng(5).standard_normal(m)
+    j = np.arange(1, m + 1)
+    dense = np.sin(np.pi * np.outer(j, j) / (m + 1)) @ x
+    np.testing.assert_allclose(sine_transform(x), dense, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 129])
+def test_mass_and_stiffness_act_on_sines_by_stated_eigenvalues(n):
+    mesh = build_mesh(n)
+    M, S = assemble_mass(mesh), assemble_stiffness(mesh)
+    lam_m, lam_s = mode_eigenvalues(mesh)
+    for k in {1, n // 2, n - 1}:
+        v = np.sin(k * np.pi * mesh.interior_nodes)
+        c = np.cos(k * np.pi / n)
+        stated_m, stated_s = mesh.h / 3 * (2 + c), 2 / mesh.h * (1 - c)
+        assert lam_m[k - 1] == pytest.approx(stated_m, rel=1e-14)
+        assert lam_s[k - 1] == pytest.approx(stated_s, rel=1e-12)
+        np.testing.assert_allclose(M.matvec(v), stated_m * v, atol=1e-14)
+        np.testing.assert_allclose(S.matvec(v), stated_s * v, atol=1e-11 * n)
+
+
+# -- basis integrals ----------------------------------------------------------
+
+
+def _basis_integrals_exact(g, mesh):
+    """Reference: exact antiderivatives of g * phi_j on every subinterval."""
+    n, h = mesh.n_cells, mesh.h
+    nodes = mesh.nodes
+    b = np.zeros(mesh.n_interior)
+    pts = np.union1d(nodes, g.breakpoints)
+    for a, bb in zip(pts[:-1], pts[1:]):
+        mid = 0.5 * (a + bb)
+        k = min(int(mid / h), n - 1)
+        piece = np.clip(np.searchsorted(g.breakpoints, mid, side="right") - 1,
+                        0, len(g.coeffs) - 1)
+        p = g.coeffs[piece]
+        if k + 1 <= n - 1:
+            anti = npoly.polyint(npoly.polymul(p, [-nodes[k] / h, 1.0 / h]))
+            b[k] += npoly.polyval(bb, anti) - npoly.polyval(a, anti)
+        if k >= 1:
+            anti = npoly.polyint(npoly.polymul(p, [nodes[k + 1] / h, -1.0 / h]))
+            b[k - 1] += npoly.polyval(bb, anti) - npoly.polyval(a, anti)
+    return b
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 1024])
+def test_basis_integrals_match_exact_antiderivatives(n):
+    rng = np.random.default_rng(n)
+    mesh = build_mesh(n)
+    data = [PiecewiseFn.indicator(0.0, 0.5), PiecewiseFn.indicator(0.5, 1.0),
+            PiecewiseFn.indicator(0.2, 0.7), PiecewiseFn.indicator(1 / 3, 0.9)]
+    for pieces in (1, 4, 9):
+        inner = np.sort(rng.uniform(0.0, 1.0, pieces - 1))
+        data.append(PiecewiseFn(np.concatenate(([0.0], inner, [1.0])),
+                                rng.standard_normal((pieces, 4))))
+    for g in data:
+        np.testing.assert_allclose(basis_integrals(g, mesh),
+                                   _basis_integrals_exact(g, mesh), rtol=0, atol=1e-12)
 
 
 # -- projections --------------------------------------------------------------

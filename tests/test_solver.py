@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from expandiff import (CoefficientLaw, DiscreteRun, PiecewiseFn, ProblemSpec,
-                       SourceTerm, build_mesh, generate_weights, l2_project,
-                       load_vector, project_initial, solve, step)
+                       SourceTerm, assemble_mass, assemble_stiffness,
+                       basis_integrals, build_mesh, generate_weights,
+                       l2_project, load_vector, project_initial, solve, step)
 
 
 def _table2_like(alpha=0.45, scale=0.8, exponent=1.5):
@@ -248,6 +249,57 @@ def test_step_by_step_matches_solve():
     for n in range(1, L + 1):
         traj[n] = step(run, spec, weights, n)
     np.testing.assert_allclose(traj, ref.trajectory, atol=1e-14)
+
+
+def _dense_nodal_solve(spec, n_cells, n_steps):
+    """Reference stepper on nodal values: dense solves and the direct history sum."""
+    mesh = build_mesh(n_cells)
+    tau = spec.final_time / n_steps
+    d = generate_weights(spec.alpha, tau, n_steps + 1).d
+    M, S = (np.diag(A.diag) + np.diag(A.sup, 1) + np.diag(A.sub, -1)
+            for A in (assemble_mass(mesh), assemble_stiffness(mesh)))
+    g = basis_integrals(spec.source.spatial, mesh)
+    traj = np.zeros((n_steps + 1, mesh.n_interior))
+    traj[0] = project_initial(spec, mesh)
+    for n in range(1, n_steps + 1):
+        t = n * tau
+        kap = spec.coefficient(t)
+        hist = sum((d[i] * traj[n - i] for i in range(1, n)), np.zeros(mesh.n_interior))
+        rhs = M @ traj[n - 1] / tau + spec.source.time_factor(t) * g - kap * S @ hist
+        traj[n] = np.linalg.solve(M / tau + d[0] * kap * S, rhs)
+    return traj
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+@pytest.mark.parametrize("n_cells", [8, 33])
+def test_modal_solve_matches_dense_nodal_reference(alpha, n_cells):
+    spec = ProblemSpec(alpha=alpha, final_time=1.0,
+                       coefficient=CoefficientLaw.power(2.0, 1.5),
+                       initial=PiecewiseFn.indicator(0.3, 0.8),
+                       source=SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5),
+                                                   time_exponent=0.1))
+    run = solve(spec, n_cells, 40)
+    ref = _dense_nodal_solve(spec, n_cells, 40)
+    assert np.abs(run.trajectory - ref).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_solve_raises():
+    spec = ProblemSpec(alpha=0.5, final_time=1.0,
+                       coefficient=CoefficientLaw.constant(0.0),
+                       initial=PiecewiseFn.zero(),
+                       source=SourceTerm.separable(PiecewiseFn.indicator(0, 0.5),
+                                                   time_scale=1e308))
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(spec, 16, 50)
+
+
+def test_overflowing_power_laws_raise_value_error():
+    with pytest.raises(ValueError, match="coefficient .* overflows at t = 100000.0"):
+        CoefficientLaw.power(1.0, 1e6)(1e5)
+    src = SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5), time_exponent=1e6)
+    with pytest.raises(ValueError, match="source time factor .* overflows at t = 100000.0"):
+        src.time_factor(1e5)
 
 
 def test_step_validates_index_and_weights():
