@@ -37,7 +37,7 @@ for frac in (0.0, 0.1, 0.5, 1.0):
 # The diffusivity t^2.01 is tiny at early times, so the initial shape
 # barely moves first and relaxes later; compare the profile midpoints.
 print("\nkappa at t = 0.1, 0.5, 1.0:",
-      [spec.coefficient(t) for t in (0.1, 0.5, 1.0)])
+      spec.coefficient(np.array([0.1, 0.5, 1.0])))
 
 # alpha = 1 with constant kappa is the plain heat equation; a single mode
 # then decays like exp(-kappa pi^2 t).

@@ -11,7 +11,7 @@ from .mittag_leffler import exact_solution, mittag_leffler
 from .solver import (CoefficientLaw, DiscreteRun, ProblemSpec, SourceTerm,
                      load_vector, project_initial, solve, step)
 from .studies import (RateTable, mode_error, observed_rates, oracle_study,
-                      read_csv, spatial_study, temporal_study, write_csv)
+                      spatial_study, temporal_study, write_csv)
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,6 @@ __all__ = [
     "CoefficientLaw", "DiscreteRun", "ProblemSpec", "SourceTerm",
     "load_vector", "project_initial", "solve", "step",
     "RateTable", "mode_error", "observed_rates", "oracle_study",
-    "read_csv", "spatial_study", "temporal_study", "write_csv",
+    "spatial_study", "temporal_study", "write_csv",
     "__version__",
 ]

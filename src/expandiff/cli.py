@@ -292,8 +292,9 @@ def _run_preset(cfg: ExperimentConfig) -> list[RateTable]:
 
 def _format_resolution(r: float) -> str:
     inv = 1.0 / r
-    if abs(inv - round(inv)) < 1e-9:
-        return f"1/{round(inv)}"
+    k = round(inv)
+    if k >= 1 and abs(inv - k) < 1e-9:
+        return f"1/{k}"
     return f"{r:.6g}"
 
 
@@ -302,12 +303,14 @@ def print_table(table: RateTable, stream=None) -> None:
     stream = stream or sys.stdout
     axis = "tau" if table.axis == "temporal" else "h"
     cols = [_format_resolution(r) for r in table.resolutions]
-    width = max(10, *(len(c) + 2 for c in cols))
+    errs = [f"{e:.3E}" for e in table.errors]
+    rates = [f"{r:.4f}" for r in table.rates]
+    # at least one blank between columns, also for three-digit exponents
+    width = max(10, *(len(c) + 2 for c in cols), *(len(v) + 1 for v in errs + rates))
     head = f"{table.label or table.axis:<16}" + "".join(f"{c:>{width}}" for c in cols)
-    errs = f"{'E_' + axis:<16}" + "".join(f"{e:>{width}.3E}" for e in table.errors)
-    rates = f"{'rate':<16}" + f"{'':>{width}}" + "".join(
-        f"{r:>{width}.4f}" for r in table.rates)
-    stream.write(head + "\n" + errs + "\n" + rates + "\n")
+    err_row = f"{'E_' + axis:<16}" + "".join(f"{v:>{width}}" for v in errs)
+    rate_row = f"{'rate':<16}" + f"{'':>{width}}" + "".join(f"{v:>{width}}" for v in rates)
+    stream.write(head + "\n" + err_row + "\n" + rate_row + "\n")
 
 
 def run(config: ExperimentConfig) -> int:

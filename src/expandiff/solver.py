@@ -10,7 +10,10 @@ where M and S are the P1 mass and stiffness matrices, b is the load vector
 of the source and d_i are the convolution-quadrature weights.  M and S are
 diagonal in the discrete sine basis, so the stepper advances sine
 coefficients by one division per mode and transforms the stored rows back
-to nodal values at the end.  The scheme admits an equivalent
+to nodal values at the end.  kappa(t_n) and the source's time factor are
+evaluated once per solve, for all steps.  Once the stored history outgrows
+the cache, steps go in blocks of 64 whose history of earlier blocks is one
+matrix product (see ``_march``).  The scheme admits an equivalent
 formulation with the diffusivity frozen at an arbitrary time level and a
 correction term moved to the right-hand side; ``step`` exposes it through
 ``frozen_time`` so the algebraic cancellation can be verified directly.
@@ -29,12 +32,15 @@ from .fem1d import (Mesh1D, PiecewiseFn, basis_integrals, build_mesh,
                     sine_transform)
 
 
-def _power_law(law: str, scale: float, exponent: float, t: float) -> float:
-    """scale * t**exponent; ValueError naming the law and t on overflow."""
-    try:
-        return scale * float(t) ** exponent
-    except OverflowError:
-        raise ValueError(f"{law} {scale} * t**{exponent} overflows at t = {t}") from None
+def _power_law(law: str, scale: float, exponent: float, t):
+    """scale * t**exponent at a time or an array of times; ValueError naming
+    the law and the first t at which t**exponent overflows."""
+    with np.errstate(over="ignore"):
+        power = np.power(t, exponent)
+    overflowed = np.asarray(t)[np.isinf(power)]
+    if overflowed.size:
+        raise ValueError(f"{law} {scale} * t**{exponent} overflows at t = {overflowed.flat[0]}")
+    return scale * power
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,8 @@ class CoefficientLaw:
     def is_constant(self) -> bool:
         return self.exponent == 0.0
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """kappa(t) at a time, or elementwise at an array of times."""
         return _power_law("coefficient", self.scale, self.exponent, t)
 
 
@@ -99,7 +106,8 @@ class SourceTerm:
     def is_zero(self) -> bool:
         return self.spatial is None
 
-    def time_factor(self, t: float) -> float:
+    def time_factor(self, t):
+        """Time factor at a time or an array of times; 0.0 for the zero source."""
         if self.is_zero:
             return 0.0
         return _power_law("source time factor", self.time_scale, self.time_exponent, t)
@@ -158,39 +166,48 @@ def load_vector(source: SourceTerm, mesh: Mesh1D, t: float) -> np.ndarray:
     return source.time_factor(t) * basis_integrals(source.spatial, mesh)
 
 
-def _modal_data(spec: ProblemSpec, mesh: Mesh1D):
-    """Mode eigenvalues of M and S and the sine coefficients of the load."""
-    lam_m, lam_s = mode_eigenvalues(mesh)
+def _march(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, first: int,
+           frozen_time: float | None = None) -> None:
+    """Fill rows ``first`` .. of ``run.trajectory``, which hold sine
+    coefficients, by the implicit scheme from the rows before them.
+
+    Steps go in blocks of B: the history of the rows before a block comes
+    from one matrix product for all B steps (``cq.history_sum`` over a
+    range), and each step adds the at most B - 1 rows of its own block.
+    B = 64 once the n_steps x M coefficient history outgrows 2**18 doubles
+    (2 MB, the L2 cache of the 2-vCPU Xeon it was measured on), and B = 1
+    below that: a history the cache holds gains nothing from the product,
+    and at such shapes the product's second BLAS thread costs CPU time
+    while the step loop runs.
+    """
+    coeffs = run.trajectory
+    n_rows, n_modes = coeffs.shape
+    kappa = spec.coefficient(run.times)
+    f = spec.source.time_factor(run.times)
+    # the frozen form puts kappa(t_m) in the implicit part and in a right-hand
+    # correction; their difference cancels algebraically against kappa(t_n)
+    implicit = kappa if frozen_time is None else spec.coefficient(float(frozen_time))
+    hist_factor = -implicit + (implicit - kappa)
+    lead = implicit - (implicit - kappa)
+
+    lam_m, lam_s = mode_eigenvalues(run.mesh)
+    lam_m_tau, d0_lam_s = lam_m / run.tau, weights.d[0] * lam_s
     load = None
     if not spec.source.is_zero:
-        load = sine_transform(basis_integrals(spec.source.spatial, mesh))
-    return lam_m, lam_s, load
-
-
-def _advance(spec: ProblemSpec, weights: cq.CQWeights, lam_m: np.ndarray,
-             lam_s: np.ndarray, load: np.ndarray | None, coeffs: np.ndarray,
-             n: int, tau: float, frozen_time: float | None) -> np.ndarray:
-    """Sine coefficients of W^n from rows 0..n-1 of ``coeffs``."""
-    t_n = n * tau
-    kap_n = spec.coefficient(t_n)
-    d0 = weights.d[0]
-
-    rhs = lam_m * coeffs[n - 1] / tau
-    if load is not None:
-        rhs += spec.source.time_factor(t_n) * load
-    hist = lam_s * cq.history_sum(weights, coeffs[1:n], n, exclude_current=True)
-
-    if frozen_time is None:
-        rhs -= kap_n * hist
-        lead = d0 * kap_n
-    else:
-        # literal frozen-coefficient form: both the implicit part and the
-        # right-hand correction carry kappa(t_m); the difference cancels
-        # algebraically against the m-free form above.
-        kap_m = spec.coefficient(float(frozen_time))
-        rhs = rhs - kap_m * hist + (kap_m - kap_n) * hist
-        lead = d0 * kap_m - d0 * (kap_m - kap_n)
-    return rhs / (lam_m / tau + lead * lam_s)
+        load = sine_transform(basis_integrals(spec.source.spatial, run.mesh))
+    block = 1 if (n_rows - 1) * n_modes <= 2 ** 18 else 64
+    for n0 in range(first, n_rows, block):
+        n1 = min(n0 + block, n_rows)
+        far = cq.history_sum(weights, coeffs[1:n0], range(n0, n1), exclude_current=True)
+        for n in range(n0, n1):
+            hist = far[n - n0]
+            if n > n0:  # rows n0 .. n-1 of this block, as the history from origin n0
+                hist = hist + cq.history_sum(weights, coeffs[n0:n], n - n0 + 1,
+                                             exclude_current=True)
+            rhs = lam_m_tau * coeffs[n - 1] + hist_factor[n] * (lam_s * hist)
+            if load is not None:
+                rhs += f[n] * load
+            coeffs[n] = rhs / (lam_m_tau + lead[n] * d0_lam_s)
 
 
 def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
@@ -203,10 +220,11 @@ def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
     """
     if not 1 <= n <= run.n_steps:
         raise ValueError(f"step index must lie in 1..{run.n_steps}, got {n}")
-    lam_m, lam_s, load = _modal_data(spec, run.mesh)
-    coeffs = sine_transform(run.trajectory[:n])
-    w_hat = _advance(spec, weights, lam_m, lam_s, load, coeffs, n, run.tau, frozen_time)
-    return 2.0 / run.mesh.n_cells * sine_transform(w_hat)
+    coeffs = np.empty((n + 1, run.mesh.n_interior))
+    coeffs[:n] = sine_transform(run.trajectory[:n])
+    head = DiscreteRun(mesh=run.mesh, n_steps=n, tau=run.tau, trajectory=coeffs)
+    _march(head, spec, weights, n, frozen_time)
+    return 2.0 / run.mesh.n_cells * sine_transform(coeffs[n])
 
 
 def solve(spec: ProblemSpec, n_cells: int, n_steps: int) -> DiscreteRun:
@@ -219,18 +237,18 @@ def solve(spec: ProblemSpec, n_cells: int, n_steps: int) -> DiscreteRun:
     mesh = build_mesh(n_cells)
     tau = spec.final_time / n_steps
     weights = cq.generate(spec.alpha, tau, n_steps + 1)
-    lam_m, lam_s, load = _modal_data(spec, mesh)
 
     # rows hold sine coefficients while stepping, nodal values afterwards
     trajectory = np.empty((n_steps + 1, mesh.n_interior))
     trajectory[0] = sine_transform(project_initial(spec, mesh))
-    for n in range(1, n_steps + 1):
-        trajectory[n] = _advance(spec, weights, lam_m, lam_s, load,
-                                 trajectory, n, tau, None)
-    for start in range(0, n_steps + 1, 16):  # blocks bound the transform's scratch
-        block = trajectory[start:start + 16]
-        block[:] = 2.0 / mesh.n_cells * sine_transform(block)
-        if not np.isfinite(block).all():
-            raise ValueError(f"solve produced non-finite states "
-                             f"(n_cells={mesh.n_cells}, n_steps={n_steps})")
-    return DiscreteRun(mesh=mesh, n_steps=n_steps, tau=tau, trajectory=trajectory)
+    run = DiscreteRun(mesh=mesh, n_steps=n_steps, tau=tau, trajectory=trajectory)
+    # overflow surfaces once, as the ValueError below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        _march(run, spec, weights, 1)
+        for start in range(0, n_steps + 1, 16):  # blocks bound the transform's scratch
+            block = trajectory[start:start + 16]
+            block[:] = 2.0 / mesh.n_cells * sine_transform(block)
+            if not np.isfinite(block).all():
+                raise ValueError(f"solve produced non-finite states "
+                                 f"(n_cells={mesh.n_cells}, n_steps={n_steps})")
+    return run

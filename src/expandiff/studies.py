@@ -195,28 +195,3 @@ def write_csv(tables, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
-
-def read_csv(path) -> list[RateTable]:
-    """Read back tables written by ``write_csv`` (blocks split on empty rate)."""
-    with open(path, encoding="utf-8") as f:
-        rows = [line.strip() for line in f if line.strip()]
-    if not rows or rows[0] != "resolution,error,rate":
-        raise ValueError("not a rate-table CSV (missing header)")
-    tables: list[RateTable] = []
-    res: list[float] = []
-    errs: list[float] = []
-    rates: list[float] = []
-    for row in rows[1:]:
-        r, e, rt = row.split(",")
-        if rt == "" and res:
-            tables.append(RateTable(label="", axis="temporal",
-                                    resolutions=res, errors=errs, rates=rates))
-            res, errs, rates = [], [], []
-        res.append(float(r))
-        errs.append(float(e))
-        if rt != "":
-            rates.append(float(rt))
-    if res:
-        tables.append(RateTable(label="", axis="temporal",
-                                resolutions=res, errors=errs, rates=rates))
-    return tables

@@ -1,8 +1,32 @@
+import io
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from expandiff.cli import ConfigError, main, parse_config, run
-from expandiff.studies import read_csv
+from expandiff.cli import ConfigError, main, parse_config, print_table, run
+from expandiff.studies import RateTable
+
+
+def read_csv(path):
+    """Blocks of a ``write_csv`` file as namespaces of resolutions, errors and
+    rates; a block starts at each row with an empty rate cell.  The CSV holds
+    neither the label nor the axis of a table, so neither comes back."""
+    with open(path, encoding="utf-8") as f:
+        rows = f.read().split()
+    if not rows or rows[0] != "resolution,error,rate":
+        raise ValueError("not a rate-table CSV (missing header)")
+    blocks = []
+    for row in rows[1:]:
+        res, err, rate = row.split(",")
+        if rate == "":
+            blocks.append(SimpleNamespace(resolutions=[], errors=[], rates=[]))
+        else:
+            blocks[-1].rates.append(float(rate))
+        blocks[-1].resolutions.append(float(res))
+        blocks[-1].errors.append(float(err))
+    return blocks
+
 
 CUSTOM = """
 # temporal self-convergence on a coarse grid
@@ -133,9 +157,10 @@ def test_cli_non_finite_coefficient_exits_nonzero_without_csv(tmp_path, capsys):
     assert "scale must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_cli_non_finite_study_exits_nonzero_without_csv(tmp_path, capsys):
-    # kappa = 0 and a source growing like t over T = 1e300: the states overflow
+    # kappa = 0 and a source growing like t over T = 1e300: the states overflow,
+    # and the one error line is all that reaches stderr (no numpy warnings)
     cfgfile = tmp_path / "huge.txt"
     out = tmp_path / "never.csv"
     cfgfile.write_text(
@@ -145,7 +170,8 @@ def test_cli_non_finite_study_exits_nonzero_without_csv(tmp_path, capsys):
         f"source.exponent = 1\noutput = {out}\n")
     assert main(["--config", str(cfgfile)]) == 1
     assert not out.exists()
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: solve produced non-finite states")
 
 
 @pytest.mark.parametrize("law, old, new", [
@@ -163,6 +189,23 @@ def test_cli_overflowing_power_law_exits_nonzero(tmp_path, capsys, law, old, new
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: " + law) and "overflows at t = " in err
+
+
+def test_print_table_huge_resolutions_are_not_one_over_zero():
+    # above 1e9, round(1/r) is 0; the header printed 1/0 for every column
+    table = RateTable(label="big", axis="temporal", resolutions=[2.5e299, 1.25e299],
+                      errors=[1.0, 0.5])
+    buf = io.StringIO()
+    print_table(table, buf)
+    assert buf.getvalue().splitlines()[0].split() == ["big", "2.5e+299", "1.25e+299"]
+
+
+def test_print_table_keeps_three_digit_exponents_apart():
+    table = RateTable(label="tiny", axis="spatial", resolutions=[1 / 32, 1 / 64],
+                      errors=[1.507e-153, 6.774e-154])
+    buf = io.StringIO()
+    print_table(table, buf)
+    assert buf.getvalue().splitlines()[1].split() == ["E_h", "1.507E-153", "6.774E-154"]
 
 
 def test_cli_unwritable_output(tmp_path, capsys):

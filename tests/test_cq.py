@@ -139,3 +139,34 @@ def test_reversed_weights_cached_view():
     w = generate_weights(0.5, 1.0, 6)
     np.testing.assert_array_equal(w.d_reversed, w.d[::-1])
     assert w.d_reversed is w.d_reversed  # cached, not rebuilt
+
+
+@pytest.mark.parametrize("exclude_current", [False, True])
+def test_history_block_rows_match_single_target(exclude_current):
+    # each row of the block form is the single-target sum over the states
+    # the block's first step sees; later states are zeroed for the reference
+    rng = np.random.default_rng(11)
+    w = generate_weights(0.35, 0.01, 200)
+    states = rng.standard_normal((199, 6))
+    i0 = 1 if exclude_current else 0
+    for n0, n1 in [(1, 2), (1, 64), (2, 3), (5, 69), (70, 134), (150, 200)]:
+        block = history_sum(w, states, range(n0, n1), exclude_current=exclude_current)
+        assert block.shape == (n1 - n0, 6)
+        seen = states.copy()
+        seen[n0 - i0:] = 0.0
+        for n in range(n0, n1):
+            ref = history_sum(w, seen, n, exclude_current=exclude_current)
+            np.testing.assert_allclose(block[n - n0], ref, rtol=1e-13,
+                                       atol=1e-13 * np.abs(ref).max())
+
+
+def test_history_block_validates_range():
+    w = generate_weights(0.5, 1.0, 8)
+    states = np.ones((7, 2))
+    for bad in (range(3, 3), range(2, 6, 2), range(0, 2)):
+        with pytest.raises(ValueError):
+            history_sum(w, states, bad)
+    with pytest.raises(ValueError):
+        history_sum(w, states, range(4, 10))  # the last step needs 9 weights
+    with pytest.raises(ValueError):
+        history_sum(w, states[:2], range(4, 6))  # the first step needs 4 states

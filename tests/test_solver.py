@@ -6,7 +6,9 @@ import pytest
 from expandiff import (CoefficientLaw, DiscreteRun, PiecewiseFn, ProblemSpec,
                        SourceTerm, assemble_mass, assemble_stiffness,
                        basis_integrals, build_mesh, generate_weights,
-                       l2_project, load_vector, project_initial, solve, step)
+                       history_sum, l2_project, load_vector, project_initial,
+                       solve, step)
+from expandiff.fem1d import mode_eigenvalues, sine_transform
 
 
 def _table2_like(alpha=0.45, scale=0.8, exponent=1.5):
@@ -283,7 +285,44 @@ def test_modal_solve_matches_dense_nodal_reference(alpha, n_cells):
     assert np.abs(run.trajectory - ref).max() <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _direct_history_solve(spec, n_cells, n_steps):
+    """Reference modal stepper: the direct history sum of rows 1..n-1 at every step."""
+    mesh = build_mesh(n_cells)
+    tau = spec.final_time / n_steps
+    weights = generate_weights(spec.alpha, tau, n_steps + 1)
+    lam_m, lam_s = mode_eigenvalues(mesh)
+    load = sine_transform(basis_integrals(spec.source.spatial, mesh))
+    c = np.empty((n_steps + 1, mesh.n_interior))
+    c[0] = sine_transform(project_initial(spec, mesh))
+    for n in range(1, n_steps + 1):
+        t = n * tau
+        kap = spec.coefficient(t)
+        hist = history_sum(weights, c[1:n], n, exclude_current=True)
+        rhs = lam_m * c[n - 1] / tau + spec.source.time_factor(t) * load - kap * lam_s * hist
+        c[n] = rhs / (lam_m / tau + weights.d[0] * kap * lam_s)
+    return 2.0 / n_cells * sine_transform(c)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+@pytest.mark.parametrize("n_steps", [63, 64, 65, 129, 300])
+@pytest.mark.parametrize("blocked", [False, True], ids=["cached", "blocked"])
+def test_solve_matches_direct_history_sum(alpha, n_steps, blocked):
+    # n_steps * M above 2**18 steps in blocks of 64; these step counts hit a
+    # lone partial block, one full block, a one-row last block, a middle
+    # block and a partial last block
+    n_cells = 2 ** 18 // n_steps + 2 if blocked else 24
+    spec = ProblemSpec(alpha=alpha, final_time=1.0,
+                       coefficient=CoefficientLaw.power(2.0, 1.5),
+                       initial=PiecewiseFn.indicator(0.3, 0.8),
+                       source=SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5),
+                                                   time_exponent=0.1))
+    run = solve(spec, n_cells, n_steps)
+    assert (n_steps * (n_cells - 1) > 2 ** 18) == blocked
+    ref = _direct_history_solve(spec, n_cells, n_steps)
+    assert np.abs(run.trajectory - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.filterwarnings("error")  # the ValueError, not numpy warnings
 def test_non_finite_solve_raises():
     spec = ProblemSpec(alpha=0.5, final_time=1.0,
                        coefficient=CoefficientLaw.constant(0.0),

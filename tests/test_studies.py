@@ -5,8 +5,9 @@ import pytest
 
 from expandiff import (CoefficientLaw, PiecewiseFn, ProblemSpec, RateTable,
                        SourceTerm, build_mesh, mode_error, observed_rates,
-                       oracle_study, read_csv, ritz_project, spatial_study,
+                       oracle_study, ritz_project, spatial_study,
                        temporal_study, write_csv)
+from test_cli import read_csv
 
 
 def _zero_spec(alpha=0.5):
@@ -162,7 +163,7 @@ def test_oracle_study_accepts_constant_law_object():
 # -- CSV --------------------------------------------------------------------------
 
 
-def _tables_equal(a: RateTable, b: RateTable) -> bool:
+def _tables_equal(a, b) -> bool:
     if len(a.errors) != len(b.errors):
         return False
     same = np.allclose(a.resolutions, b.resolutions, rtol=0, atol=0)
