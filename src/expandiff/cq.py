@@ -3,11 +3,13 @@
 The weights d_i are the Taylor coefficients of ((1 - z)/tau)^(1-alpha):
 d_i = tau^(alpha-1) * g_i with g_i = (-1)^i * binom(1-alpha, i).  They are
 produced by the multiplicative recurrence g_i = g_{i-1} * (i - 2 + alpha) / i,
-which is O(N), overflow-free and stable for all i.  ``history_sum`` applies
-them to stored states: for one step as a vector-matrix product, or for a
-block of steps at once as one matrix product with a Toeplitz slab of the
-weights (the blocking of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
-Comput. 6 (1985) 532).
+one cumulative product, which is O(N), overflow-free and stable for all i.
+``history_sum`` applies them to stored states: for one step as a
+vector-matrix product, or for a block of steps at once as one matrix product
+with a Toeplitz slab of the weights (the blocking of Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).  It validates its
+arguments; a stepper that has checked its shapes once takes the per-step
+weights from ``CQWeights.history_window`` instead.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ class CQWeights:
         """d in reverse order; lets history sums take contiguous slices."""
         return self.d[::-1].copy()
 
+    def history_window(self, n: int) -> np.ndarray:
+        """d_{n-1} .. d_1, a contiguous view: the weights that meet W^1 ..
+        W^{n-1} in the history sum at step n without its current term.
+        Unchecked; 1 <= n <= count."""
+        return self.d_reversed[-n:-1]
+
 
 def generate(alpha: float, tau: float, count: int) -> CQWeights:
     """Weights d_0 .. d_{count-1} for order alpha in (0, 1] and step tau > 0.
@@ -50,10 +58,8 @@ def generate(alpha: float, tau: float, count: int) -> CQWeights:
         raise ValueError(f"tau must be positive, got {tau}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    g = np.empty(count)
-    g[0] = 1.0
-    for i in range(1, count):
-        g[i] = g[i - 1] * (i - 2 + alpha) / i
+    i = np.arange(1, count)
+    g = np.cumprod(np.concatenate(([1.0], (i - 2 + alpha) / i)))
     return CQWeights(alpha=float(alpha), tau=float(tau), g=g, d=tau ** (alpha - 1.0) * g)
 
 

@@ -9,14 +9,16 @@ Each implicit backward-Euler step solves
 where M and S are the P1 mass and stiffness matrices, b is the load vector
 of the source and d_i are the convolution-quadrature weights.  M and S are
 diagonal in the discrete sine basis, so the stepper advances sine
-coefficients by one division per mode and transforms the stored rows back
-to nodal values at the end.  kappa(t_n) and the source's time factor are
-evaluated once per solve, for all steps.  Once the stored history outgrows
-the cache, steps go in blocks of 64 whose history of earlier blocks is one
-matrix product (see ``_march``).  The scheme admits an equivalent
-formulation with the diffusivity frozen at an arbitrary time level and a
-correction term moved to the right-hand side; ``step`` exposes it through
-``frozen_time`` so the algebraic cancellation can be verified directly.
+coefficients: per mode, a step combines the previous coefficient, the
+history sum and the source with factors computed for 64 steps at a time.
+The run that ``solve`` returns holds the coefficients, and rows are
+transformed back to nodal values when they are read.  Once the stored
+history outgrows the cache, each chunk of 64 steps takes the history of
+earlier chunks from one matrix product (see ``_march``).  The scheme admits
+an equivalent formulation with the diffusivity frozen at an arbitrary time
+level and a correction term moved to the right-hand side; ``step`` exposes
+it through ``frozen_time`` so the algebraic cancellation can be verified
+directly.
 """
 
 from __future__ import annotations
@@ -130,25 +132,62 @@ class ProblemSpec:
             raise ValueError(f"final time must be finite and > 0, got {self.final_time}")
 
 
-@dataclass
 class DiscreteRun:
-    """A mesh, a step count and the full trajectory W^0 .. W^L (row-wise)."""
+    """A mesh, a step count and the trajectory W^0 .. W^L (row-wise).
 
-    mesh: Mesh1D
-    n_steps: int
-    tau: float
-    trajectory: np.ndarray
+    A run built from nodal rows (``trajectory=``) holds that array itself, so
+    writes into it are what ``step`` reads later.  ``solve`` builds its run
+    from the sine coefficients of the rows (``coefficients=``), and nodal rows
+    are transformed on read: ``final`` and ``state(n)`` transform one row, and
+    the first read of ``trajectory`` transforms every row and keeps them.
+    The three agree bitwise.  Reading a row whose nodal values overflow
+    raises the ValueError of a non-finite solve.
+    """
+
+    def __init__(self, mesh: Mesh1D, n_steps: int, tau: float,
+                 trajectory: np.ndarray | None = None, *,
+                 coefficients: np.ndarray | None = None):
+        if (trajectory is None) == (coefficients is None):
+            raise ValueError("pass exactly one of trajectory and coefficients")
+        self.mesh, self.n_steps, self.tau = mesh, n_steps, tau
+        self._rows = coefficients if trajectory is None else trajectory
+        self._modal = trajectory is None
+
+    @property
+    def trajectory(self) -> np.ndarray:
+        if self._modal:
+            nodal = np.empty_like(self._rows)
+            for start in range(0, nodal.shape[0], 16):  # blocks bound the FFT's buffers
+                nodal[start:start + 16] = self._nodal(self._rows[start:start + 16])
+            self._rows, self._modal = nodal, False
+        return self._rows
 
     @property
     def final(self) -> np.ndarray:
-        return self.trajectory[-1]
+        return self._row(-1)
 
     def state(self, n: int) -> np.ndarray:
-        return self.trajectory[n]
+        return self._row(n)
+
+    def _row(self, n: int) -> np.ndarray:
+        return self._nodal(self._rows[n]) if self._modal else self._rows[n]
+
+    def _nodal(self, coeffs: np.ndarray) -> np.ndarray:
+        # overflow surfaces once, as the ValueError, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = 2.0 / self.mesh.n_cells * sine_transform(coeffs)
+        _require_finite(values, self.mesh, self.n_steps)
+        return values
 
     @property
     def times(self) -> np.ndarray:
         return self.tau * np.arange(self.n_steps + 1)
+
+
+def _require_finite(values: np.ndarray, mesh: Mesh1D, n_steps: int) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"solve produced non-finite states "
+                         f"(n_cells={mesh.n_cells}, n_steps={n_steps})")
 
 
 def project_initial(spec: ProblemSpec, mesh: Mesh1D) -> np.ndarray:
@@ -166,48 +205,68 @@ def load_vector(source: SourceTerm, mesh: Mesh1D, t: float) -> np.ndarray:
     return source.time_factor(t) * basis_integrals(source.spatial, mesh)
 
 
-def _march(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, first: int,
-           frozen_time: float | None = None) -> None:
-    """Fill rows ``first`` .. of ``run.trajectory``, which hold sine
-    coefficients, by the implicit scheme from the rows before them.
+def _march(coeffs: np.ndarray, mesh: Mesh1D, tau: float, spec: ProblemSpec,
+           weights: cq.CQWeights, first: int, frozen_time: float | None = None) -> None:
+    """Fill rows ``first`` .. of ``coeffs``, the sine coefficients of W^0 ..,
+    by the implicit scheme from the rows before them.
 
-    Steps go in blocks of B: the history of the rows before a block comes
-    from one matrix product for all B steps (``cq.history_sum`` over a
-    range), and each step adds the at most B - 1 rows of its own block.
-    B = 64 once the n_steps x M coefficient history outgrows 2**18 doubles
-    (2 MB, the L2 cache of the 2-vCPU Xeon it was measured on), and B = 1
-    below that: a history the cache holds gains nothing from the product,
-    and at such shapes the product's second BLAS thread costs CPU time
-    while the step loop runs.
+    Steps go in chunks of 64.  Per chunk the scheme's coefficients become
+    (chunk x M) arrays, so that step n is, per mode,
+
+        W^n = carry_n W^{n-1} + hist_n sum_{i=1}^{n-1} d_i W^{n-i} + part_n,
+
+    with inv = 1/(lam_M/tau + d_0 kappa lam_S), carry = lam_M/tau inv,
+    hist = -kappa lam_S inv and part = f(t_n) b inv.  Once the n_steps x M
+    coefficient history outgrows 2**18 doubles (2 MB, the L2 cache of the
+    2-vCPU Xeon it was measured on), a chunk is also a block: the history of
+    the rows before it is one matrix product for all its steps
+    (``cq.history_sum`` over a range) and goes into ``part``, and each step
+    sums only the rows of its own block.  Below that each step sums all
+    earlier rows: a history the cache holds gains nothing from the product,
+    and at such shapes the product's second BLAS thread costs CPU time while
+    the step loop runs.  Raises ValueError as soon as a chunk holds a
+    non-finite coefficient.
     """
-    coeffs = run.trajectory
     n_rows, n_modes = coeffs.shape
-    kappa = spec.coefficient(run.times)
-    f = spec.source.time_factor(run.times)
+    if weights.count < n_rows - 1:
+        raise ValueError(f"need at least {n_rows - 1} weights, have {weights.count}")
+    times = tau * np.arange(n_rows)
+    kappa = spec.coefficient(times)
+    f = spec.source.time_factor(times)
     # the frozen form puts kappa(t_m) in the implicit part and in a right-hand
     # correction; their difference cancels algebraically against kappa(t_n)
     implicit = kappa if frozen_time is None else spec.coefficient(float(frozen_time))
     hist_factor = -implicit + (implicit - kappa)
     lead = implicit - (implicit - kappa)
 
-    lam_m, lam_s = mode_eigenvalues(run.mesh)
-    lam_m_tau, d0_lam_s = lam_m / run.tau, weights.d[0] * lam_s
+    lam_m, lam_s = mode_eigenvalues(mesh)
+    lam_m_tau, d0_lam_s = lam_m / tau, weights.d[0] * lam_s
     load = None
     if not spec.source.is_zero:
-        load = sine_transform(basis_integrals(spec.source.spatial, run.mesh))
-    block = 1 if (n_rows - 1) * n_modes <= 2 ** 18 else 64
-    for n0 in range(first, n_rows, block):
-        n1 = min(n0 + block, n_rows)
-        far = cq.history_sum(weights, coeffs[1:n0], range(n0, n1), exclude_current=True)
-        for n in range(n0, n1):
-            hist = far[n - n0]
-            if n > n0:  # rows n0 .. n-1 of this block, as the history from origin n0
-                hist = hist + cq.history_sum(weights, coeffs[n0:n], n - n0 + 1,
-                                             exclude_current=True)
-            rhs = lam_m_tau * coeffs[n - 1] + hist_factor[n] * (lam_s * hist)
-            if load is not None:
-                rhs += f[n] * load
-            coeffs[n] = rhs / (lam_m_tau + lead[n] * d0_lam_s)
+        load = sine_transform(basis_integrals(spec.source.spatial, mesh))
+    blocked = (n_rows - 1) * n_modes > 2 ** 18
+    hist = np.empty(n_modes)
+    for n0 in range(first, n_rows, 64):
+        n1 = min(n0 + 64, n_rows)
+        inv = 1.0 / (lam_m_tau + lead[n0:n1, None] * d0_lam_s)
+        carry = lam_m_tau * inv
+        hist_c = hist_factor[n0:n1, None] * lam_s * inv
+        part = None if load is None else f[n0:n1, None] * load * inv
+        origin = 1
+        if blocked:  # rows 1 .. n0-1 as one product; the steps sum from row n0
+            far = hist_c * cq.history_sum(weights, coeffs[1:n0], range(n0, n1),
+                                          exclude_current=True)
+            part = far if part is None else part + far
+            origin = n0
+        rows = zip(range(n0, n1), coeffs[n0 - 1:n1 - 1], coeffs[n0:n1], carry, hist_c)
+        for k, (n, prev, row, c, h) in enumerate(rows):
+            np.dot(weights.history_window(n - origin + 1), coeffs[origin:n], out=hist)
+            hist *= h
+            np.multiply(c, prev, out=row)
+            row += hist
+            if part is not None:
+                row += part[k]
+        _require_finite(coeffs[n0:n1], mesh, n_rows - 1)
 
 
 def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
@@ -222,33 +281,28 @@ def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
         raise ValueError(f"step index must lie in 1..{run.n_steps}, got {n}")
     coeffs = np.empty((n + 1, run.mesh.n_interior))
     coeffs[:n] = sine_transform(run.trajectory[:n])
-    head = DiscreteRun(mesh=run.mesh, n_steps=n, tau=run.tau, trajectory=coeffs)
-    _march(head, spec, weights, n, frozen_time)
+    _march(coeffs, run.mesh, run.tau, spec, weights, n, frozen_time)
     return 2.0 / run.mesh.n_cells * sine_transform(coeffs[n])
 
 
 def solve(spec: ProblemSpec, n_cells: int, n_steps: int) -> DiscreteRun:
-    """Full trajectory of the scheme on a fresh mesh with tau = T / n_steps.
+    """The scheme's run on a fresh mesh with tau = T / n_steps.
 
+    The run holds sine coefficients; nodal rows are transformed on read.
     Deterministic: identical inputs produce bitwise-identical trajectories.
-    Raises ValueError when any state comes out non-finite.
+    Raises ValueError when a coefficient or the final state comes out
+    non-finite; any other row whose nodal values overflow raises when read.
     """
     n_steps = require_count(n_steps, 1, "n_steps")
     mesh = build_mesh(n_cells)
     tau = spec.final_time / n_steps
     weights = cq.generate(spec.alpha, tau, n_steps + 1)
 
-    # rows hold sine coefficients while stepping, nodal values afterwards
-    trajectory = np.empty((n_steps + 1, mesh.n_interior))
-    trajectory[0] = sine_transform(project_initial(spec, mesh))
-    run = DiscreteRun(mesh=mesh, n_steps=n_steps, tau=tau, trajectory=trajectory)
-    # overflow surfaces once, as the ValueError below, not as numpy warnings
+    coeffs = np.empty((n_steps + 1, mesh.n_interior))
+    run = DiscreteRun(mesh=mesh, n_steps=n_steps, tau=tau, coefficients=coeffs)
+    # overflow surfaces once, as the ValueError of _require_finite, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _march(run, spec, weights, 1)
-        for start in range(0, n_steps + 1, 16):  # blocks bound the transform's scratch
-            block = trajectory[start:start + 16]
-            block[:] = 2.0 / mesh.n_cells * sine_transform(block)
-            if not np.isfinite(block).all():
-                raise ValueError(f"solve produced non-finite states "
-                                 f"(n_cells={mesh.n_cells}, n_steps={n_steps})")
+        coeffs[0] = sine_transform(project_initial(spec, mesh))
+        _march(coeffs, mesh, tau, spec, weights, 1)
+    run._row(-1)  # raises now if the final nodal row overflows
     return run

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem1d import (Mesh1D, assemble_mass, build_mesh, l2_norm, prolong)
+from .fem1d import Mesh1D, build_mesh, l2_norm, prolong
 from .mittag_leffler import mittag_leffler
 from .solver import (CoefficientLaw, PiecewiseFn, ProblemSpec, SourceTerm,
                      solve)

@@ -1,4 +1,5 @@
 import io
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -172,6 +173,23 @@ def test_cli_non_finite_study_exits_nonzero_without_csv(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: solve produced non-finite states")
+
+
+def test_cli_zero_errors_write_nan_rate(tmp_path, capsys):
+    # kappa(t) = t over T = 1e300 damps every state to zero: both errors are
+    # zero, and their rate is NaN, the documented mark of a zero error
+    cfgfile = tmp_path / "zero.txt"
+    out = tmp_path / "zero.csv"
+    cfgfile.write_text(CUSTOM.replace("final_time = 1", "final_time = 1e300")
+                       .replace("tau_list = 1/4 1/8 1/16", "tau_list = 2.5e299 1.25e299")
+                       .replace("coeff.exponent = 2.01", "coeff.exponent = 1")
+                       + f"\noutput = {out}\n")
+    assert main(["--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().err == ""
+    (block,) = read_csv(out)
+    assert block.errors == [0.0, 0.0]
+    assert len(block.rates) == 1 and math.isnan(block.rates[0])
+    assert out.read_text(encoding="utf-8").splitlines()[-1].endswith(",nan")
 
 
 @pytest.mark.parametrize("law, old, new", [

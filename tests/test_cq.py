@@ -48,6 +48,17 @@ def test_recurrence_matches_gamma_ratio():
         np.testing.assert_allclose(w.g[1:], ref, rtol=1e-10)
 
 
+def test_generate_matches_sequential_recurrence():
+    # the cumulative product against the loop g_i = g_{i-1} * (i - 2 + alpha) / i
+    for alpha in (0.1, 0.35, 0.5, 0.8, 1.0):
+        w = generate_weights(alpha, 1.0, 10_001)
+        ref = np.empty(10_001)
+        ref[0] = 1.0
+        for i in range(1, 10_001):
+            ref[i] = ref[i - 1] * (i - 2 + alpha) / i
+        np.testing.assert_allclose(w.g, ref, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
 def test_convolution_with_inverse_exponent_weights(alpha):
     # coefficients of (1-z)^(1-a) convolved with those of (1-z)^(a-1)
@@ -170,3 +181,28 @@ def test_history_block_validates_range():
         history_sum(w, states, range(4, 10))  # the last step needs 9 weights
     with pytest.raises(ValueError):
         history_sum(w, states[:2], range(4, 6))  # the first step needs 4 states
+
+
+def test_history_window_matches_history_sum():
+    # the stepper's unchecked window, over all earlier states and over the
+    # states of a block, against the validated sums it replaces
+    rng = np.random.default_rng(5)
+    w = generate_weights(0.35, 0.01, 200)
+    states = rng.standard_normal((199, 6))
+    for n in (1, 2, 63, 64, 65, 130, 200):
+        window = w.history_window(n)
+        assert window.shape == (n - 1,)
+        assert n == 1 or np.shares_memory(window, w.d_reversed)  # a view, not a copy
+        np.testing.assert_allclose(window @ states[:n - 1],
+                                   history_sum(w, states, n, exclude_current=True),
+                                   rtol=1e-14, atol=0.0)
+    for n0, n1 in [(1, 65), (65, 129), (150, 200)]:
+        far = history_sum(w, states, range(n0, n1), exclude_current=True)
+        for n in range(n0, n1):
+            near = w.history_window(n - n0 + 1) @ states[n0 - 1:n - 1]  # W^n0 .. W^{n-1}
+            np.testing.assert_allclose(
+                near, history_sum(w, states[n0 - 1:], n - n0 + 1, exclude_current=True),
+                rtol=1e-14, atol=0.0)
+            full = history_sum(w, states, n, exclude_current=True)
+            np.testing.assert_allclose(far[n - n0] + near, full, rtol=1e-13,
+                                       atol=1e-13 * np.abs(full).max())

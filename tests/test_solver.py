@@ -333,6 +333,51 @@ def test_non_finite_solve_raises():
         solve(spec, 16, 50)
 
 
+@pytest.mark.filterwarnings("error")
+def test_solve_raises_when_only_the_nodal_final_state_overflows():
+    # every sine coefficient stays finite (the largest is 5.2e307), but the
+    # back transform of the last row overflows: reading only .final must not
+    # hand out infinities
+    spec = ProblemSpec(alpha=0.5, final_time=1.0,
+                       coefficient=CoefficientLaw.constant(0.0),
+                       initial=PiecewiseFn.zero(),
+                       source=SourceTerm.separable(PiecewiseFn.indicator(0, 0.5),
+                                                   time_scale=1e307))
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(spec, 16, 4).final
+
+
+@pytest.mark.filterwarnings("error")  # the ValueError, not numpy warnings
+@pytest.mark.parametrize("scale", [3e307, 1.7e308])
+def test_overflowing_initial_state_raises(scale):
+    # the forward transform (3e307) or the L2 projection (1.7e308) of the
+    # datum overflows
+    spec = ProblemSpec(alpha=0.5, final_time=1.0,
+                       coefficient=CoefficientLaw.constant(1.0),
+                       initial=scale * PiecewiseFn.indicator(0.0, 0.5),
+                       source=SourceTerm.zero())
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(spec, 16, 8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reading_an_overflowing_row_raises():
+    # a huge initial state that decays: the solve and its final row are
+    # finite, but the back transform of row 0 overflows when it is read
+    spec = ProblemSpec(alpha=0.5, final_time=1.0,
+                       coefficient=CoefficientLaw.constant(1.0),
+                       initial=1.2e307 * PiecewiseFn.indicator(0.0, 0.5),
+                       source=SourceTerm.zero())
+    run = solve(spec, 16, 8)
+    final = run.final
+    assert np.isfinite(final).all()
+    with pytest.raises(ValueError, match="non-finite"):
+        run.state(0)
+    with pytest.raises(ValueError, match="non-finite"):
+        run.trajectory
+    assert np.array_equal(run.final, final)  # a failed read changes nothing
+
+
 def test_overflowing_power_laws_raise_value_error():
     with pytest.raises(ValueError, match="coefficient .* overflows at t = 100000.0"):
         CoefficientLaw.power(1.0, 1e6)(1e5)
@@ -370,3 +415,61 @@ def test_trajectory_shape_and_times():
     assert run.trajectory.shape == (6, 7)
     np.testing.assert_allclose(run.times, np.arange(6) / 5)
     np.testing.assert_array_equal(run.final, run.trajectory[-1])
+
+
+@pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("blocked", [False, True], ids=["cached", "blocked"])
+def test_rows_read_back_agree_bitwise(n_steps, blocked):
+    # final and state(n) transform one row, trajectory all rows in blocks;
+    # each is 2/n times the sine transform of the coefficient row; 5 * 2**16
+    # cells put n_steps x M above 2**18 at a transform length with small factors
+    n_cells = 5 * 2 ** 16 // n_steps if blocked else 24
+    rng = np.random.default_rng(n_steps)
+    coeffs = rng.standard_normal((n_steps + 1, n_cells - 1))
+    expected = 2.0 / n_cells * sine_transform(coeffs)
+    run = DiscreteRun(mesh=build_mesh(n_cells), n_steps=n_steps, tau=1.0 / n_steps,
+                      coefficients=coeffs.copy())
+    assert np.array_equal(run.final, expected[-1])
+    for n in range(n_steps + 1):
+        assert np.array_equal(run.state(n), expected[n])
+    assert np.array_equal(run.trajectory, expected)
+    assert np.array_equal(run.final, expected[-1])
+    assert np.array_equal(run.state(n_steps // 2), expected[n_steps // 2])
+    # a solved run: the pure-Python projection onto 5 * 2**16 cells would
+    # dominate the suite, so the one-step solve stays on the cached side
+    if blocked and n_steps == 1:
+        return
+    solved = solve(_forced(), n_cells, n_steps)
+    assert (n_steps * (n_cells - 1) > 2 ** 18) == blocked
+    rows = [solved.state(n) for n in range(n_steps + 1)]
+    final = solved.final
+    trajectory = solved.trajectory
+    assert np.array_equal(final, trajectory[-1])
+    assert all(np.array_equal(row, trajectory[n]) for n, row in enumerate(rows))
+    assert np.array_equal(solved.state(n_steps), final)
+
+
+def test_discrete_run_takes_exactly_one_kind_of_rows():
+    mesh = build_mesh(4)
+    with pytest.raises(ValueError, match="exactly one"):
+        DiscreteRun(mesh=mesh, n_steps=1, tau=1.0)
+    with pytest.raises(ValueError, match="exactly one"):
+        DiscreteRun(mesh=mesh, n_steps=1, tau=1.0, trajectory=np.zeros((2, 3)),
+                    coefficients=np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("n_cells, n_steps, calls", [(128, 1600, 0), (300, 1000, 16)])
+def test_history_sum_called_once_per_block(monkeypatch, n_cells, n_steps, calls):
+    # steps take their weights from the unchecked window; only the far field
+    # of a block (n_steps x M above 2**18) goes through the validated sum
+    from expandiff import cq
+
+    checked, seen = cq.history_sum, []
+
+    def counted(*args, **kwargs):
+        seen.append(args[2])
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(cq, "history_sum", counted)
+    solve(_forced(), n_cells, n_steps)
+    assert len(seen) == calls
