@@ -1,16 +1,16 @@
 """Command-line front end: declarative experiment configs, presets, CSV output.
 
 Config files are line-oriented ``key = value`` text with ``#`` comments.
-Recognised keys: preset, alpha, final_time, cells, steps, tau_list, h_list,
-coeff.kind, coeff.scale, coeff.exponent, w0.kind, w0.a, w0.b, w0.mode,
-w0.smooth, source.kind, source.exponent, source.a, source.b, output.
-List values are whitespace- or comma-separated; numbers may be written as
-fractions like ``1/50``.
+``_KEYS`` lists the recognised keys with the parser of each value; key
+``a.b`` sets the ``ExperimentConfig`` field ``a_b``.  List values are
+whitespace- or comma-separated; numbers may be written as fractions like
+``1/50``.  The benchmark tables are fixed custom configs (``_TABLES``).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -19,13 +19,6 @@ from .studies import (RateTable, oracle_study, spatial_study, temporal_study,
                       write_csv)
 
 _PRESETS = ("table1", "table2", "table3", "oracle", "custom")
-
-_KEYS = {
-    "preset", "alpha", "final_time", "cells", "steps", "tau_list", "h_list",
-    "coeff.kind", "coeff.scale", "coeff.exponent",
-    "w0.kind", "w0.a", "w0.b", "w0.mode", "w0.smooth",
-    "source.kind", "source.exponent", "source.a", "source.b", "output",
-}
 
 
 class ConfigError(Exception):
@@ -72,6 +65,23 @@ def _number_list(text: str) -> list[float]:
     return [_number(tok) for tok in text.replace(",", " ").split()]
 
 
+def _boolean(text: str) -> bool:
+    low = text.lower()
+    if low not in ("true", "false", "yes", "no", "1", "0"):
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return low in ("true", "yes", "1")
+
+
+_KEYS = {
+    "preset": str, "alpha": _number, "final_time": _number, "cells": int, "steps": int,
+    "tau_list": _number_list, "h_list": _number_list,
+    "coeff.kind": str, "coeff.scale": _number, "coeff.exponent": _number,
+    "w0.kind": str, "w0.a": _number, "w0.b": _number, "w0.mode": int, "w0.smooth": _boolean,
+    "source.kind": str, "source.exponent": _number, "source.a": _number, "source.b": _number,
+    "output": str,
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a config document; raises ConfigError with
     every problem found (not just the first)."""
@@ -93,7 +103,9 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         seen = True
         try:
-            _assign(cfg, key, value)
+            if not value:
+                raise ValueError("empty value")
+            setattr(cfg, key.replace(".", "_"), _KEYS[key](value))
         except (ValueError, ZeroDivisionError) as exc:
             errors.append(f"line {lineno}: bad value for {key}: {exc}")
     if not seen and not errors:
@@ -102,52 +114,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
     return cfg
-
-
-def _assign(cfg: ExperimentConfig, key: str, value: str) -> None:
-    if key == "preset":
-        cfg.preset = value
-    elif key == "alpha":
-        cfg.alpha = _number(value)
-    elif key == "final_time":
-        cfg.final_time = _number(value)
-    elif key == "cells":
-        cfg.cells = int(value)
-    elif key == "steps":
-        cfg.steps = int(value)
-    elif key == "tau_list":
-        cfg.tau_list = _number_list(value)
-    elif key == "h_list":
-        cfg.h_list = _number_list(value)
-    elif key == "coeff.kind":
-        cfg.coeff_kind = value
-    elif key == "coeff.scale":
-        cfg.coeff_scale = _number(value)
-    elif key == "coeff.exponent":
-        cfg.coeff_exponent = _number(value)
-    elif key == "w0.kind":
-        cfg.w0_kind = value
-    elif key == "w0.a":
-        cfg.w0_a = _number(value)
-    elif key == "w0.b":
-        cfg.w0_b = _number(value)
-    elif key == "w0.mode":
-        cfg.w0_mode = int(value)
-    elif key == "w0.smooth":
-        low = value.lower()
-        if low not in ("true", "false", "yes", "no", "1", "0"):
-            raise ValueError(f"expected a boolean, got {value!r}")
-        cfg.w0_smooth = low in ("true", "yes", "1")
-    elif key == "source.kind":
-        cfg.source_kind = value
-    elif key == "source.exponent":
-        cfg.source_exponent = _number(value)
-    elif key == "source.a":
-        cfg.source_a = _number(value)
-    elif key == "source.b":
-        cfg.source_b = _number(value)
-    elif key == "output":
-        cfg.output = value
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
@@ -170,6 +136,12 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         errors.append("temporal custom run needs cells")
     if cfg.h_list and cfg.steps is None:
         errors.append("spatial custom run needs steps")
+    if not all(0.0 < tau < math.inf for tau in cfg.tau_list):
+        errors.append(f"tau_list entries must be finite and > 0, got {cfg.tau_list}")
+    # a cell count within the tolerance of the step count for a tau
+    cells = [1.0 / h if 0.0 < h < math.inf else 0.0 for h in cfg.h_list]
+    if not all(2.0 <= n < math.inf and math.isclose(n, round(n), rel_tol=1e-9) for n in cells):
+        errors.append(f"h_list entries must be 1/n for integers n >= 2, got {cfg.h_list}")
     if cfg.cells is not None and cfg.cells < 2:
         errors.append(f"cells must be >= 2, got {cfg.cells}")
     if cfg.steps is not None and cfg.steps < 1:
@@ -221,7 +193,7 @@ def _initial_from(cfg: ExperimentConfig) -> PiecewiseFn:
     return PiecewiseFn.indicator(cfg.w0_a, cfg.w0_b)
 
 
-def _spec_from(cfg: ExperimentConfig, alpha: float) -> ProblemSpec:
+def _spec_from(cfg: ExperimentConfig) -> ProblemSpec:
     if cfg.coeff_kind == "constant":
         law = CoefficientLaw.constant(cfg.coeff_scale)
     else:
@@ -231,44 +203,27 @@ def _spec_from(cfg: ExperimentConfig, alpha: float) -> ProblemSpec:
     else:
         src = SourceTerm.separable(PiecewiseFn.indicator(cfg.source_a, cfg.source_b),
                                    time_exponent=cfg.source_exponent)
-    return ProblemSpec(alpha=alpha, final_time=cfg.final_time, coefficient=law,
+    return ProblemSpec(alpha=cfg.alpha, final_time=cfg.final_time, coefficient=law,
                        initial=_initial_from(cfg), source=src)
 
 
-_TABLE_TAUS = [1 / 50, 1 / 100, 1 / 200, 1 / 400, 1 / 800]
+# The benchmark tables as fixed custom configs, each with its default orders.
+_TABLES = {
+    "table1": ((0.3, 0.7), "final_time = 1\ncells = 128\ntau_list = 1/50 1/100 1/200 1/400 1/800\n"
+               "coeff.scale = 1\ncoeff.exponent = 1.01\n"
+               "source.kind = chi\nsource.a = 0\nsource.b = 0.5\nsource.exponent = 0.1"),
+    "table2": ((0.4, 0.6), "final_time = 1\ncells = 128\ntau_list = 1/50 1/100 1/200 1/400 1/800\n"
+               "coeff.scale = 1\ncoeff.exponent = 2.01\nw0.kind = chi\nw0.a = 0.5\nw0.b = 1"),
+    "table3": ((0.2, 0.7), "final_time = 2\nsteps = 2000\nh_list = 1/32 1/64 1/128 1/256 1/512\n"
+               "coeff.scale = 10\ncoeff.exponent = 1.01\nw0.kind = chi\nw0.a = 0.5\nw0.b = 1\n"
+               "source.kind = chi\nsource.a = 0\nsource.b = 0.5\nsource.exponent = 0.1"),
+}
 
 
 def _run_preset(cfg: ExperimentConfig) -> list[RateTable]:
     alphas = (cfg.alpha,) if cfg.alpha is not None else None
     tables: list[RateTable] = []
-    if cfg.preset == "table1":
-        for a in alphas or (0.3, 0.7):
-            spec = ProblemSpec(
-                alpha=a, final_time=1.0,
-                coefficient=CoefficientLaw.power(1.0, 1.01),
-                initial=PiecewiseFn.zero(),
-                source=SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5),
-                                            time_exponent=0.1))
-            tables.append(temporal_study(spec, 128, _TABLE_TAUS, label=f"alpha={a}"))
-    elif cfg.preset == "table2":
-        for a in alphas or (0.4, 0.6):
-            spec = ProblemSpec(
-                alpha=a, final_time=1.0,
-                coefficient=CoefficientLaw.power(1.0, 2.01),
-                initial=PiecewiseFn.indicator(0.5, 1.0),
-                source=SourceTerm.zero())
-            tables.append(temporal_study(spec, 128, _TABLE_TAUS, label=f"alpha={a}"))
-    elif cfg.preset == "table3":
-        for a in alphas or (0.2, 0.7):
-            spec = ProblemSpec(
-                alpha=a, final_time=2.0,
-                coefficient=CoefficientLaw.power(10.0, 1.01),
-                initial=PiecewiseFn.indicator(0.5, 1.0),
-                source=SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5),
-                                            time_exponent=0.1))
-            tables.append(spatial_study(spec, 1 / 1000, [32, 64, 128, 256, 512],
-                                        label=f"alpha={a}"))
-    elif cfg.preset == "oracle":
+    if cfg.preset == "oracle":
         for a in alphas or (0.5, 0.8):
             tables.append(oracle_study(
                 a, 1.0, 1, final_time=1.0, n_cells=256,
@@ -278,15 +233,19 @@ def _run_preset(cfg: ExperimentConfig) -> list[RateTable]:
                 a, 1.0, 1, final_time=1.0, tau=1 / 2000,
                 n_cells_list=[16, 32, 64, 128],
                 label=f"alpha={a} spatial"))
-    else:  # custom
-        spec = _spec_from(cfg, cfg.alpha)
-        if cfg.tau_list:
-            tables.append(temporal_study(spec, cfg.cells, cfg.tau_list,
-                                         label=f"alpha={cfg.alpha}"))
+        return tables
+    configs = [cfg]
+    if cfg.preset != "custom":
+        orders, document = _TABLES[cfg.preset]
+        configs = [parse_config(f"preset = custom\nalpha = {a!r}\n{document}")
+                   for a in alphas or orders]
+    for c in configs:
+        spec, label = _spec_from(c), f"alpha={c.alpha}"
+        if c.tau_list:
+            tables.append(temporal_study(spec, c.cells, c.tau_list, label=label))
         else:
-            cells = [round(1.0 / h) for h in cfg.h_list]
-            tables.append(spatial_study(spec, spec.final_time / cfg.steps, cells,
-                                        label=f"alpha={cfg.alpha}"))
+            cells = [round(1.0 / h) for h in c.h_list]
+            tables.append(spatial_study(spec, c.final_time / c.steps, cells, label=label))
     return tables
 
 
@@ -364,7 +323,7 @@ def main(argv=None) -> int:
         overrides.append(f"preset = {args.preset}")
     if args.alpha is not None:
         overrides.append(f"alpha = {args.alpha}")
-    if args.output:
+    if args.output is not None:
         overrides.append(f"output = {args.output}")
     try:
         cfg = parse_config(text + "\n" + "\n".join(overrides))

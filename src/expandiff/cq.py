@@ -4,12 +4,12 @@ The weights d_i are the Taylor coefficients of ((1 - z)/tau)^(1-alpha):
 d_i = tau^(alpha-1) * g_i with g_i = (-1)^i * binom(1-alpha, i).  They are
 produced by the multiplicative recurrence g_i = g_{i-1} * (i - 2 + alpha) / i,
 one cumulative product, which is O(N), overflow-free and stable for all i.
-``history_sum`` applies them to stored states: for one step as a
-vector-matrix product, or for a block of steps at once as one matrix product
-with a Toeplitz slab of the weights (the blocking of Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).  It validates its
-arguments; a stepper that has checked its shapes once takes the per-step
-weights from ``CQWeights.history_window`` instead.
+``history_sum`` applies them to stored states, for one step or for a block
+of steps at once, as one matrix product with a Toeplitz slab of the weights
+(the blocking of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
+(1985) 532).  It validates its arguments; a stepper that has checked its
+shapes once takes the per-step weights from ``CQWeights.history_window``
+instead.
 """
 
 from __future__ import annotations
@@ -93,10 +93,8 @@ def history_sum(weights: CQWeights, states, upto, exclude_current: bool = False)
         raise ValueError(f"need {needed} states, have {states.shape[0]}")
     # d_i pairs with W^{n-i}: reversed weights d_{n-1} .. d_{n-needed} meet W^1 .. in order
     start = weights.count - steps.start  # row n0 of the slab begins here in d_reversed
-    if len(steps) == 1:  # a plain slice: the window view costs ~15 us a call
-        out = weights.d_reversed[start:start + needed] @ states[:needed]
-        return out[None] if isinstance(upto, range) else out
     # row k starts one entry earlier than row k - 1: reversed sliding windows
     slab = sliding_window_view(
         weights.d_reversed[start - len(steps) + 1:start + needed], needed)[::-1]
-    return np.ascontiguousarray(slab) @ states[:needed]
+    out = np.ascontiguousarray(slab) @ states[:needed]
+    return out if isinstance(upto, range) else out[0]

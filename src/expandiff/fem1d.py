@@ -144,28 +144,9 @@ class PiecewiseFn:
         return cls([bp[i] for i in keep] + [1.0], [[vals[i]] for i in keep])
 
     @classmethod
-    def polynomial(cls, coeffs, smooth: bool = True) -> "PiecewiseFn":
-        """Single polynomial piece on [0, 1]; ascending coefficients."""
-        return cls([0.0, 1.0], [coeffs], smooth=smooth)
-
-    @classmethod
     def sine(cls, mode: int, amplitude: float = 1.0) -> "PiecewiseFn":
         """amplitude * sin(mode * pi * x), flagged smooth."""
         return cls([0.0, 1.0], [], smooth=True, sine_mode=int(mode), amplitude=amplitude)
-
-    @classmethod
-    def from_nodal(cls, mesh: Mesh1D, values) -> "PiecewiseFn":
-        """The P1 function with the given interior nodal values (zero boundary)."""
-        v = np.asarray(values, dtype=float)
-        if v.shape != (mesh.n_interior,):
-            raise ValueError("nodal values must match the mesh's interior size")
-        full = np.concatenate(([0.0], v, [0.0]))
-        nodes = mesh.nodes
-        pieces = []
-        for k in range(mesh.n_cells):
-            slope = (full[k + 1] - full[k]) / mesh.h
-            pieces.append([full[k] - slope * nodes[k], slope])
-        return cls(nodes, pieces)
 
     # -- evaluation --------------------------------------------------------
 

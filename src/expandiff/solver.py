@@ -70,10 +70,6 @@ class CoefficientLaw:
     def power(cls, scale: float, exponent: float) -> "CoefficientLaw":
         return cls(scale=float(scale), exponent=float(exponent))
 
-    @property
-    def is_constant(self) -> bool:
-        return self.exponent == 0.0
-
     def __call__(self, t):
         """kappa(t) at a time, or elementwise at an array of times."""
         return _power_law("coefficient", self.scale, self.exponent, t)
@@ -179,10 +175,6 @@ class DiscreteRun:
         _require_finite(values, self.mesh, self.n_steps)
         return values
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.tau * np.arange(self.n_steps + 1)
-
 
 def _require_finite(values: np.ndarray, mesh: Mesh1D, n_steps: int) -> None:
     if not np.isfinite(values).all():
@@ -196,13 +188,6 @@ def project_initial(spec: ProblemSpec, mesh: Mesh1D) -> np.ndarray:
     if w0.smooth and w0.has_derivative:
         return ritz_project(w0, mesh)
     return l2_project(w0, mesh)
-
-
-def load_vector(source: SourceTerm, mesh: Mesh1D, t: float) -> np.ndarray:
-    """b_j(t) = time factor at t times the exact spatial integrals (g, phi_j)."""
-    if source.is_zero:
-        return np.zeros(mesh.n_interior)
-    return source.time_factor(t) * basis_integrals(source.spatial, mesh)
 
 
 def _march(coeffs: np.ndarray, mesh: Mesh1D, tau: float, spec: ProblemSpec,

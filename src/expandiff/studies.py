@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem1d import Mesh1D, build_mesh, l2_norm, prolong
+from .fem1d import Mesh1D, build_mesh, l2_norm, prolong, require_count
 from .mittag_leffler import mittag_leffler
 from .solver import (CoefficientLaw, PiecewiseFn, ProblemSpec, SourceTerm,
                      solve)
@@ -60,8 +60,8 @@ def _check_halving(values, what: str) -> None:
 
 
 def _steps_for(tau: float, final_time: float) -> int:
-    steps = final_time / tau
-    n = round(steps)
+    steps = final_time / tau if tau > 0.0 else math.nan
+    n = round(steps) if math.isfinite(steps) else 0
     if n < 1 or not math.isclose(steps, n, rel_tol=1e-9):
         raise ValueError(f"step {tau} does not divide the final time {final_time}")
     return n
@@ -83,7 +83,7 @@ def temporal_study(spec: ProblemSpec, n_cells: int, tau_list, label: str = "") -
 
 def spatial_study(spec: ProblemSpec, tau: float, n_cells_list, label: str = "") -> RateTable:
     """E_h = ||prolong(W_h) - W_{h/2}|| at the final time, on the finer mesh."""
-    cells = [int(n) for n in n_cells_list]
+    cells = [require_count(n, 2, "n_cells") for n in n_cells_list]
     if not cells:
         raise ValueError("n_cells_list must not be empty")
     hs = [1.0 / n for n in cells]
@@ -103,21 +103,15 @@ def spatial_study(spec: ProblemSpec, tau: float, n_cells_list, label: str = "") 
 
 
 def mode_error(mesh: Mesh1D, values: np.ndarray, alpha: float, kappa: float,
-               mode: int, t: float, norm: str = "l2") -> float:
-    """Error of the P1 field against E_alpha(-kappa (j pi)^2 t^alpha) sin(j pi x).
+               mode: int, t: float) -> float:
+    """L2 error of the P1 field against E_alpha(-kappa (j pi)^2 t^alpha) sin(j pi x).
 
-    "l2" integrates the squared difference with the per-element Gauss rule
-    (the interpolation error of the sine is included); "max" compares
-    nodal values only.
+    The squared difference is integrated with the per-element Gauss rule, so
+    the interpolation error of the sine is included.
     """
     j = int(mode)
     lam = (j * np.pi) ** 2
     amp = mittag_leffler(alpha, -kappa * lam * float(t) ** alpha)
-    if norm == "max":
-        exact = amp * np.sin(j * np.pi * mesh.interior_nodes)
-        return float(np.abs(values - exact).max())
-    if norm != "l2":
-        raise ValueError(f"unknown norm {norm!r}")
     nodes = mesh.nodes
     full = np.concatenate(([0.0], values, [0.0]))
     pts = nodes[:-1, None] + 0.5 * mesh.h * (_GAUSS_X[None, :] + 1.0)
@@ -129,8 +123,7 @@ def mode_error(mesh: Mesh1D, values: np.ndarray, alpha: float, kappa: float,
 
 def oracle_study(alpha: float, kappa, mode: int, *, final_time: float,
                  n_cells: int | None = None, tau: float | None = None,
-                 tau_list=None, n_cells_list=None, norm: str = "l2",
-                 label: str = "") -> RateTable:
+                 tau_list=None, n_cells_list=None, label: str = "") -> RateTable:
     """Convergence against the closed-form single-mode solution.
 
     Pass ``tau_list`` with a fixed ``n_cells`` for the temporal axis, or
@@ -159,20 +152,18 @@ def oracle_study(alpha: float, kappa, mode: int, *, final_time: float,
         errors = []
         for t in taus:
             run = solve(spec, n_cells, _steps_for(t, final_time))
-            errors.append(mode_error(mesh, run.final, alpha, kappa, mode,
-                                     final_time, norm))
+            errors.append(mode_error(mesh, run.final, alpha, kappa, mode, final_time))
         return RateTable(label=label, axis="temporal", resolutions=taus, errors=errors)
     if tau is None:
         raise ValueError("spatial oracle study needs a fixed tau")
-    cells = [int(n) for n in n_cells_list]
+    cells = [require_count(n, 2, "n_cells") for n in n_cells_list]
     hs = [1.0 / n for n in cells]
     _check_halving(hs, "h_list")
     steps = _steps_for(tau, final_time)
     errors = []
     for n in cells:
         run = solve(spec, n, steps)
-        errors.append(mode_error(build_mesh(n), run.final, alpha, kappa, mode,
-                                 final_time, norm))
+        errors.append(mode_error(build_mesh(n), run.final, alpha, kappa, mode, final_time))
     return RateTable(label=label, axis="spatial", resolutions=hs, errors=errors)
 
 

@@ -1,11 +1,15 @@
 import io
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from expandiff.cli import ConfigError, main, parse_config, print_table, run
+from expandiff.cli import (_KEYS, ConfigError, ExperimentConfig, main, parse_config,
+                           print_table, run)
 from expandiff.studies import RateTable
 
 
@@ -146,6 +150,46 @@ def test_cli_invalid_config_exits_nonzero_without_csv(tmp_path, capsys):
     assert main(["--config", str(cfgfile)]) == 1
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+SPATIAL = CUSTOM.replace("cells = 16", "steps = 4").replace("tau_list = 1/4 1/8 1/16",
+                                                           "h_list = 1/4 1/8")
+
+
+@pytest.mark.parametrize("cfg_text", [
+    CUSTOM.replace("tau_list = 1/4 1/8 1/16", "tau_list = 0"),
+    CUSTOM.replace("tau_list = 1/4 1/8 1/16", "tau_list = 1e-320"),
+    SPATIAL.replace("h_list = 1/4 1/8", "h_list = 0"),
+    SPATIAL.replace("h_list = 1/4 1/8", "h_list = inf"),
+    SPATIAL.replace("h_list = 1/4 1/8", "h_list = 0.0312 0.0156"),
+], ids=["tau-zero", "tau-tiny", "h-zero", "h-inf", "h-not-one-over-n"])
+def test_cli_degenerate_resolutions_exit_with_one_error_line(tmp_path, capsys, cfg_text):
+    cfgfile = tmp_path / "degenerate.txt"
+    out = tmp_path / "never.csv"
+    cfgfile.write_text(cfg_text + f"\noutput = {out}\n")
+    assert main(["--config", str(cfgfile)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("key, flag", [("\noutput =", []), ("", ["--output", ""])],
+                         ids=["key", "flag"])
+def test_cli_rejects_empty_output(tmp_path, monkeypatch, capsys, key, flag):
+    # an empty path used to fall back to custom.csv without a word
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.txt").write_text(CUSTOM + key)
+    assert main(["--config", "cfg.txt"] + flag) == 1
+    assert "bad value for output: empty value" in capsys.readouterr().err
+    assert not (tmp_path / "custom.csv").exists()
+
+
+def test_config_keys_are_declared_once():
+    # the README's key list, the config fields and the parser table agree
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"`([^`]+)`", re.search(r"Keys:(.*?`)\.", readme, re.S).group(1))
+    assert set(listed) == set(_KEYS)
+    assert {f.name for f in fields(ExperimentConfig)} == {k.replace(".", "_") for k in _KEYS}
 
 
 def test_cli_non_finite_coefficient_exits_nonzero_without_csv(tmp_path, capsys):

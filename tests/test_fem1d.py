@@ -141,7 +141,7 @@ def test_indicator_rejects_bad_support():
 
 
 def test_polynomial_and_sine_eval():
-    p = PiecewiseFn.polynomial([0.0, 1.0, -1.0])  # x - x^2
+    p = PiecewiseFn([0.0, 1.0], [[0.0, 1.0, -1.0]], smooth=True)  # x - x^2
     x = np.array([0.0, 0.25, 0.5, 1.0])
     np.testing.assert_allclose(p(x), x * (1 - x))
     np.testing.assert_allclose(p.derivative(x), 1 - 2 * x)
@@ -279,15 +279,24 @@ def test_l2_project_handles_breakpoints_inside_elements():
     assert b[0] == pytest.approx(3.0 * (1.0 / 3.0 - 0.2) ** 2, rel=1e-13)
 
 
+def _p1_function(mesh, values):
+    """The P1 function with the given interior nodal values, one linear
+    piece per element."""
+    full = np.concatenate(([0.0], values, [0.0]))
+    slopes = np.diff(full) / mesh.h
+    pieces = [[v - s * x, s] for v, s, x in zip(full, slopes, mesh.nodes)]
+    return PiecewiseFn(mesh.nodes, pieces)
+
+
 @pytest.mark.parametrize("n", [5, 16, 33])
 def test_l2_project_is_a_projection(n):
     rng = np.random.default_rng(42 + n)
     mesh = build_mesh(n)
     c = rng.standard_normal(mesh.n_interior)
-    g = PiecewiseFn.from_nodal(mesh, c)
+    g = _p1_function(mesh, c)
     c1 = l2_project(g, mesh)
     np.testing.assert_allclose(c1, c, atol=1e-12)
-    c2 = l2_project(PiecewiseFn.from_nodal(mesh, c1), mesh)
+    c2 = l2_project(_p1_function(mesh, c1), mesh)
     np.testing.assert_allclose(c2, c1, atol=1e-12)
 
 
@@ -299,12 +308,12 @@ def test_ritz_equals_interpolation_for_sine(n):
 
 
 def test_ritz_parabola_n4():
-    c = ritz_project(PiecewiseFn.polynomial([0.0, 1.0, -1.0]), build_mesh(4))
+    c = ritz_project(PiecewiseFn([0.0, 1.0], [[0.0, 1.0, -1.0]], smooth=True), build_mesh(4))
     np.testing.assert_allclose(c, [0.1875, 0.25, 0.1875], atol=1e-12)
 
 
 def test_ritz_zero():
-    np.testing.assert_allclose(ritz_project(PiecewiseFn.polynomial([0.0]), build_mesh(8)),
+    np.testing.assert_allclose(ritz_project(PiecewiseFn.zero(), build_mesh(8)),
                                0.0, atol=1e-15)
 
 
@@ -404,11 +413,6 @@ def test_matvec_rejects_wrong_length():
     M = assemble_mass(build_mesh(8))
     with pytest.raises(ValueError):
         M.matvec(np.zeros(5))
-
-
-def test_from_nodal_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        PiecewiseFn.from_nodal(build_mesh(8), np.zeros(5))
 
 
 def test_piecewise_breakpoint_validation():

@@ -6,8 +6,7 @@ import pytest
 from expandiff import (CoefficientLaw, DiscreteRun, PiecewiseFn, ProblemSpec,
                        SourceTerm, assemble_mass, assemble_stiffness,
                        basis_integrals, build_mesh, generate_weights,
-                       history_sum, l2_project, load_vector, project_initial,
-                       solve, step)
+                       history_sum, l2_project, project_initial, solve, step)
 from expandiff.fem1d import mode_eigenvalues, sine_transform
 
 
@@ -35,7 +34,7 @@ def test_coefficient_law_values():
     assert law(1.0) == 2.0
     assert law(0.5) == pytest.approx(2.0 * 0.5 ** 1.01, rel=1e-14)
     const = CoefficientLaw.constant(3.0)
-    assert const(0.0) == 3.0 and const.is_constant
+    assert const(0.0) == 3.0 and const.exponent == 0.0
 
 
 def test_coefficient_law_validation():
@@ -112,15 +111,16 @@ def test_project_initial_smooth_interpolates():
 
 
 def test_load_vector_zero_source():
-    np.testing.assert_array_equal(
-        load_vector(SourceTerm.zero(), build_mesh(8), 1.0), 0.0)
+    src = SourceTerm.zero()
+    assert src.is_zero and src.time_factor(1.0) == 0.0
 
 
 def test_load_vector_half_support_smallest_mesh():
     src = SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5), time_exponent=0.1)
-    b = load_vector(src, build_mesh(2), 1.0)
-    np.testing.assert_allclose(b, [0.25], rtol=1e-14)
-    np.testing.assert_array_equal(load_vector(src, build_mesh(2), 0.0), 0.0)
+    # b(t) is the time factor at t times the basis integrals of the spatial part
+    g = basis_integrals(src.spatial, build_mesh(2))
+    np.testing.assert_allclose(src.time_factor(1.0) * g, [0.25], rtol=1e-14)
+    np.testing.assert_array_equal(src.time_factor(0.0) * g, 0.0)
 
 
 # -- stepping ------------------------------------------------------------------
@@ -413,7 +413,7 @@ def test_solve_rejects_non_integer_steps(n_steps):
 def test_trajectory_shape_and_times():
     run = solve(_forced(), 8, 5)
     assert run.trajectory.shape == (6, 7)
-    np.testing.assert_allclose(run.times, np.arange(6) / 5)
+    assert run.tau == 1 / 5
     np.testing.assert_array_equal(run.final, run.trajectory[-1])
 
 

@@ -66,6 +66,22 @@ def test_spatial_rejects_non_halving():
         spatial_study(_zero_spec(), 1 / 10, [8, 24])
 
 
+@pytest.mark.parametrize("study", [
+    lambda: temporal_study(_zero_spec(), 8, [0.0]),
+    lambda: temporal_study(_zero_spec(), 8, [1e-320]),
+    lambda: spatial_study(_zero_spec(), 0.125, [0]),
+    lambda: spatial_study(_zero_spec(), 0.125, [1e-320]),
+    lambda: spatial_study(_zero_spec(), 1e-320, [4]),
+    lambda: oracle_study(0.5, 1.0, 1, final_time=1.0, n_cells=8, tau_list=[0.0]),
+    lambda: oracle_study(0.5, 1.0, 1, final_time=1.0, tau=0.125, n_cells_list=[0]),
+], ids=["tau-zero", "tau-tiny", "cells-zero", "cells-tiny", "spatial-tau-tiny",
+        "oracle-tau-zero", "oracle-cells-zero"])
+def test_degenerate_resolutions_raise_value_error(study):
+    # a zero or vanishing step or cell width has no step or cell count
+    with pytest.raises(ValueError):
+        study()
+
+
 def test_oracle_needs_exactly_one_axis():
     with pytest.raises(ValueError):
         oracle_study(0.5, 1.0, 1, final_time=1.0, n_cells=8)
@@ -132,23 +148,17 @@ def test_oracle_regression_bound_half_order():
 def test_mode_error_at_initial_time_is_projection_error():
     mesh = build_mesh(16)
     w0 = ritz_project(PiecewiseFn.sine(1), mesh)
-    # nodal values are exact at t = 0, so the max norm vanishes ...
-    assert mode_error(mesh, w0, 0.5, 1.0, 1, 0.0, norm="max") <= 1e-10
-    # ... and the L2 error is exactly the sine interpolation error
-    err = mode_error(mesh, w0, 0.5, 1.0, 1, 0.0, norm="l2")
+    # nodal values are exact at t = 0 ...
+    assert np.abs(w0 - np.sin(np.pi * mesh.interior_nodes)).max() <= 1e-10
+    # ... so the L2 error is exactly the sine interpolation error
+    err = mode_error(mesh, w0, 0.5, 1.0, 1, 0.0)
     ref = np.pi ** 2 * mesh.h ** 2 / np.sqrt(240.0)
     assert err == pytest.approx(ref, rel=1e-3)
 
 
-def test_mode_error_rejects_unknown_norm():
-    mesh = build_mesh(8)
-    with pytest.raises(ValueError):
-        mode_error(mesh, np.zeros(7), 0.5, 1.0, 1, 1.0, norm="h1")
-
-
-def test_oracle_study_max_norm_axis():
+def test_oracle_study_temporal_axis():
     tb = oracle_study(0.5, 1.0, 1, final_time=0.5, n_cells=32,
-                      tau_list=[1 / 8, 1 / 16], norm="max")
+                      tau_list=[1 / 8, 1 / 16])
     assert tb.axis == "temporal"
     assert tb.errors[0] > tb.errors[1] > 0
     assert 0.7 <= tb.rates[0] <= 1.3
