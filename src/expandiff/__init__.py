@@ -9,7 +9,7 @@ from .fem1d import (Mesh1D, PiecewiseFn, TriDiagMatrix, assemble_mass,
                     l2_project, prolong, ritz_project, solve_tridiag)
 from .mittag_leffler import exact_solution, mittag_leffler
 from .solver import (CoefficientLaw, DiscreteRun, ProblemSpec, SourceTerm,
-                     project_initial, solve, step)
+                     project_initial, solve, solve_meshes, step)
 from .studies import (RateTable, mode_error, observed_rates, oracle_study,
                       spatial_study, temporal_study, write_csv)
 
@@ -22,7 +22,7 @@ __all__ = [
     "l2_project", "prolong", "ritz_project", "solve_tridiag",
     "exact_solution", "mittag_leffler",
     "CoefficientLaw", "DiscreteRun", "ProblemSpec", "SourceTerm",
-    "project_initial", "solve", "step",
+    "project_initial", "solve", "solve_meshes", "step",
     "RateTable", "mode_error", "observed_rates", "oracle_study",
     "spatial_study", "temporal_study", "write_csv",
     "__version__",

@@ -82,24 +82,28 @@ _KEYS = {
 }
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Parse and fully validate a config document; raises ConfigError with
-    every problem found (not just the first)."""
+    every problem found (not just the first).  ``overrides`` maps keys to
+    values that replace the document's, as the command-line flags do, and
+    their errors name the flag ``--key`` instead of a line."""
     cfg = ExperimentConfig()
     errors: list[str] = []
-    seen = False
+    entries = []  # (where, key or None for a line without '=', value or line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
+        if line:
+            key, eq, value = line.partition("=")
+            entries.append((f"line {lineno}", key.strip(), value.strip()) if eq
+                           else (f"line {lineno}", None, line))
+    entries += [(f"--{key}", key, value.strip()) for key, value in (overrides or {}).items()]
+    seen = False
+    for where, key, value in entries:
+        if key is None:
+            errors.append(f"{where}: expected 'key = value', got {value!r}")
             continue
-        if "=" not in line:
-            errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
         if key not in _KEYS:
-            errors.append(f"line {lineno}: unknown key {key!r}")
+            errors.append(f"{where}: unknown key {key!r}")
             continue
         seen = True
         try:
@@ -107,7 +111,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ValueError("empty value")
             setattr(cfg, key.replace(".", "_"), _KEYS[key](value))
         except (ValueError, ZeroDivisionError) as exc:
-            errors.append(f"line {lineno}: bad value for {key}: {exc}")
+            errors.append(f"{where}: bad value for {key}: {exc}")
     if not seen and not errors:
         errors.append("empty config: a preset or a full custom specification is required")
     errors.extend(_validate(cfg))
@@ -318,15 +322,10 @@ def main(argv=None) -> int:
         print("error: need --config and/or --preset", file=sys.stderr)
         return 1
 
-    overrides = []
-    if args.preset:
-        overrides.append(f"preset = {args.preset}")
-    if args.alpha is not None:
-        overrides.append(f"alpha = {args.alpha}")
-    if args.output is not None:
-        overrides.append(f"output = {args.output}")
+    flags = {"preset": args.preset, "alpha": args.alpha, "output": args.output}
     try:
-        cfg = parse_config(text + "\n" + "\n".join(overrides))
+        cfg = parse_config(text, {key: str(value) for key, value in flags.items()
+                                  if value is not None})
     except ConfigError as exc:
         for err in exc.errors:
             print(f"error: {err}", file=sys.stderr)

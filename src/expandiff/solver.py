@@ -11,8 +11,10 @@ of the source and d_i are the convolution-quadrature weights.  M and S are
 diagonal in the discrete sine basis, so the stepper advances sine
 coefficients: per mode, a step combines the previous coefficient, the
 history sum and the source with factors computed for 64 steps at a time.
-The run that ``solve`` returns holds the coefficients, and rows are
-transformed back to nodal values when they are read.  Once the stored
+Modes never couple, so ``solve_meshes`` marches several meshes that share
+the step size at once, their modes side by side in one coefficient array;
+``solve`` is its one-mesh case.  A run holds its mesh's coefficients, and
+rows are transformed back to nodal values when they are read.  Once the stored
 history outgrows the cache, each chunk of 64 steps takes the history of
 earlier chunks from one matrix product (see ``_march``).  The scheme admits
 an equivalent formulation with the diffusivity frozen at an arbitrary time
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -132,8 +135,10 @@ class DiscreteRun:
     """A mesh, a step count and the trajectory W^0 .. W^L (row-wise).
 
     A run built from nodal rows (``trajectory=``) holds that array itself, so
-    writes into it are what ``step`` reads later.  ``solve`` builds its run
-    from the sine coefficients of the rows (``coefficients=``), and nodal rows
+    writes into it are what ``step`` reads later.  ``solve_meshes`` builds its
+    runs from the sine coefficients of the rows (``coefficients=``), each a
+    view of its mesh's columns in the array of the joint march, which
+    therefore lives as long as any of its runs does.  Nodal rows
     are transformed on read: ``final`` and ``state(n)`` transform one row, and
     the first read of ``trajectory`` transforms every row and keeps them.
     The three agree bitwise.  Reading a row whose nodal values overflow
@@ -190,13 +195,16 @@ def project_initial(spec: ProblemSpec, mesh: Mesh1D) -> np.ndarray:
     return l2_project(w0, mesh)
 
 
-def _march(coeffs: np.ndarray, mesh: Mesh1D, tau: float, spec: ProblemSpec,
+def _march(coeffs: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
            weights: cq.CQWeights, first: int, frozen_time: float | None = None) -> None:
     """Fill rows ``first`` .. of ``coeffs``, the sine coefficients of W^0 ..,
     by the implicit scheme from the rows before them.
 
-    Steps go in chunks of 64.  Per chunk the scheme's coefficients become
-    (chunk x M) arrays, so that step n is, per mode,
+    The columns of ``coeffs`` hold the modes of each mesh in ``meshes`` side
+    by side, in order.  Modes never couple, so one march advances meshes that
+    share the step size as if they were one mesh with their eigenvalues and
+    loads concatenated.  Steps go in chunks of 64.  Per chunk the scheme's
+    coefficients become (chunk x M) arrays, so that step n is, per mode,
 
         W^n = carry_n W^{n-1} + hist_n sum_{i=1}^{n-1} d_i W^{n-i} + part_n,
 
@@ -209,8 +217,9 @@ def _march(coeffs: np.ndarray, mesh: Mesh1D, tau: float, spec: ProblemSpec,
     sums only the rows of its own block.  Below that each step sums all
     earlier rows: a history the cache holds gains nothing from the product,
     and at such shapes the product's second BLAS thread costs CPU time while
-    the step loop runs.  Raises ValueError as soon as a chunk holds a
-    non-finite coefficient.
+    the step loop runs.  M counts the columns of all meshes.  Raises
+    ValueError, naming the mesh, as soon as a chunk holds a non-finite
+    coefficient.
     """
     n_rows, n_modes = coeffs.shape
     if weights.count < n_rows - 1:
@@ -224,11 +233,13 @@ def _march(coeffs: np.ndarray, mesh: Mesh1D, tau: float, spec: ProblemSpec,
     hist_factor = -implicit + (implicit - kappa)
     lead = implicit - (implicit - kappa)
 
-    lam_m, lam_s = mode_eigenvalues(mesh)
+    lam_m, lam_s = (np.concatenate(lams) for lams in zip(*map(mode_eigenvalues, meshes)))
     lam_m_tau, d0_lam_s = lam_m / tau, weights.d[0] * lam_s
     load = None
     if not spec.source.is_zero:
-        load = sine_transform(basis_integrals(spec.source.spatial, mesh))
+        load = np.concatenate([sine_transform(basis_integrals(spec.source.spatial, mesh))
+                               for mesh in meshes])
+    columns = _columns(meshes)
     blocked = (n_rows - 1) * n_modes > 2 ** 18
     hist = np.empty(n_modes)
     for n0 in range(first, n_rows, 64):
@@ -251,7 +262,14 @@ def _march(coeffs: np.ndarray, mesh: Mesh1D, tau: float, spec: ProblemSpec,
             row += hist
             if part is not None:
                 row += part[k]
-        _require_finite(coeffs[n0:n1], mesh, n_rows - 1)
+        for mesh, cols in zip(meshes, columns):
+            _require_finite(coeffs[n0:n1, cols], mesh, n_rows - 1)
+
+
+def _columns(meshes: list[Mesh1D]) -> list[slice]:
+    """The column slices of each mesh's modes in a joint coefficient array."""
+    ends = list(accumulate((mesh.n_interior for mesh in meshes), initial=0))
+    return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
 
 
 def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
@@ -266,28 +284,58 @@ def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
         raise ValueError(f"step index must lie in 1..{run.n_steps}, got {n}")
     coeffs = np.empty((n + 1, run.mesh.n_interior))
     coeffs[:n] = sine_transform(run.trajectory[:n])
-    _march(coeffs, run.mesh, run.tau, spec, weights, n, frozen_time)
+    _march(coeffs, [run.mesh], run.tau, spec, weights, n, frozen_time)
     return 2.0 / run.mesh.n_cells * sine_transform(coeffs[n])
 
 
-def solve(spec: ProblemSpec, n_cells: int, n_steps: int) -> DiscreteRun:
-    """The scheme's run on a fresh mesh with tau = T / n_steps.
+def solve_meshes(spec: ProblemSpec, cells, n_steps: int) -> list[DiscreteRun]:
+    """The scheme's runs on fresh meshes of ``cells`` cells, all with
+    tau = T / n_steps, from one march.
 
-    The run holds sine coefficients; nodal rows are transformed on read.
-    Deterministic: identical inputs produce bitwise-identical trajectories.
-    Raises ValueError when a coefficient or the final state comes out
-    non-finite; any other row whose nodal values overflow raises when read.
+    The sine coefficients of all meshes sit side by side in the columns of
+    one array, and each run holds a view of its own columns; the array lives
+    as long as any of its runs does.  Each run agrees with ``solve`` of its
+    mesh to rounding.  Deterministic: identical inputs produce
+    bitwise-identical trajectories.  Raises ValueError when a coefficient or
+    a final state comes out non-finite, or when the coefficients or weights
+    cannot be allocated; any other row whose nodal values overflow raises
+    when read.
     """
     n_steps = require_count(n_steps, 1, "n_steps")
-    mesh = build_mesh(n_cells)
+    meshes = [build_mesh(n) for n in cells]
+    if not meshes:
+        raise ValueError("cells must not be empty")
     tau = spec.final_time / n_steps
-    weights = cq.generate(spec.alpha, tau, n_steps + 1)
+    columns = _columns(meshes)
+    shape = (n_steps + 1, columns[-1].stop)
+    try:  # numpy refuses a shape beyond the address space with ValueError
+        coeffs = np.empty(shape)
+    except (MemoryError, ValueError):
+        raise _unallocated("coefficients", 8 * shape[0] * shape[1], meshes, n_steps) from None
+    try:
+        weights = cq.generate(spec.alpha, tau, n_steps + 1)
+    except MemoryError:
+        raise _unallocated("weights", 8 * shape[0], meshes, n_steps) from None
 
-    coeffs = np.empty((n_steps + 1, mesh.n_interior))
-    run = DiscreteRun(mesh=mesh, n_steps=n_steps, tau=tau, coefficients=coeffs)
+    runs = [DiscreteRun(mesh=mesh, n_steps=n_steps, tau=tau, coefficients=coeffs[:, cols])
+            for mesh, cols in zip(meshes, columns)]
     # overflow surfaces once, as the ValueError of _require_finite, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs[0] = sine_transform(project_initial(spec, mesh))
-        _march(coeffs, mesh, tau, spec, weights, 1)
-    run._row(-1)  # raises now if the final nodal row overflows
-    return run
+        for mesh, cols in zip(meshes, columns):
+            coeffs[0, cols] = sine_transform(project_initial(spec, mesh))
+        _march(coeffs, meshes, tau, spec, weights, 1)
+    for run in runs:
+        run._row(-1)  # raises now if the final nodal row overflows
+    return runs
+
+
+def _unallocated(what: str, nbytes: int, meshes: list[Mesh1D], n_steps: int) -> ValueError:
+    cells = ", ".join(f"{mesh.n_cells:.6g}" for mesh in meshes)
+    return ValueError(f"cannot allocate {nbytes:.3g} bytes for the {what} "
+                      f"(n_cells={cells}, n_steps={n_steps:.6g})")
+
+
+def solve(spec: ProblemSpec, n_cells: int, n_steps: int) -> DiscreteRun:
+    """The scheme's run on a fresh mesh with tau = T / n_steps: ``solve_meshes``
+    of one mesh, with the same guarantees and errors."""
+    return solve_meshes(spec, [n_cells], n_steps)[0]

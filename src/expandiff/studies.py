@@ -4,7 +4,8 @@ Temporal errors compare final-time states of runs with step tau and tau/2
 on the same mesh; spatial errors prolong the coarse final state to the
 once-refined mesh and measure the difference there.  Both are exact L2
 norms of P1 functions.  Rates are pairwise log2 error ratios; a NaN rate
-marks a zero error (no information).
+marks a zero error (no information).  The meshes of a spatial study share
+one step size, so ``_final_states`` marches all but the finest together.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .fem1d import Mesh1D, build_mesh, l2_norm, prolong, require_count
 from .mittag_leffler import mittag_leffler
 from .solver import (CoefficientLaw, PiecewiseFn, ProblemSpec, SourceTerm,
-                     solve)
+                     solve, solve_meshes)
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
@@ -67,6 +68,19 @@ def _steps_for(tau: float, final_time: float) -> int:
     return n
 
 
+def _final_states(spec: ProblemSpec, cells: list[int], n_steps: int) -> list[np.ndarray]:
+    """Final states on meshes of ``cells`` cells (ascending), all with n_steps.
+
+    The coarse meshes march together and the finest alone.  For a halving
+    sequence the coarse meshes hold fewer modes together than the finest
+    (31 + 63 < 127), so the joint array is freed before the finest solve
+    allocates a larger one, and peak memory stays that of the finest solve.
+    """
+    coarse, finest = cells[:-1], cells[-1:]
+    finals = [run.final for run in solve_meshes(spec, coarse, n_steps)] if coarse else []
+    return finals + [solve(spec, n, n_steps).final for n in finest]
+
+
 def temporal_study(spec: ProblemSpec, n_cells: int, tau_list, label: str = "") -> RateTable:
     """E_tau = ||W^L_tau - W^{2L}_{tau/2}|| at the final time on a fixed mesh."""
     taus = [float(t) for t in tau_list]
@@ -89,13 +103,11 @@ def spatial_study(spec: ProblemSpec, tau: float, n_cells_list, label: str = "") 
     hs = [1.0 / n for n in cells]
     _check_halving(hs, "h_list")
     steps = _steps_for(tau, spec.final_time)
-    all_cells = cells + [2 * cells[-1]]
-    finals = {n: solve(spec, n, steps).final for n in all_cells}
+    finals = _final_states(spec, cells + [2 * cells[-1]], steps)
     errors = []
-    for n in cells:
+    for n, coarse, fine_final in zip(cells, finals[:-1], finals[1:]):
         fine = build_mesh(2 * n)
-        diff = prolong(build_mesh(n), finals[n], fine) - finals[2 * n]
-        errors.append(l2_norm(fine, diff))
+        errors.append(l2_norm(fine, prolong(build_mesh(n), coarse, fine) - fine_final))
     return RateTable(label=label, axis="spatial", resolutions=hs, errors=errors)
 
 
@@ -159,11 +171,9 @@ def oracle_study(alpha: float, kappa, mode: int, *, final_time: float,
     cells = [require_count(n, 2, "n_cells") for n in n_cells_list]
     hs = [1.0 / n for n in cells]
     _check_halving(hs, "h_list")
-    steps = _steps_for(tau, final_time)
-    errors = []
-    for n in cells:
-        run = solve(spec, n, steps)
-        errors.append(mode_error(build_mesh(n), run.final, alpha, kappa, mode, final_time))
+    finals = _final_states(spec, cells, _steps_for(tau, final_time))
+    errors = [mode_error(build_mesh(n), final, alpha, kappa, mode, final_time)
+              for n, final in zip(cells, finals)]
     return RateTable(label=label, axis="spatial", resolutions=hs, errors=errors)
 
 

@@ -184,6 +184,15 @@ def test_cli_rejects_empty_output(tmp_path, monkeypatch, capsys, key, flag):
     assert not (tmp_path / "custom.csv").exists()
 
 
+
+def test_cli_override_errors_name_the_flag(tmp_path, monkeypatch, capsys):
+    # overrides are not lines of the file: an error cites the flag
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.txt").write_text(CUSTOM)
+    assert main(["--config", "cfg.txt", "--output", ""]) == 1
+    assert capsys.readouterr().err == "error: --output: bad value for output: empty value\n"
+    assert not (tmp_path / "custom.csv").exists()
+
 def test_config_keys_are_declared_once():
     # the README's key list, the config fields and the parser table agree
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -6,7 +6,8 @@ import pytest
 from expandiff import (CoefficientLaw, DiscreteRun, PiecewiseFn, ProblemSpec,
                        SourceTerm, assemble_mass, assemble_stiffness,
                        basis_integrals, build_mesh, generate_weights,
-                       history_sum, l2_project, project_initial, solve, step)
+                       history_sum, l2_project, project_initial, solve, solve_meshes,
+                       step)
 from expandiff.fem1d import mode_eigenvalues, sine_transform
 
 
@@ -473,3 +474,99 @@ def test_history_sum_called_once_per_block(monkeypatch, n_cells, n_steps, calls)
     monkeypatch.setattr(cq, "history_sum", counted)
     solve(_forced(), n_cells, n_steps)
     assert len(seen) == calls
+
+
+# -- joint march of several meshes ----------------------------------------------
+
+
+def _sine_forced(alpha=0.6):
+    # a smooth datum (Ritz projection) under a power-law diffusivity and a chi source
+    return ProblemSpec(alpha=alpha, final_time=1.0,
+                       coefficient=CoefficientLaw.power(3.0, 1.01),
+                       initial=PiecewiseFn.sine(2),
+                       source=SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5),
+                                                   time_exponent=0.1))
+
+
+def _chi_forced(alpha=0.35):
+    # a discontinuous datum (L2 projection) under the same kind of data
+    return ProblemSpec(alpha=alpha, final_time=1.0,
+                       coefficient=CoefficientLaw.power(2.0, 1.5),
+                       initial=PiecewiseFn.indicator(0.3, 0.8),
+                       source=SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5),
+                                                   time_exponent=0.1))
+
+
+@pytest.mark.parametrize("spec", [_sine_forced(), _chi_forced()], ids=["sine", "chi"])
+@pytest.mark.parametrize("cells, n_steps, blocked",
+                         [([8, 16, 32], 50, False), ([128, 256, 512], 300, True)],
+                         ids=["cached", "blocked"])
+def test_joint_march_matches_separate_solves(spec, cells, n_steps, blocked):
+    # the joint width decides the 2**18 rule: the blocked case marches three
+    # meshes in blocks that each would step alone on the cached side
+    runs = solve_meshes(spec, cells, n_steps)
+    assert (n_steps * sum(n - 1 for n in cells) > 2 ** 18) == blocked
+    assert [run.mesh.n_cells for run in runs] == cells
+    for n_cells, run in zip(cells, runs):
+        ref = solve(spec, n_cells, n_steps)
+        assert (run.n_steps, run.tau) == (ref.n_steps, ref.tau)
+        trajectory = ref.trajectory
+        tol = 1e-13 * np.abs(trajectory).max()
+        assert np.abs(run.final - ref.final).max() <= tol
+        for n in (0, 1, n_steps // 2, n_steps):
+            assert np.abs(run.state(n) - trajectory[n]).max() <= tol
+        assert np.abs(run.trajectory - trajectory).max() <= tol
+
+
+def test_joint_march_is_bitwise_deterministic():
+    first = solve_meshes(_chi_forced(), [8, 16, 32], 40)
+    again = solve_meshes(_chi_forced(), [8, 16, 32], 40)
+    for a, b in zip(first, again):
+        assert np.array_equal(a.trajectory, b.trajectory)
+
+
+def test_reading_one_joint_run_leaves_the_others_intact():
+    # the runs share one coefficient array; a trajectory read replaces only
+    # the reading run's view
+    coarse, fine = solve_meshes(_forced(), [8, 16], 20)
+    final = fine.final
+    assert coarse.trajectory.shape == (21, 7)
+    assert fine.trajectory.shape == (21, 15)
+    assert np.array_equal(fine.final, final)
+
+
+@pytest.mark.filterwarnings("error")  # the ValueError, not numpy warnings
+def test_non_finite_joint_march_raises():
+    spec = ProblemSpec(alpha=0.5, final_time=1.0,
+                       coefficient=CoefficientLaw.constant(0.0),
+                       initial=PiecewiseFn.zero(),
+                       source=SourceTerm.separable(PiecewiseFn.indicator(0, 0.5),
+                                                   time_scale=1e308))
+    with pytest.raises(ValueError, match="non-finite states"):
+        solve_meshes(spec, [8, 16], 50)
+
+
+def test_solve_meshes_rejects_no_meshes():
+    with pytest.raises(ValueError, match="cells must not be empty"):
+        solve_meshes(_forced(), [], 10)
+
+
+@pytest.mark.parametrize("cells, n_steps", [([16], 10 ** 15), ([8, 16], 10 ** 15),
+                                            ([16], 10 ** 300), ([10 ** 300], 4)])
+def test_impossible_allocation_raises_value_error(cells, n_steps):
+    # shapes beyond the address space: numpy fails at once, nothing is allocated
+    with pytest.raises(ValueError, match=r"cannot allocate \S+ bytes for the coefficients "
+                                         r"\(n_cells=.*, n_steps=.*\)"):
+        solve_meshes(_forced(), cells, n_steps)
+
+
+def test_failed_weight_allocation_raises_value_error(monkeypatch):
+    from expandiff import cq
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cq, "generate", exhausted)
+    with pytest.raises(ValueError, match=r"cannot allocate 88 bytes for the weights "
+                                         r"\(n_cells=8, 16, n_steps=10\)"):
+        solve_meshes(_forced(), [8, 16], 10)

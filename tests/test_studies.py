@@ -111,6 +111,30 @@ def test_zero_data_spatial_study():
     assert all(math.isnan(r) for r in tb.rates)
 
 
+
+@pytest.mark.parametrize("study, finest", [
+    (lambda: spatial_study(_homogeneous_spec(), 1 / 40, [4, 8, 16, 32]), 64),
+    (lambda: oracle_study(0.5, 1.0, 1, final_time=1.0, tau=1 / 40,
+                          n_cells_list=[4, 8, 16, 32]), 32),
+], ids=["spatial", "oracle"])
+def test_spatial_studies_march_coarse_meshes_together(monkeypatch, study, finest):
+    # all meshes but the finest in one march, the finest alone: for a halving
+    # sequence the joint march is narrower than the finest, so it sets no
+    # new memory peak
+    from expandiff import solver
+
+    march, widths = solver._march, []
+
+    def spied(coeffs, meshes, *args, **kwargs):
+        widths.append(coeffs.shape[1])
+        return march(coeffs, meshes, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_march", spied)
+    study()
+    assert len(widths) == 2
+    assert max(widths) == build_mesh(finest).n_interior
+    assert min(widths) < max(widths)
+
 # -- small genuine studies --------------------------------------------------------
 
 
