@@ -84,13 +84,6 @@ class TriDiagMatrix:
             out[1:] += self.sub * v[:-1]
         return out
 
-    def norm_inf(self) -> float:
-        row = np.abs(self.diag).copy()
-        if self.n > 1:
-            row[:-1] += np.abs(self.sup)
-            row[1:] += np.abs(self.sub)
-        return float(row.max())
-
 
 class PiecewiseFn:
     """Spatial data on [0, 1]: piecewise polynomials or a smooth sine mode.
@@ -128,10 +121,6 @@ class PiecewiseFn:
     @classmethod
     def zero(cls) -> "PiecewiseFn":
         return cls([0.0, 1.0], [[0.0]])
-
-    @classmethod
-    def constant(cls, value: float) -> "PiecewiseFn":
-        return cls([0.0, 1.0], [[float(value)]])
 
     @classmethod
     def indicator(cls, a: float, b: float) -> "PiecewiseFn":

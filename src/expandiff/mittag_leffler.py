@@ -76,19 +76,13 @@ def mittag_leffler(alpha: float, z: float) -> float:
     return float(total / (math.pi * alpha))
 
 
-def exact_solution(alpha: float, kappa_const, mode: int, x, t: float):
+def exact_solution(alpha: float, kappa: float, mode: int, x, t: float):
     """Single-mode solution of the constant-diffusivity homogeneous problem.
 
-    For initial datum sin(mode*pi*x) and zero source the solution is
-    E_alpha(-kappa (mode*pi)^2 t^alpha) * sin(mode*pi*x).
+    For a nonnegative number ``kappa``, initial datum sin(mode*pi*x) and zero
+    source the solution is E_alpha(-kappa (mode*pi)^2 t^alpha) * sin(mode*pi*x).
     """
-    exponent = getattr(kappa_const, "exponent", None)
-    if exponent is not None:
-        if exponent != 0.0:
-            raise ValueError("exact_solution requires a constant coefficient law")
-        kappa = float(kappa_const.scale)
-    else:
-        kappa = float(kappa_const)
+    kappa = float(kappa)
     if kappa < 0.0:
         raise ValueError(f"diffusivity must be nonnegative, got {kappa}")
     if t < 0.0:

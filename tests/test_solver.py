@@ -323,8 +323,8 @@ def test_solve_matches_direct_history_sum(alpha, n_steps, blocked):
     assert np.abs(run.trajectory - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.filterwarnings("error")  # the ValueError, not numpy warnings
 def test_non_finite_solve_raises():
+    # one ValueError and no numpy warning, which would fail the suite
     spec = ProblemSpec(alpha=0.5, final_time=1.0,
                        coefficient=CoefficientLaw.constant(0.0),
                        initial=PiecewiseFn.zero(),
@@ -334,7 +334,6 @@ def test_non_finite_solve_raises():
         solve(spec, 16, 50)
 
 
-@pytest.mark.filterwarnings("error")
 def test_solve_raises_when_only_the_nodal_final_state_overflows():
     # every sine coefficient stays finite (the largest is 5.2e307), but the
     # back transform of the last row overflows: reading only .final must not
@@ -348,11 +347,10 @@ def test_solve_raises_when_only_the_nodal_final_state_overflows():
         solve(spec, 16, 4).final
 
 
-@pytest.mark.filterwarnings("error")  # the ValueError, not numpy warnings
 @pytest.mark.parametrize("scale", [3e307, 1.7e308])
 def test_overflowing_initial_state_raises(scale):
     # the forward transform (3e307) or the L2 projection (1.7e308) of the
-    # datum overflows
+    # datum overflows: one ValueError and no numpy warning
     spec = ProblemSpec(alpha=0.5, final_time=1.0,
                        coefficient=CoefficientLaw.constant(1.0),
                        initial=scale * PiecewiseFn.indicator(0.0, 0.5),
@@ -361,7 +359,6 @@ def test_overflowing_initial_state_raises(scale):
         solve(spec, 16, 8)
 
 
-@pytest.mark.filterwarnings("error")
 def test_reading_an_overflowing_row_raises():
     # a huge initial state that decays: the solve and its final row are
     # finite, but the back transform of row 0 overflows when it is read
@@ -535,8 +532,8 @@ def test_reading_one_joint_run_leaves_the_others_intact():
     assert np.array_equal(fine.final, final)
 
 
-@pytest.mark.filterwarnings("error")  # the ValueError, not numpy warnings
 def test_non_finite_joint_march_raises():
+    # one ValueError and no numpy warning, which would fail the suite
     spec = ProblemSpec(alpha=0.5, final_time=1.0,
                        coefficient=CoefficientLaw.constant(0.0),
                        initial=PiecewiseFn.zero(),

@@ -46,6 +46,9 @@ def test_rate_table_invariants():
         RateTable(label="x", axis="spatial", resolutions=[0.1], errors=[-1.0])
     with pytest.raises(ValueError):
         RateTable(label="x", axis="spatial", resolutions=[0.1, 0.05], errors=[1.0])
+    with pytest.raises(TypeError):  # rates are always derived from the errors
+        RateTable(label="x", axis="temporal", resolutions=[0.1, 0.05],
+                  errors=[2.0, 1.0], rates=[3.0])
 
 
 # -- study validation -----------------------------------------------------------
@@ -69,15 +72,21 @@ def test_spatial_rejects_non_halving():
 @pytest.mark.parametrize("study", [
     lambda: temporal_study(_zero_spec(), 8, [0.0]),
     lambda: temporal_study(_zero_spec(), 8, [1e-320]),
+    lambda: temporal_study(_zero_spec(), 8, []),
     lambda: spatial_study(_zero_spec(), 0.125, [0]),
     lambda: spatial_study(_zero_spec(), 0.125, [1e-320]),
     lambda: spatial_study(_zero_spec(), 1e-320, [4]),
+    lambda: spatial_study(_zero_spec(), 0.125, []),
     lambda: oracle_study(0.5, 1.0, 1, final_time=1.0, n_cells=8, tau_list=[0.0]),
     lambda: oracle_study(0.5, 1.0, 1, final_time=1.0, tau=0.125, n_cells_list=[0]),
-], ids=["tau-zero", "tau-tiny", "cells-zero", "cells-tiny", "spatial-tau-tiny",
-        "oracle-tau-zero", "oracle-cells-zero"])
+    lambda: oracle_study(0.5, 1.0, 1, final_time=1.0, n_cells=8, tau_list=[]),
+    lambda: oracle_study(0.5, 1.0, 1, final_time=1.0, tau=0.125, n_cells_list=[]),
+], ids=["tau-zero", "tau-tiny", "tau-empty", "cells-zero", "cells-tiny",
+        "spatial-tau-tiny", "cells-empty", "oracle-tau-zero", "oracle-cells-zero",
+        "oracle-tau-empty", "oracle-cells-empty"])
 def test_degenerate_resolutions_raise_value_error(study):
-    # a zero or vanishing step or cell width has no step or cell count
+    # a zero or vanishing step or cell width has no step or cell count, and
+    # an empty ladder has no error to report
     with pytest.raises(ValueError):
         study()
 
@@ -88,12 +97,6 @@ def test_oracle_needs_exactly_one_axis():
     with pytest.raises(ValueError):
         oracle_study(0.5, 1.0, 1, final_time=1.0, n_cells=8,
                      tau_list=[1 / 4, 1 / 8], n_cells_list=[4, 8])
-
-
-def test_oracle_rejects_non_constant_coefficient():
-    with pytest.raises(ValueError):
-        oracle_study(0.5, CoefficientLaw.power(1.0, 1.01), 1, final_time=1.0,
-                     n_cells=8, tau_list=[1 / 4, 1 / 8])
 
 
 # -- zero-data studies ------------------------------------------------------------
@@ -180,18 +183,23 @@ def test_mode_error_at_initial_time_is_projection_error():
     assert err == pytest.approx(ref, rel=1e-3)
 
 
+def test_mode_error_rejects_bad_input():
+    mesh = build_mesh(8)
+    w = np.sin(np.pi * mesh.interior_nodes)
+    with pytest.raises(ValueError, match="mode"):
+        mode_error(mesh, w, 0.5, 1.0, 0, 1.0)
+    with pytest.raises(ValueError, match="time"):
+        mode_error(mesh, w, 0.5, 1.0, 1, -1.0)
+    with pytest.raises(ValueError, match="mesh with 8 cells"):
+        mode_error(mesh, w[:-1], 0.5, 1.0, 1, 1.0)
+
+
 def test_oracle_study_temporal_axis():
     tb = oracle_study(0.5, 1.0, 1, final_time=0.5, n_cells=32,
                       tau_list=[1 / 8, 1 / 16])
     assert tb.axis == "temporal"
     assert tb.errors[0] > tb.errors[1] > 0
     assert 0.7 <= tb.rates[0] <= 1.3
-
-
-def test_oracle_study_accepts_constant_law_object():
-    tb = oracle_study(0.5, CoefficientLaw.constant(1.0), 1, final_time=0.5,
-                      n_cells=16, tau_list=[1 / 4, 1 / 8])
-    assert all(e > 0 for e in tb.errors)
 
 
 # -- CSV --------------------------------------------------------------------------
