@@ -5,6 +5,8 @@ Config files are line-oriented ``key = value`` text with ``#`` comments.
 ``a.b`` sets the ``ExperimentConfig`` field ``a_b``.  List values are
 whitespace- or comma-separated; numbers may be written as fractions like
 ``1/50``.  The benchmark tables are fixed custom configs (``_TABLES``).
+The CLI checks which keys a config gives (``_KINDS`` declares those each kind
+reads); the values are checked by building the library objects of the run.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+from .fem1d import build_mesh, require_count
 from .solver import CoefficientLaw, PiecewiseFn, ProblemSpec, SourceTerm
-from .studies import (RateTable, oracle_study, spatial_study, temporal_study,
-                      write_csv)
+from .studies import (RateTable, _cell_ladder, _ladder, _steps_for, oracle_study,
+                      spatial_study, temporal_study, write_csv)
 
 _PRESETS = ("table1", "table2", "table3", "oracle", "custom")
 
@@ -82,11 +85,34 @@ _KEYS = {
 }
 
 
+# Each kind: the keys it reads, all needed but the defaulted ones, and what it builds.
+_KINDS = {
+    "coeff.kind": {
+        "power": (("coeff.scale", "coeff.exponent"),
+                  lambda c: CoefficientLaw.power(c.coeff_scale, c.coeff_exponent)),
+        "constant": (("coeff.scale",), lambda c: CoefficientLaw.constant(c.coeff_scale))},
+    "w0.kind": {
+        "chi": (("w0.a", "w0.b"), lambda c: PiecewiseFn.indicator(c.w0_a, c.w0_b)),
+        # w0.smooth = false flags the sine rough, which forces the L2 projection
+        "sine": (("w0.mode",), lambda c: PiecewiseFn(
+            [0.0, 1.0], [], smooth=c.w0_smooth is not False, sine_mode=c.w0_mode)),
+        "zero": ((), lambda c: PiecewiseFn.zero())},
+    "source.kind": {
+        "chi": (("source.a", "source.b", "source.exponent"), lambda c: SourceTerm.separable(
+            PiecewiseFn.indicator(c.source_a, c.source_b), time_exponent=c.source_exponent)),
+        "zero": ((), lambda c: SourceTerm.zero())},
+}
+_DEFAULTED = ("w0.mode", "source.exponent")
+_AXES = {"tau_list": "cells", "h_list": "steps"}  # each axis and the count it needs
+
+
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Parse and fully validate a config document; raises ConfigError with
-    every problem found (not just the first).  ``overrides`` maps keys to
-    values that replace the document's, as the command-line flags do, and
-    their errors name the flag ``--key`` instead of a line."""
+    """Parse and fully validate a config document, solving nothing; raises
+    ConfigError with every key problem found (syntax, unknown, unparsable,
+    missing or ignored keys) or, if there is none, one line naming the keys
+    of each object of the run that the library rejects.  ``overrides`` maps
+    keys to values that replace the document's, as the command-line flags
+    do, and their errors name the flag ``--key`` instead of a line."""
     cfg = ExperimentConfig()
     errors: list[str] = []
     entries = []  # (where, key or None for a line without '=', value or line)
@@ -97,7 +123,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experime
             entries.append((f"line {lineno}", key.strip(), value.strip()) if eq
                            else (f"line {lineno}", None, line))
     entries += [(f"--{key}", key, value.strip()) for key, value in (overrides or {}).items()]
-    seen = False
+    given: dict[str, str] = {}  # each key given, and where it was given last
     for where, key, value in entries:
         if key is None:
             errors.append(f"{where}: expected 'key = value', got {value!r}")
@@ -105,110 +131,87 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experime
         if key not in _KEYS:
             errors.append(f"{where}: unknown key {key!r}")
             continue
-        seen = True
+        given[key] = where
         try:
             if not value:
                 raise ValueError("empty value")
             setattr(cfg, key.replace(".", "_"), _KEYS[key](value))
         except (ValueError, ZeroDivisionError) as exc:
             errors.append(f"{where}: bad value for {key}: {exc}")
-    if not seen and not errors:
+    if not given and not errors:
         errors.append("empty config: a preset or a full custom specification is required")
-    errors.extend(_validate(cfg))
+    errors.extend(_check_keys(cfg, given))
+    if not errors:
+        errors = _check_values(cfg, given)
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
-def _validate(cfg: ExperimentConfig) -> list[str]:
-    errors = []
+def _check_keys(cfg: ExperimentConfig, given: dict[str, str]) -> list[str]:
     if cfg.preset not in _PRESETS:
-        errors.append(f"preset must be one of {', '.join(_PRESETS)}; got {cfg.preset!r}")
-        return errors
-    if cfg.alpha is not None and not 0.0 < cfg.alpha <= 1.0:
-        errors.append(f"alpha must lie in (0, 1], got {cfg.alpha}")
+        return [f"preset must be one of {', '.join(_PRESETS)}; got {cfg.preset!r}"]
     if cfg.preset != "custom":
-        return errors
-    # custom runs are validated in full before any solve starts
-    if cfg.final_time is None or cfg.final_time <= 0.0:
-        errors.append("custom run needs final_time > 0")
-    if cfg.alpha is None:
-        errors.append("custom run needs alpha")
-    if bool(cfg.tau_list) == bool(cfg.h_list):
+        return [f"{where}: {key} has no effect with preset {cfg.preset}"
+                for key, where in given.items() if key not in ("preset", "alpha", "output")]
+    errors = []
+    axes = [axis for axis in _AXES if axis in given]
+    if len(axes) != 1:
         errors.append("custom run needs exactly one of tau_list (temporal) or h_list (spatial)")
-    if cfg.tau_list and cfg.cells is None:
-        errors.append("temporal custom run needs cells")
-    if cfg.h_list and cfg.steps is None:
-        errors.append("spatial custom run needs steps")
-    if not all(0.0 < tau < math.inf for tau in cfg.tau_list):
-        errors.append(f"tau_list entries must be finite and > 0, got {cfg.tau_list}")
+    needs = [("custom run", "alpha"), ("custom run", "final_time")] + [(a, _AXES[a]) for a in axes]
+    for kind_key, kinds in _KINDS.items():
+        kind = getattr(cfg, kind_key.replace(".", "_"))
+        if kind not in kinds:
+            errors.append(f"{kind_key} must be one of {', '.join(kinds)}; got {kind!r}")
+        else:
+            needs += [(f"{kind_key} = {kind}", key) for key in kinds[kind][0]
+                      if key not in _DEFAULTED]
+    errors += [f"{who} needs {key}" for who, key in needs if key not in given]
+    if cfg.w0_kind == "chi" and cfg.w0_smooth:
+        errors.append("w0.kind = chi cannot be flagged smooth")
     # a cell count within the tolerance of the step count for a tau
     cells = [1.0 / h if 0.0 < h < math.inf else 0.0 for h in cfg.h_list]
     if not all(2.0 <= n < math.inf and math.isclose(n, round(n), rel_tol=1e-9) for n in cells):
         errors.append(f"h_list entries must be 1/n for integers n >= 2, got {cfg.h_list}")
-    if cfg.cells is not None and cfg.cells < 2:
-        errors.append(f"cells must be >= 2, got {cfg.cells}")
-    if cfg.steps is not None and cfg.steps < 1:
-        errors.append(f"steps must be >= 1, got {cfg.steps}")
-    if cfg.coeff_kind not in ("power", "constant"):
-        errors.append(f"coeff.kind must be 'power' or 'constant', got {cfg.coeff_kind!r}")
-    if cfg.coeff_scale is None:
-        errors.append("custom run needs coeff.scale")
-    elif cfg.coeff_scale < 0:
-        errors.append(f"coeff.scale must be >= 0, got {cfg.coeff_scale}")
-    if cfg.coeff_kind == "power" and cfg.coeff_exponent is None:
-        errors.append("coeff.kind = power needs coeff.exponent")
-    if cfg.w0_kind not in ("chi", "sine", "zero"):
-        errors.append(f"w0.kind must be chi, sine or zero, got {cfg.w0_kind!r}")
-    if cfg.w0_kind == "chi":
-        if cfg.w0_a is None or cfg.w0_b is None:
-            errors.append("w0.kind = chi needs w0.a and w0.b")
-        elif not 0.0 <= cfg.w0_a < cfg.w0_b <= 1.0:
-            errors.append(f"w0 support needs 0 <= a < b <= 1, got [{cfg.w0_a}, {cfg.w0_b}]")
-        if cfg.w0_smooth:
-            errors.append("w0.kind = chi cannot be flagged smooth")
-    if cfg.w0_kind == "sine" and cfg.w0_mode < 1:
-        errors.append(f"w0.mode must be >= 1, got {cfg.w0_mode}")
-    if cfg.source_kind not in ("chi", "zero"):
-        errors.append(f"source.kind must be chi or zero, got {cfg.source_kind!r}")
-    if cfg.source_kind == "chi":
-        if cfg.source_a is None or cfg.source_b is None:
-            errors.append("source.kind = chi needs source.a and source.b")
-        elif not 0.0 <= cfg.source_a < cfg.source_b <= 1.0:
-            errors.append(
-                f"source support needs 0 <= a < b <= 1, got [{cfg.source_a}, {cfg.source_b}]")
-        if cfg.source_exponent < 0:
-            errors.append(f"source.exponent must be >= 0, got {cfg.source_exponent}")
+    return errors
+
+
+def _check_values(cfg: ExperimentConfig, given: dict[str, str]) -> list[str]:
+    """Builds what the run would build, without solving: one line, prefixed
+    with its keys, for each object whose values the library rejects."""
+    errors: list[str] = []
+
+    def build(keys, make):
+        try:
+            return make()
+        except (ValueError, OverflowError) as exc:
+            errors.append(f"{', '.join(keys)}: {exc}")
+
+    if cfg.preset != "custom":  # the order is a preset's one value; its studies have T >= 1
+        if cfg.alpha is not None:
+            build(["alpha"], lambda: ProblemSpec(cfg.alpha, 1.0, None, None, None))
+        return errors
+    parts = [build(reads, lambda: make(cfg)) for reads, make in _chosen(cfg)]
+    spec = build(["alpha", "final_time"], lambda: ProblemSpec(cfg.alpha, cfg.final_time, *parts))
+    if "cells" in given:
+        build(["cells"], lambda: build_mesh(cfg.cells))
+    if "steps" in given:
+        build(["steps"], lambda: require_count(cfg.steps, 1, "steps"))
+    if "h_list" in given:
+        build(["h_list"], lambda: _cell_ladder([round(1.0 / h) for h in cfg.h_list]))
+    if "tau_list" in given and spec:
+        build(["tau_list"], lambda: [_steps_for(tau, cfg.final_time)
+                                     for tau in _ladder(cfg.tau_list, "tau_list")])
     return errors
 
 
 # -- experiment construction ---------------------------------------------------
 
 
-def _initial_from(cfg: ExperimentConfig) -> PiecewiseFn:
-    if cfg.w0_kind == "zero":
-        return PiecewiseFn.zero()
-    if cfg.w0_kind == "sine":
-        w0 = PiecewiseFn.sine(cfg.w0_mode)
-        if cfg.w0_smooth is False:
-            # rough-flagged sine: forces the L2 projection of the datum
-            w0 = PiecewiseFn(w0.breakpoints, [], smooth=False, sine_mode=cfg.w0_mode)
-        return w0
-    return PiecewiseFn.indicator(cfg.w0_a, cfg.w0_b)
-
-
-def _spec_from(cfg: ExperimentConfig) -> ProblemSpec:
-    if cfg.coeff_kind == "constant":
-        law = CoefficientLaw.constant(cfg.coeff_scale)
-    else:
-        law = CoefficientLaw.power(cfg.coeff_scale, cfg.coeff_exponent)
-    if cfg.source_kind == "zero":
-        src = SourceTerm.zero()
-    else:
-        src = SourceTerm.separable(PiecewiseFn.indicator(cfg.source_a, cfg.source_b),
-                                   time_exponent=cfg.source_exponent)
-    return ProblemSpec(alpha=cfg.alpha, final_time=cfg.final_time, coefficient=law,
-                       initial=_initial_from(cfg), source=src)
+def _chosen(cfg: ExperimentConfig) -> list:
+    """(keys read, builder) of the coefficient law, initial datum and source
+    that the config's kinds select."""
+    return [_KINDS[key][getattr(cfg, key.replace(".", "_"))] for key in _KINDS]
 
 
 # The benchmark tables as fixed custom configs, each with its default orders.
@@ -244,7 +247,8 @@ def _run_preset(cfg: ExperimentConfig) -> list[RateTable]:
         configs = [parse_config(f"preset = custom\nalpha = {a!r}\n{document}")
                    for a in alphas or orders]
     for c in configs:
-        spec, label = _spec_from(c), f"alpha={c.alpha}"
+        spec = ProblemSpec(c.alpha, c.final_time, *(make(c) for _, make in _chosen(c)))
+        label = f"alpha={c.alpha}"
         if c.tau_list:
             tables.append(temporal_study(spec, c.cells, c.tau_list, label=label))
         else:

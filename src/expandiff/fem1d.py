@@ -102,19 +102,16 @@ class PiecewiseFn:
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
         self.breakpoints = bp
-        self.sine_mode = sine_mode
+        self.sine_mode = None if sine_mode is None else require_count(sine_mode, 1, "sine mode")
         self.amplitude = float(amplitude)
         self.smooth = bool(smooth)
+        self.coeffs = []
         if sine_mode is None:
             self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
             if len(self.coeffs) != bp.size - 1:
                 raise ValueError("need one coefficient array per subinterval")
             if any(c.size > 4 for c in self.coeffs):
                 raise ValueError("piece degree must be <= 3")
-        else:
-            if int(sine_mode) < 1:
-                raise ValueError("sine mode must be >= 1")
-            self.coeffs = []
 
     # -- constructors -----------------------------------------------------
 
@@ -135,7 +132,7 @@ class PiecewiseFn:
     @classmethod
     def sine(cls, mode: int, amplitude: float = 1.0) -> "PiecewiseFn":
         """amplitude * sin(mode * pi * x), flagged smooth."""
-        return cls([0.0, 1.0], [], smooth=True, sine_mode=int(mode), amplitude=amplitude)
+        return cls([0.0, 1.0], [], smooth=True, sine_mode=mode, amplitude=amplitude)
 
     # -- evaluation --------------------------------------------------------
 

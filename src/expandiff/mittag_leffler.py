@@ -26,6 +26,8 @@ import math
 
 import numpy as np
 
+from .fem1d import require_count
+
 _T = np.arange(-576, 577) / 64.0
 _PHI = 0.5 * np.pi * np.sinh(_T)
 _W = np.pi / 128.0 * np.cosh(_T)            # trapezoidal weights h dphi/dt
@@ -87,9 +89,7 @@ def exact_solution(alpha: float, kappa: float, mode: int, x, t: float):
         raise ValueError(f"diffusivity must be nonnegative, got {kappa}")
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    j = int(mode)
-    if j < 1:
-        raise ValueError(f"mode must be >= 1, got {mode}")
+    j = require_count(mode, 1, "mode")
     lam = (j * np.pi) ** 2
     amp = mittag_leffler(alpha, -kappa * lam * t ** alpha)
     return amp * np.sin(j * np.pi * np.asarray(x, dtype=float))

@@ -143,25 +143,22 @@ def oracle_study(alpha: float, kappa: float, mode: int, *, final_time: float,
     """Convergence against the closed-form single-mode solution.
 
     Pass ``tau_list`` with a fixed ``n_cells`` for the temporal axis, or
-    ``n_cells_list`` with a fixed ``tau`` for the spatial axis.  The
+    ``n_cells_list`` with a fixed ``tau`` for the spatial axis; any other
+    combination of these four raises ValueError.  The
     coefficient is the constant ``kappa``, a nonnegative number; the initial
     datum is the smooth sine mode (Ritz-projected), the source is zero.
     """
-    if (tau_list is None) == (n_cells_list is None):
-        raise ValueError("pass exactly one of tau_list or n_cells_list")
+    if not (tau_list is None) == (n_cells is None) != (n_cells_list is None) == (tau is None):
+        raise ValueError("pass tau_list with n_cells, or n_cells_list with tau, and nothing else")
     spec = ProblemSpec(alpha=alpha, final_time=final_time,
                        coefficient=CoefficientLaw.constant(kappa),
                        initial=PiecewiseFn.sine(mode),
                        source=SourceTerm.zero())
     if tau_list is not None:
-        if n_cells is None:
-            raise ValueError("temporal oracle study needs a fixed n_cells")
         axis, resolutions = "temporal", _ladder([float(t) for t in tau_list], "tau_list")
         meshes = [build_mesh(n_cells)] * len(resolutions)
         finals = _final_states_over_tau(spec, n_cells, resolutions)
     else:
-        if tau is None:
-            raise ValueError("spatial oracle study needs a fixed tau")
         cells, resolutions = _cell_ladder(n_cells_list)
         axis, meshes = "spatial", [build_mesh(n) for n in cells]
         finals = _final_states(spec, cells, _steps_for(tau, final_time))

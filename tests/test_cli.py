@@ -88,6 +88,41 @@ def test_parse_custom_requires_axis():
                      "coeff.kind = constant\ncoeff.scale = 1")
 
 
+def test_parse_reports_each_rejected_object_once():
+    # every key is present and parses; the values fail in the library objects
+    bad = (CUSTOM.replace("final_time = 1", "final_time = nan")
+           .replace("coeff.scale = 1", "coeff.scale = nan")
+           .replace("w0.a = 0.5", "w0.a = 0.9").replace("w0.b = 1", "w0.b = 0.1")
+           .replace("source.kind = zero", "source.kind = chi\nsource.a = 0.7\nsource.b = 0.2"))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert [e.split(": ", 1)[0] for e in exc.value.errors] == [
+        "coeff.scale, coeff.exponent", "w0.a, w0.b", "source.a, source.b, source.exponent",
+        "alpha, final_time"]
+
+
+def test_parse_bad_value_is_not_also_missing():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(CUSTOM.replace("cells = 16", "cells = many"))
+    assert len(exc.value.errors) == 1 and "bad value for cells" in exc.value.errors[0]
+
+
+def test_preset_rejects_keys_it_ignores(tmp_path, capsys):
+    # a preset runs its fixed document; other keys used to be dropped silently
+    with pytest.raises(ConfigError) as exc:
+        parse_config("preset = table1\ncells = 64\ncoeff.scale = -3")
+    assert exc.value.errors == ["line 2: cells has no effect with preset table1",
+                                "line 3: coeff.scale has no effect with preset table1"]
+    cfgfile = tmp_path / "custom.cfg"
+    out = tmp_path / "never.csv"
+    cfgfile.write_text(CUSTOM)
+    assert main(["--config", str(cfgfile), "--preset", "table1", "--output", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 10 and "error: line 6: cells has no effect with preset table1" in err
+    assert all(line.endswith("has no effect with preset table1") for line in err)
+
+
 def test_parse_rejects_unknown_preset():
     with pytest.raises(ConfigError, match="preset must be one of"):
         parse_config("preset = table9")
@@ -162,7 +197,8 @@ SPATIAL = CUSTOM.replace("cells = 16", "steps = 4").replace("tau_list = 1/4 1/8 
     SPATIAL.replace("h_list = 1/4 1/8", "h_list = 0"),
     SPATIAL.replace("h_list = 1/4 1/8", "h_list = inf"),
     SPATIAL.replace("h_list = 1/4 1/8", "h_list = 0.0312 0.0156"),
-], ids=["tau-zero", "tau-tiny", "h-zero", "h-inf", "h-not-one-over-n"])
+    CUSTOM.replace("cells = 16", "cells = 1" + "0" * 400),  # was an OverflowError traceback
+], ids=["tau-zero", "tau-tiny", "h-zero", "h-inf", "h-not-one-over-n", "cells-huge"])
 def test_cli_degenerate_resolutions_exit_with_one_error_line(tmp_path, capsys, cfg_text):
     cfgfile = tmp_path / "degenerate.txt"
     out = tmp_path / "never.csv"

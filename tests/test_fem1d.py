@@ -427,3 +427,7 @@ def test_piecewise_breakpoint_validation():
         PiecewiseFn([0.0, 1.0], [[1.0, 0.0, 0.0, 0.0, 5.0]])  # degree > 3
     with pytest.raises(ValueError):
         PiecewiseFn.sine(0)
+    with pytest.raises(ValueError, match="sine mode"):  # was sin(pi x)
+        PiecewiseFn.sine(1.5)
+    with pytest.raises(ValueError, match="sine mode"):  # was sin(1.5 pi x), not 0 at x = 1
+        PiecewiseFn([0.0, 1.0], [], sine_mode=1.5)

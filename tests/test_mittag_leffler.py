@@ -229,5 +229,7 @@ def test_exact_solution_validation():
         exact_solution(0.5, -1.0, 1, 0.5, 1.0)
     with pytest.raises(ValueError):
         exact_solution(0.5, 1.0, 0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="mode"):  # was truncated to mode 1
+        exact_solution(0.5, 1.0, 1.9, 0.5, 0.0)
     with pytest.raises(ValueError):
         exact_solution(0.5, 1.0, 1, 0.5, -1.0)

@@ -97,6 +97,12 @@ def test_oracle_needs_exactly_one_axis():
     with pytest.raises(ValueError):
         oracle_study(0.5, 1.0, 1, final_time=1.0, n_cells=8,
                      tau_list=[1 / 4, 1 / 8], n_cells_list=[4, 8])
+    with pytest.raises(ValueError):  # tau belongs to the spatial axis
+        oracle_study(0.5, 1.0, 1, final_time=1.0, n_cells=8, tau=123.0,
+                     tau_list=[1 / 4, 1 / 8])
+    with pytest.raises(ValueError):  # n_cells belongs to the temporal axis
+        oracle_study(0.5, 1.0, 1, final_time=1.0, n_cells=8, tau=1 / 4,
+                     n_cells_list=[4, 8])
 
 
 # -- zero-data studies ------------------------------------------------------------
@@ -188,6 +194,8 @@ def test_mode_error_rejects_bad_input():
     w = np.sin(np.pi * mesh.interior_nodes)
     with pytest.raises(ValueError, match="mode"):
         mode_error(mesh, w, 0.5, 1.0, 0, 1.0)
+    with pytest.raises(ValueError, match="mode"):  # was the mode-1 error
+        mode_error(mesh, w, 0.5, 1.0, 1.5, 1.0)
     with pytest.raises(ValueError, match="time"):
         mode_error(mesh, w, 0.5, 1.0, 1, -1.0)
     with pytest.raises(ValueError, match="mesh with 8 cells"):
