@@ -1,12 +1,13 @@
 """Command-line front end: declarative experiment configs, presets, CSV output.
 
 Config files are line-oriented ``key = value`` text with ``#`` comments.
-``_KEYS`` lists the recognised keys with the parser of each value; key
-``a.b`` sets the ``ExperimentConfig`` field ``a_b``.  List values are
-whitespace- or comma-separated; numbers may be written as fractions like
-``1/50``.  The benchmark tables are fixed custom configs (``_TABLES``).
-The CLI checks which keys a config gives (``_KINDS`` declares those each kind
-reads); the values are checked by building the library objects of the run.
+``_KEYS`` lists the recognised keys with the parser and the default of each
+value; ``parse_config`` returns a dict from each key to its value.  List
+values are whitespace- or comma-separated; numbers may be written as
+fractions like ``1/50``.  The benchmark tables are fixed custom configs
+(``_TABLES``).  The CLI checks which keys a config gives (``_KINDS`` declares
+those each kind reads); ``_plan`` checks the values by building the library
+objects of the run, and returns its studies.
 """
 
 from __future__ import annotations
@@ -14,15 +15,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from functools import partial
 
-from .fem1d import build_mesh, require_count
-from .solver import CoefficientLaw, PiecewiseFn, ProblemSpec, SourceTerm
+from .fem1d import PiecewiseFn, build_mesh, require_count
+from .solver import CoefficientLaw, ProblemSpec, SourceTerm
 from .studies import (RateTable, _cell_ladder, _ladder, _steps_for, oracle_study,
                       spatial_study, temporal_study, write_csv)
-
-_PRESETS = ("table1", "table2", "table3", "oracle", "custom")
-
 
 class ConfigError(Exception):
     """Carries every validation problem found in a config, with line numbers."""
@@ -30,30 +28,6 @@ class ConfigError(Exception):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("\n".join(self.errors))
-
-
-@dataclass
-class ExperimentConfig:
-    preset: str = "custom"
-    alpha: float | None = None
-    final_time: float | None = None
-    cells: int | None = None
-    steps: int | None = None
-    tau_list: list[float] = field(default_factory=list)
-    h_list: list[float] = field(default_factory=list)
-    coeff_kind: str = "power"
-    coeff_scale: float | None = None
-    coeff_exponent: float | None = None
-    w0_kind: str = "zero"
-    w0_a: float | None = None
-    w0_b: float | None = None
-    w0_mode: int = 1
-    w0_smooth: bool | None = None
-    source_kind: str = "zero"
-    source_exponent: float = 0.0
-    source_a: float | None = None
-    source_b: float | None = None
-    output: str | None = None
 
 
 def _number(text: str) -> float:
@@ -75,45 +49,64 @@ def _boolean(text: str) -> bool:
     return low in ("true", "yes", "1")
 
 
+# Each key: the parser of its value and its default; a key without one (None)
+# is needed by whatever reads it.
 _KEYS = {
-    "preset": str, "alpha": _number, "final_time": _number, "cells": int, "steps": int,
-    "tau_list": _number_list, "h_list": _number_list,
-    "coeff.kind": str, "coeff.scale": _number, "coeff.exponent": _number,
-    "w0.kind": str, "w0.a": _number, "w0.b": _number, "w0.mode": int, "w0.smooth": _boolean,
-    "source.kind": str, "source.exponent": _number, "source.a": _number, "source.b": _number,
-    "output": str,
+    "preset": (str, "custom"), "alpha": (_number, None), "final_time": (_number, None),
+    "cells": (int, None), "steps": (int, None),
+    "tau_list": (_number_list, None), "h_list": (_number_list, None),
+    "coeff.kind": (str, "power"), "coeff.scale": (_number, None),
+    "coeff.exponent": (_number, None),
+    "w0.kind": (str, "zero"), "w0.a": (_number, None), "w0.b": (_number, None),
+    "w0.mode": (int, 1), "w0.smooth": (_boolean, True),
+    "source.kind": (str, "zero"), "source.exponent": (_number, 0.0),
+    "source.a": (_number, None), "source.b": (_number, None),
+    "output": (str, None),
 }
 
 
-# Each kind: the keys it reads, all needed but the defaulted ones, and what it builds.
+# Each kind: the keys it reads and what it builds from their values, in order.
 _KINDS = {
     "coeff.kind": {
-        "power": (("coeff.scale", "coeff.exponent"),
-                  lambda c: CoefficientLaw.power(c.coeff_scale, c.coeff_exponent)),
-        "constant": (("coeff.scale",), lambda c: CoefficientLaw.constant(c.coeff_scale))},
+        "power": (("coeff.scale", "coeff.exponent"), CoefficientLaw.power),
+        "constant": (("coeff.scale",), CoefficientLaw.constant)},
     "w0.kind": {
-        "chi": (("w0.a", "w0.b"), lambda c: PiecewiseFn.indicator(c.w0_a, c.w0_b)),
+        "chi": (("w0.a", "w0.b"), PiecewiseFn.indicator),
         # w0.smooth = false flags the sine rough, which forces the L2 projection
-        "sine": (("w0.mode",), lambda c: PiecewiseFn(
-            [0.0, 1.0], [], smooth=c.w0_smooth is not False, sine_mode=c.w0_mode)),
-        "zero": ((), lambda c: PiecewiseFn.zero())},
+        "sine": (("w0.mode", "w0.smooth"), lambda mode, smooth: PiecewiseFn(
+            [0.0, 1.0], [], smooth=smooth, sine_mode=mode)),
+        "zero": ((), PiecewiseFn.zero)},
     "source.kind": {
-        "chi": (("source.a", "source.b", "source.exponent"), lambda c: SourceTerm.separable(
-            PiecewiseFn.indicator(c.source_a, c.source_b), time_exponent=c.source_exponent)),
-        "zero": ((), lambda c: SourceTerm.zero())},
+        "chi": (("source.a", "source.b", "source.exponent"), lambda a, b, p: SourceTerm.separable(
+            PiecewiseFn.indicator(a, b), time_exponent=p)),
+        "zero": ((), SourceTerm.zero)},
 }
-_DEFAULTED = ("w0.mode", "source.exponent")
-_AXES = {"tau_list": "cells", "h_list": "steps"}  # each axis and the count it needs
+_AXES = {"tau_list": "cells", "h_list": "steps"}  # each axis and the count it reads
 
 
-def parse_config(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Parse and fully validate a config document, solving nothing; raises
-    ConfigError with every key problem found (syntax, unknown, unparsable,
-    missing or ignored keys) or, if there is none, one line naming the keys
-    of each object of the run that the library rejects.  ``overrides`` maps
-    keys to values that replace the document's, as the command-line flags
-    do, and their errors name the flag ``--key`` instead of a line."""
-    cfg = ExperimentConfig()
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> dict:
+    """Parse and fully validate a config document, solving nothing, into a dict
+    from each key to its value, the defaults filled in.  Raises ConfigError
+    with every key problem (syntax, unknown, unparsable, missing or unread
+    keys) or, if there is none, one line naming the keys of each object of
+    the run that the library rejects.  ``overrides`` maps keys to values that
+    replace the document's, as the command-line flags do, and their errors
+    name the flag ``--key`` instead of a line."""
+    cfg, given, errors = _read(text, overrides)
+    if not given and not errors:
+        errors.append("empty config: a preset or a full custom specification is required")
+    errors.extend(_check_keys(cfg, given))
+    if errors:
+        raise ConfigError(errors)
+    _plan(cfg)
+    return cfg
+
+
+def _read(text: str, overrides: dict[str, str] | None = None) -> tuple[dict, dict, list]:
+    """The values of a document's keys and overrides, the defaults filled in;
+    each key given and where it was given last; and every syntax, unknown-key
+    or unparsable-value problem."""
+    cfg = {key: default for key, (_, default) in _KEYS.items()}
     errors: list[str] = []
     entries = []  # (where, key or None for a line without '=', value or line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,83 +128,43 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experime
         try:
             if not value:
                 raise ValueError("empty value")
-            setattr(cfg, key.replace(".", "_"), _KEYS[key](value))
+            cfg[key] = _KEYS[key][0](value)
         except (ValueError, ZeroDivisionError) as exc:
             errors.append(f"{where}: bad value for {key}: {exc}")
-    if not given and not errors:
-        errors.append("empty config: a preset or a full custom specification is required")
-    errors.extend(_check_keys(cfg, given))
-    if not errors:
-        errors = _check_values(cfg, given)
-    if errors:
-        raise ConfigError(errors)
-    return cfg
+    return cfg, given, errors
 
 
-def _check_keys(cfg: ExperimentConfig, given: dict[str, str]) -> list[str]:
-    if cfg.preset not in _PRESETS:
-        return [f"preset must be one of {', '.join(_PRESETS)}; got {cfg.preset!r}"]
-    if cfg.preset != "custom":
-        return [f"{where}: {key} has no effect with preset {cfg.preset}"
+def _check_keys(cfg: dict, given: dict[str, str]) -> list[str]:
+    preset = cfg["preset"]
+    if preset not in _PRESETS:
+        return [f"preset must be one of {', '.join(_PRESETS)}; got {preset!r}"]
+    if preset != "custom":
+        return [f"{where}: {key} has no effect with preset {preset}"
                 for key, where in given.items() if key not in ("preset", "alpha", "output")]
     errors = []
     axes = [axis for axis in _AXES if axis in given]
     if len(axes) != 1:
         errors.append("custom run needs exactly one of tau_list (temporal) or h_list (spatial)")
-    needs = [("custom run", "alpha"), ("custom run", "final_time")] + [(a, _AXES[a]) for a in axes]
+    # (what chooses, the keys it reads, the keys only its alternatives read)
+    chosen = [("custom run", ("alpha", "final_time"), ())]
+    chosen += [(axis, (_AXES[axis],), _AXES.values() if len(axes) == 1 else ()) for axis in axes]
     for kind_key, kinds in _KINDS.items():
-        kind = getattr(cfg, kind_key.replace(".", "_"))
+        kind = cfg[kind_key]
         if kind not in kinds:
             errors.append(f"{kind_key} must be one of {', '.join(kinds)}; got {kind!r}")
         else:
-            needs += [(f"{kind_key} = {kind}", key) for key in kinds[kind][0]
-                      if key not in _DEFAULTED]
-    errors += [f"{who} needs {key}" for who, key in needs if key not in given]
-    if cfg.w0_kind == "chi" and cfg.w0_smooth:
-        errors.append("w0.kind = chi cannot be flagged smooth")
+            chosen.append((f"{kind_key} = {kind}", kinds[kind][0],
+                           [key for reads, _ in kinds.values() for key in reads]))
+    for what, reads, others in chosen:
+        errors += [f"{what} needs {key}" for key in reads
+                   if _KEYS[key][1] is None and key not in given]
+        errors += [f"{where}: {key} has no effect with {what}"
+                   for key, where in given.items() if key in others and key not in reads]
     # a cell count within the tolerance of the step count for a tau
-    cells = [1.0 / h if 0.0 < h < math.inf else 0.0 for h in cfg.h_list]
+    cells = [1.0 / h if 0.0 < h < math.inf else 0.0 for h in cfg["h_list"] or ()]
     if not all(2.0 <= n < math.inf and math.isclose(n, round(n), rel_tol=1e-9) for n in cells):
-        errors.append(f"h_list entries must be 1/n for integers n >= 2, got {cfg.h_list}")
+        errors.append(f"h_list entries must be 1/n for integers n >= 2, got {cfg['h_list']}")
     return errors
-
-
-def _check_values(cfg: ExperimentConfig, given: dict[str, str]) -> list[str]:
-    """Builds what the run would build, without solving: one line, prefixed
-    with its keys, for each object whose values the library rejects."""
-    errors: list[str] = []
-
-    def build(keys, make):
-        try:
-            return make()
-        except (ValueError, OverflowError) as exc:
-            errors.append(f"{', '.join(keys)}: {exc}")
-
-    if cfg.preset != "custom":  # the order is a preset's one value; its studies have T >= 1
-        if cfg.alpha is not None:
-            build(["alpha"], lambda: ProblemSpec(cfg.alpha, 1.0, None, None, None))
-        return errors
-    parts = [build(reads, lambda: make(cfg)) for reads, make in _chosen(cfg)]
-    spec = build(["alpha", "final_time"], lambda: ProblemSpec(cfg.alpha, cfg.final_time, *parts))
-    if "cells" in given:
-        build(["cells"], lambda: build_mesh(cfg.cells))
-    if "steps" in given:
-        build(["steps"], lambda: require_count(cfg.steps, 1, "steps"))
-    if "h_list" in given:
-        build(["h_list"], lambda: _cell_ladder([round(1.0 / h) for h in cfg.h_list]))
-    if "tau_list" in given and spec:
-        build(["tau_list"], lambda: [_steps_for(tau, cfg.final_time)
-                                     for tau in _ladder(cfg.tau_list, "tau_list")])
-    return errors
-
-
-# -- experiment construction ---------------------------------------------------
-
-
-def _chosen(cfg: ExperimentConfig) -> list:
-    """(keys read, builder) of the coefficient law, initial datum and source
-    that the config's kinds select."""
-    return [_KINDS[key][getattr(cfg, key.replace(".", "_"))] for key in _KINDS]
 
 
 # The benchmark tables as fixed custom configs, each with its default orders.
@@ -225,36 +178,57 @@ _TABLES = {
                "coeff.scale = 10\ncoeff.exponent = 1.01\nw0.kind = chi\nw0.a = 0.5\nw0.b = 1\n"
                "source.kind = chi\nsource.a = 0\nsource.b = 0.5\nsource.exponent = 0.1"),
 }
+_PRESETS = (*_TABLES, "oracle", "custom")
 
 
-def _run_preset(cfg: ExperimentConfig) -> list[RateTable]:
-    alphas = (cfg.alpha,) if cfg.alpha is not None else None
-    tables: list[RateTable] = []
-    if cfg.preset == "oracle":
+def _plan(cfg: dict) -> list:
+    """The studies of a config whose keys passed ``_check_keys``, as calls.
+    Builds every library object of the run, solving nothing; raises
+    ConfigError with one line, prefixed with its keys, for each object whose
+    values the library rejects."""
+    errors: list[str] = []
+
+    def build(keys, make):
+        try:
+            return make()
+        except ValueError as exc:
+            errors.append(f"{', '.join(keys)}: {exc}")
+
+    preset, alphas = cfg["preset"], [cfg["alpha"]] if cfg["alpha"] is not None else []
+    studies, configs = [], [cfg] if preset == "custom" else []
+    if preset in _TABLES:  # a fixed document; the order is the preset's one value
+        orders, document = _TABLES[preset]
+        doc = _read(document)[0]
+        configs = [{**doc, "alpha": a} for a in alphas or orders]
+    if preset == "oracle":
         for a in alphas or (0.5, 0.8):
-            tables.append(oracle_study(
-                a, 1.0, 1, final_time=1.0, n_cells=256,
-                tau_list=[1 / 50, 1 / 100, 1 / 200, 1 / 400],
-                label=f"alpha={a} temporal"))
-            tables.append(oracle_study(
-                a, 1.0, 1, final_time=1.0, tau=1 / 2000,
-                n_cells_list=[16, 32, 64, 128],
-                label=f"alpha={a} spatial"))
-        return tables
-    configs = [cfg]
-    if cfg.preset != "custom":
-        orders, document = _TABLES[cfg.preset]
-        configs = [parse_config(f"preset = custom\nalpha = {a!r}\n{document}")
-                   for a in alphas or orders]
+            # the order is the oracle's one value; its studies solve to T = 1
+            build(["alpha"], lambda: ProblemSpec(a, 1.0, None, None, None))
+            studies += [
+                partial(oracle_study, a, 1.0, 1, final_time=1.0, n_cells=256,
+                        tau_list=[1 / 50, 1 / 100, 1 / 200, 1 / 400], label=f"alpha={a} temporal"),
+                partial(oracle_study, a, 1.0, 1, final_time=1.0, tau=1 / 2000,
+                        n_cells_list=[16, 32, 64, 128], label=f"alpha={a} spatial")]
     for c in configs:
-        spec = ProblemSpec(c.alpha, c.final_time, *(make(c) for _, make in _chosen(c)))
-        label = f"alpha={c.alpha}"
-        if c.tau_list:
-            tables.append(temporal_study(spec, c.cells, c.tau_list, label=label))
+        parts = [build(reads, lambda: make(*(c[key] for key in reads)))
+                 for reads, make in (_KINDS[key][c[key]] for key in _KINDS)]
+        spec = build(["alpha", "final_time"] if preset == "custom" else ["alpha"],
+                     lambda: ProblemSpec(c["alpha"], c["final_time"], *parts))
+        label = f"alpha={c['alpha']}"
+        if c["tau_list"] is not None:
+            build(["cells"], lambda: build_mesh(c["cells"]))
+            if spec:
+                build(["tau_list"], lambda: [_steps_for(tau, c["final_time"])
+                                             for tau in _ladder(c["tau_list"], "tau_list")])
+            studies.append(partial(temporal_study, spec, c["cells"], c["tau_list"], label=label))
         else:
-            cells = [round(1.0 / h) for h in c.h_list]
-            tables.append(spatial_study(spec, c.final_time / c.steps, cells, label=label))
-    return tables
+            tau = build(["steps"], lambda: c["final_time"] / require_count(c["steps"], 1, "steps"))
+            cells = [round(1.0 / h) for h in c["h_list"]]
+            build(["h_list"], lambda: _cell_ladder(cells))
+            studies.append(partial(spatial_study, spec, tau, cells, label=label))
+    if errors:
+        raise ConfigError(errors)
+    return studies
 
 
 def _format_resolution(r: float) -> str:
@@ -280,18 +254,18 @@ def print_table(table: RateTable, stream=None) -> None:
     stream.write(head + "\n" + err_row + "\n" + rate_row + "\n")
 
 
-def run(config: ExperimentConfig) -> int:
+def run(config: dict) -> int:
     """Execute a validated config: solve, print tables, write the CSV."""
     try:
-        tables = _run_preset(config)
+        tables = [study() for study in _plan(config)]
     except (ValueError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for tb in tables:
         print_table(tb)
-        if config.preset == "oracle":
+        if config["preset"] == "oracle":
             print(f"{'':<16}max error vs closed form: {max(tb.errors):.3E}")
-    out = config.output or f"{config.preset}.csv"
+    out = config["output"] or f"{config['preset']}.csv"
     try:
         write_csv(tables, out)
     except OSError as exc:

@@ -45,8 +45,13 @@ class Mesh1D:
 
 
 def require_count(value, minimum: int, name: str) -> int:
-    """``value`` as an int; ValueError unless it is an integer >= ``minimum``."""
-    if not (float(value).is_integer() and value >= minimum):
+    """``value`` as an int; ValueError unless it is an integer >= ``minimum``
+    that a float holds."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be an integer >= {minimum} that a float holds") from None
+    if not (number.is_integer() and value >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

@@ -400,6 +400,11 @@ def test_step_validates_index_and_weights():
 def test_solve_rejects_bad_steps():
     with pytest.raises(ValueError):
         solve(_forced(), 8, 0)
+    # counts too large for a float used to raise OverflowError
+    with pytest.raises(ValueError, match="n_cells must be an integer"):
+        solve(_forced(), 10**400, 4)
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        solve(_forced(), 8, 10**400)
 
 
 @pytest.mark.parametrize("n_steps", [2.5, math.inf, math.nan])
