@@ -35,8 +35,9 @@ c = l2_project(chi, mesh)
 print("\nL2 projection of chi_(1/2,1]:", np.round(c, 4))
 print("its L2 norm:", l2_norm(mesh, c), " (exact function has norm", np.sqrt(0.5), ")")
 
-# For smooth data the Ritz (energy) projection is used instead; in 1-D it
-# coincides with nodal interpolation.
+# For smooth data the Ritz (energy) projection is used instead.  In 1-D it
+# is a closed form, the nodal interpolant minus that of the line through the
+# datum's boundary values, so for sin(pi x) it is the interpolant itself.
 s = ritz_project(PiecewiseFn.sine(1), mesh)
 print("\nRitz projection of sin(pi x) minus its interpolant:",
       np.abs(s - np.sin(np.pi * mesh.interior_nodes)).max())

@@ -87,8 +87,8 @@ _AXES = {"tau_list": "cells", "h_list": "steps"}  # each axis and the count it r
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> dict:
     """Parse and fully validate a config document, solving nothing, into a dict
     from each key to its value, the defaults filled in.  Raises ConfigError
-    with every key problem (syntax, unknown, unparsable, missing or unread
-    keys) or, if there is none, one line naming the keys of each object of
+    with every key problem (syntax, unknown, repeated, unparsable, missing or
+    unread keys) or, if there is none, one line naming the keys of each object of
     the run that the library rejects.  ``overrides`` maps keys to values that
     replace the document's, as the command-line flags do, and their errors
     name the flag ``--key`` instead of a line."""
@@ -104,8 +104,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> dict:
 
 def _read(text: str, overrides: dict[str, str] | None = None) -> tuple[dict, dict, list]:
     """The values of a document's keys and overrides, the defaults filled in;
-    each key given and where it was given last; and every syntax, unknown-key
-    or unparsable-value problem."""
+    each key given and where (an override replaces a line's value); and every
+    syntax, unknown-key, repeated-key or unparsable-value problem."""
     cfg = {key: default for key, (_, default) in _KEYS.items()}
     errors: list[str] = []
     entries = []  # (where, key or None for a line without '=', value or line)
@@ -124,6 +124,9 @@ def _read(text: str, overrides: dict[str, str] | None = None) -> tuple[dict, dic
         if key not in _KEYS:
             errors.append(f"{where}: unknown key {key!r}")
             continue
+        if key in given and where.startswith("line"):
+            errors.append(f"{where}: {key} is already given on {given[key]}")
+            continue
         given[key] = where
         try:
             if not value:
@@ -137,7 +140,7 @@ def _read(text: str, overrides: dict[str, str] | None = None) -> tuple[dict, dic
 def _check_keys(cfg: dict, given: dict[str, str]) -> list[str]:
     preset = cfg["preset"]
     if preset not in _PRESETS:
-        return [f"preset must be one of {', '.join(_PRESETS)}; got {preset!r}"]
+        return [f"{given['preset']}: preset must be one of {', '.join(_PRESETS)}; got {preset!r}"]
     if preset != "custom":
         return [f"{where}: {key} has no effect with preset {preset}"
                 for key, where in given.items() if key not in ("preset", "alpha", "output")]
@@ -280,29 +283,29 @@ def main(argv=None) -> int:
         prog="expandiff",
         description="Convergence studies for the fractional diffusion solver.")
     parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--preset", choices=_PRESETS,
-                        help="preset name (overrides the config)")
+    parser.add_argument("--preset",
+                        help=f"one of {', '.join(_PRESETS)} (overrides the config)")
     parser.add_argument("--output", help="CSV output path (overrides the config)")
-    parser.add_argument("--alpha", type=float,
+    parser.add_argument("--alpha",
                         help="restrict a preset to a single order (overrides the config)")
     args = parser.parse_args(argv)
 
     text = ""
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as f:
+            with open(args.config, encoding="utf-8-sig") as f:
                 text = f.read()
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 1
-    elif not args.preset:
+    elif args.preset is None:
         parser.print_usage(sys.stderr)
         print("error: need --config and/or --preset", file=sys.stderr)
         return 1
 
     flags = {"preset": args.preset, "alpha": args.alpha, "output": args.output}
     try:
-        cfg = parse_config(text, {key: str(value) for key, value in flags.items()
+        cfg = parse_config(text, {key: value for key, value in flags.items()
                                   if value is not None})
     except ConfigError as exc:
         for err in exc.errors:

@@ -2,10 +2,12 @@
 
 Homogeneous Dirichlet conditions are enforced by elimination, so every
 nodal vector in this module has length ``n_cells - 1`` (interior nodes
-only).  Mass and stiffness matrices are symmetric tridiagonal; the
-projections solve them with the Thomas algorithm, which needs no pivoting
-because every system assembled here is strictly diagonally dominant.  On
-the uniform mesh both matrices are diagonal in the discrete sine basis
+only).  Mass and stiffness matrices are symmetric tridiagonal; the L2
+projection solves the mass matrix with the Thomas algorithm, which needs no
+pivoting because the matrix is strictly diagonally dominant.  The Ritz
+projection needs no solve: in one dimension it is the nodal interpolant of
+the datum minus that of the line through its boundary values.  On the
+uniform mesh both matrices are diagonal in the discrete sine basis
 (``mode_eigenvalues``, ``sine_transform``), which the time stepper uses.
 """
 
@@ -147,7 +149,8 @@ class PiecewiseFn:
 
     @property
     def has_derivative(self) -> bool:
-        """True when a classical derivative is available on all of (0, 1)."""
+        """True when the datum is continuous on [0, 1] (a sine mode or a single
+        polynomial piece), so that it lies in H1 and has a Ritz projection."""
         return self.is_sine or len(self.coeffs) == 1
 
     def __call__(self, x):
@@ -162,15 +165,6 @@ class PiecewiseFn:
             if np.any(mask):
                 out[mask] = npoly.polyval(x[mask], c)
         return out
-
-    def derivative(self, x):
-        if not self.has_derivative:
-            raise ValueError("function has no derivative data (not smooth)")
-        x = np.asarray(x, dtype=float)
-        if self.is_sine:
-            w = self.sine_mode * np.pi
-            return self.amplitude * w * np.cos(w * x)
-        return npoly.polyval(x, npoly.polyder(self.coeffs[0]))
 
     # -- algebra -----------------------------------------------------------
 
@@ -271,19 +265,17 @@ def l2_project(g: PiecewiseFn, mesh: Mesh1D) -> np.ndarray:
 
 
 def ritz_project(g: PiecewiseFn, mesh: Mesh1D) -> np.ndarray:
-    """Energy (Ritz) projection: solve S c = (g', phi_j').
+    """Energy (Ritz) projection, the c with S c = (g', phi_j'), in closed form.
 
-    In one dimension with P1 elements this coincides with nodal
-    interpolation of g at the interior nodes.
+    The hat derivatives are +-1/h, so (g', phi_j') = (2 g_j - g_{j-1} - g_{j+1})/h
+    from the nodal values alone, and S annihilates the nodal values of lines:
+    c is the interpolant of g(x) - g(0)(1 - x) - g(1)x at the interior nodes.
     """
     if not g.has_derivative:
         raise ValueError("Ritz projection needs derivative data; got non-smooth input")
-    n, h = mesh.n_cells, mesh.h
-    nodes = mesh.nodes
-    pts = nodes[:-1, None] + 0.5 * h * (_GAUSS_X[None, :] + 1.0)
-    elem = 0.5 * h * (g.derivative(pts) @ _GAUSS_W)  # integral of g' per element
-    b = (elem[:-1] - elem[1:]) / h
-    return solve_tridiag(assemble_stiffness(mesh), b)
+    x = mesh.nodes
+    v = g(x)
+    return (v - v[0] * (1.0 - x) - v[-1] * x)[1:-1]
 
 
 def solve_tridiag(A: TriDiagMatrix, rhs: np.ndarray) -> np.ndarray:

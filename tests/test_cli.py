@@ -122,8 +122,49 @@ def test_preset_rejects_keys_it_ignores(tmp_path, capsys):
 
 
 def test_parse_rejects_unknown_preset():
-    with pytest.raises(ConfigError, match="preset must be one of"):
+    with pytest.raises(ConfigError) as exc:
         parse_config("preset = table9")
+    assert exc.value.errors == ["line 1: preset must be one of table1, table2, table3, "
+                                "oracle, custom; got 'table9'"]
+
+
+def test_parse_rejects_repeated_key():
+    # the second alpha used to replace the first without a word
+    with pytest.raises(ConfigError) as exc:
+        parse_config("preset = table2\nalpha = 0.4\nalpha = 0.6")
+    assert exc.value.errors == ["line 3: alpha is already given on line 2"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--preset", "bogus"], "error: --preset: preset must be one of table1, table2, table3, "
+                            "oracle, custom; got 'bogus'"),
+    (["--preset", "table1", "--alpha", "abc"],
+     "error: --alpha: bad value for alpha: could not convert string to float: 'abc'"),
+], ids=["preset", "alpha"])
+def test_cli_bad_flag_exits_1_with_one_error_line(capsys, argv, line):
+    # flags go through the config reader like config lines; argparse exited 2
+    assert main(argv) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_cli_alpha_flag_accepts_fractions(tmp_path, capsys):
+    outputs = []
+    for alpha in ("1/2", "0.5"):
+        out = tmp_path / f"{len(outputs)}.csv"
+        assert main(["--preset", "table2", "--alpha", alpha, "--output", str(out)]) == 0
+        outputs.append((capsys.readouterr().out.replace(str(out), ""), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_reads_config_with_byte_order_mark(tmp_path):
+    # some editors save UTF-8 with a BOM; it used to make the first key unknown
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(CUSTOM, encoding="utf-8")
+    marked.write_text(CUSTOM, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for cfg in (plain, marked):
+        assert main(["--config", str(cfg), "--output", str(cfg.with_suffix(".csv"))]) == 0
+    assert plain.with_suffix(".csv").read_bytes() == marked.with_suffix(".csv").read_bytes()
 
 
 def test_run_custom_writes_csv(tmp_path, capsys):
@@ -148,6 +189,7 @@ def test_cli_end_to_end_deterministic(tmp_path):
 
 
 def test_cli_alpha_override(tmp_path):
+    # CUSTOM gives alpha; the flag replaces it, which is no repeated key
     out = tmp_path / "o.csv"
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text(CUSTOM)
@@ -242,7 +284,8 @@ def test_shipped_configs_parse(path):
 
 
 @pytest.mark.parametrize("text, what", [
-    (CUSTOM + "coeff.kind = constant\ncoeff.exponent = -1",
+    (CUSTOM.replace("coeff.kind = power", "coeff.kind = constant")
+     .replace("coeff.exponent = 2.01\n", "") + "coeff.exponent = -1",
      "coeff.exponent has no effect with coeff.kind = constant"),
     (CUSTOM + "w0.mode = 0", "w0.mode has no effect with w0.kind = chi"),
     (CUSTOM + "w0.smooth = false", "w0.smooth has no effect with w0.kind = chi"),

@@ -144,10 +144,8 @@ def test_polynomial_and_sine_eval():
     p = PiecewiseFn([0.0, 1.0], [[0.0, 1.0, -1.0]], smooth=True)  # x - x^2
     x = np.array([0.0, 0.25, 0.5, 1.0])
     np.testing.assert_allclose(p(x), x * (1 - x))
-    np.testing.assert_allclose(p.derivative(x), 1 - 2 * x)
     s = PiecewiseFn.sine(2, amplitude=3.0)
     np.testing.assert_allclose(s(x), 3 * np.sin(2 * np.pi * x), atol=1e-15)
-    np.testing.assert_allclose(s.derivative(0.0), 6 * np.pi)
 
 
 def test_scaling_and_addition():
@@ -315,6 +313,26 @@ def test_ritz_parabola_n4():
 def test_ritz_zero():
     np.testing.assert_allclose(ritz_project(PiecewiseFn.zero(), build_mesh(8)),
                                0.0, atol=1e-15)
+
+
+_RITZ_DATA = {
+    **{f"sine{k}": PiecewiseFn.sine(k, amplitude=1.5) for k in range(1, 6)},
+    "constant": PiecewiseFn([0.0, 1.0], [[-2.5]], smooth=True),
+    "cubic": PiecewiseFn([0.0, 1.0], [[0.7, -3.0, 1.0, 4.0]], smooth=True),
+    "line": PiecewiseFn([0.0, 1.0], [[1.0, -0.25]], smooth=True),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 256])
+@pytest.mark.parametrize("name", list(_RITZ_DATA))
+def test_ritz_closed_form_matches_stiffness_solve(name, n):
+    # direct reference: S c = (g', phi_j') = (2 g_j - g_{j-1} - g_{j+1}) / h,
+    # from exact nodal values that need not vanish at 0 or 1
+    g, mesh = _RITZ_DATA[name], build_mesh(n)
+    v = g(mesh.nodes)
+    b = (2.0 * v[1:-1] - v[:-2] - v[2:]) / mesh.h
+    direct = solve_tridiag(assemble_stiffness(mesh), b)
+    np.testing.assert_allclose(ritz_project(g, mesh), direct, rtol=0, atol=1e-12)
 
 
 def test_ritz_rejects_data_without_derivative():
