@@ -1,13 +1,13 @@
-"""Tour of the P1 building blocks: meshes, assembly, projections, transfer.
+"""Tour of the P1 building blocks: meshes, the sine basis, projections, transfer.
 
 Run with:  python demos/fem_basics.py
 """
 
 import numpy as np
 
-from expandiff import (PiecewiseFn, assemble_mass, assemble_stiffness,
-                       build_mesh, l2_norm, l2_project, prolong, ritz_project,
-                       solve_tridiag)
+from expandiff import (PiecewiseFn, build_mesh, l2_norm, l2_project, prolong,
+                       ritz_project)
+from expandiff.fem1d import mode_eigenvalues, sine_transform
 
 # A uniform mesh stores only its cell count and width; vectors live on the
 # interior nodes because the boundary values are eliminated.
@@ -15,15 +15,18 @@ mesh = build_mesh(8)
 print("mesh:", mesh)
 print("interior nodes:", mesh.interior_nodes)
 
-M = assemble_mass(mesh)
-S = assemble_stiffness(mesh)
-print("\nmass diag/off:", M.diag[0], M.sub[0], " (2h/3 and h/6)")
-print("stiffness diag/off:", S.diag[0], S.sub[0], " (2/h and -1/h)")
+# The mass matrix (2h/3 on the diagonal, h/6 beside it) and the stiffness
+# matrix (2/h and -1/h) share the eigenvectors sin(k pi x_j), k = 1 .. n-1:
+# in the discrete sine basis both are diagonal.
+lam_m, lam_s = mode_eigenvalues(mesh)
+print("\nmass eigenvalues:", np.round(lam_m, 4))
+print("stiffness eigenvalues:", np.round(lam_s, 2))
 
-# The stiffness matrix solves -u'' = f.  For f = 1 the P1 solution is
-# nodally exact: u(x) = x(1-x)/2.
+# So a solve is one division per mode.  sine_transform applied twice is n/2
+# times the identity.  The stiffness matrix solves -u'' = f; for f = 1 the
+# P1 solution is nodally exact: u(x) = x(1-x)/2.
 load = np.full(mesh.n_interior, mesh.h)
-u = solve_tridiag(S, load)
+u = 2.0 / mesh.n_cells * sine_transform(sine_transform(load) / lam_s)
 exact = mesh.interior_nodes * (1 - mesh.interior_nodes) / 2
 print("\nPoisson solve, max nodal error vs x(1-x)/2:", np.abs(u - exact).max())
 

@@ -4,9 +4,8 @@ fractional history term, plus a Mittag-Leffler validation oracle and a
 convergence-study harness."""
 
 from .cq import CQWeights, generate as generate_weights, history_sum
-from .fem1d import (Mesh1D, PiecewiseFn, TriDiagMatrix, assemble_mass,
-                    assemble_stiffness, basis_integrals, build_mesh, l2_norm,
-                    l2_project, prolong, ritz_project, solve_tridiag)
+from .fem1d import (Mesh1D, PiecewiseFn, basis_integrals, build_mesh, l2_norm,
+                    l2_project, prolong, ritz_project)
 from .mittag_leffler import exact_solution, mittag_leffler
 from .solver import (CoefficientLaw, DiscreteRun, ProblemSpec, SourceTerm,
                      project_initial, solve, solve_meshes, step)
@@ -17,9 +16,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CQWeights", "generate_weights", "history_sum",
-    "Mesh1D", "PiecewiseFn", "TriDiagMatrix", "assemble_mass",
-    "assemble_stiffness", "basis_integrals", "build_mesh", "l2_norm",
-    "l2_project", "prolong", "ritz_project", "solve_tridiag",
+    "Mesh1D", "PiecewiseFn", "basis_integrals", "build_mesh", "l2_norm",
+    "l2_project", "prolong", "ritz_project",
     "exact_solution", "mittag_leffler",
     "CoefficientLaw", "DiscreteRun", "ProblemSpec", "SourceTerm",
     "project_initial", "solve", "solve_meshes", "step",

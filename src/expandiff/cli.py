@@ -133,12 +133,15 @@ def _read(text: str, overrides: dict[str, str] | None = None) -> tuple[dict, dic
                 raise ValueError("empty value")
             cfg[key] = _KEYS[key][0](value)
         except (ValueError, ZeroDivisionError) as exc:
+            cfg[key] = None  # no check reads the default in place of a bad value
             errors.append(f"{where}: bad value for {key}: {exc}")
     return cfg, given, errors
 
 
 def _check_keys(cfg: dict, given: dict[str, str]) -> list[str]:
     preset = cfg["preset"]
+    if preset is None:  # a bad value, reported; every check below would follow from it
+        return []
     if preset not in _PRESETS:
         return [f"{given['preset']}: preset must be one of {', '.join(_PRESETS)}; got {preset!r}"]
     if preset != "custom":
@@ -153,6 +156,8 @@ def _check_keys(cfg: dict, given: dict[str, str]) -> list[str]:
     chosen += [(axis, (_AXES[axis],), _AXES.values() if len(axes) == 1 else ()) for axis in axes]
     for kind_key, kinds in _KINDS.items():
         kind = cfg[kind_key]
+        if kind is None:
+            continue
         if kind not in kinds:
             errors.append(f"{kind_key} must be one of {', '.join(kinds)}; got {kind!r}")
         else:

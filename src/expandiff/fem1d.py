@@ -1,14 +1,12 @@
 """Piecewise-linear finite elements on uniform meshes of (0, 1).
 
 Homogeneous Dirichlet conditions are enforced by elimination, so every
-nodal vector in this module has length ``n_cells - 1`` (interior nodes
-only).  Mass and stiffness matrices are symmetric tridiagonal; the L2
-projection solves the mass matrix with the Thomas algorithm, which needs no
-pivoting because the matrix is strictly diagonally dominant.  The Ritz
-projection needs no solve: in one dimension it is the nodal interpolant of
-the datum minus that of the line through its boundary values.  On the
-uniform mesh both matrices are diagonal in the discrete sine basis
-(``mode_eigenvalues``, ``sine_transform``), which the time stepper uses.
+nodal vector has length ``n_cells - 1``, one value per interior node.  On the
+uniform mesh the mass and stiffness matrices are diagonal in the discrete
+sine basis (``mode_eigenvalues``, ``sine_transform``), where the L2
+projection, the L2 norm and the time stepper work; their tridiagonal forms
+and the Thomas solve remain only as direct references.  The Ritz projection
+is the nodal interpolant of the datum minus that of the line through its end values.
 """
 
 from __future__ import annotations
@@ -260,8 +258,10 @@ def basis_integrals(g: PiecewiseFn, mesh: Mesh1D) -> np.ndarray:
 
 
 def l2_project(g: PiecewiseFn, mesh: Mesh1D) -> np.ndarray:
-    """L2-orthogonal projection onto the interior P1 space: solve M c = (g, phi_j)."""
-    return solve_tridiag(assemble_mass(mesh), basis_integrals(g, mesh))
+    """L2-orthogonal projection onto the interior P1 space, the c with M c = (g, phi_j),
+    as c = S(S b * 2h/lam_M) for S = sine_transform; this order keeps intermediates in range."""
+    scale = 2.0 * mesh.h / mode_eigenvalues(mesh)[0]
+    return sine_transform(sine_transform(basis_integrals(g, mesh)) * scale)
 
 
 def ritz_project(g: PiecewiseFn, mesh: Mesh1D) -> np.ndarray:
@@ -306,10 +306,12 @@ def solve_tridiag(A: TriDiagMatrix, rhs: np.ndarray) -> np.ndarray:
 
 
 def l2_norm(mesh: Mesh1D, v: np.ndarray) -> float:
-    """Exact L2 norm of the P1 function with interior values v: sqrt(v' M v)."""
+    """Exact L2 norm sqrt(v' M v) of the P1 function with interior values v,
+    as sqrt(2h sum_k lam_M,k (S v)_k^2) for S = sine_transform."""
     v = np.asarray(v, dtype=float)
-    q = float(v @ assemble_mass(mesh).matvec(v))
-    return float(np.sqrt(max(q, 0.0)))
+    if v.shape != (mesh.n_interior,):
+        raise ValueError(f"vector shape {v.shape} does not match {mesh.n_interior} interior nodes")
+    return float(np.sqrt(2.0 * mesh.h * (mode_eigenvalues(mesh)[0] @ sine_transform(v) ** 2)))
 
 
 def prolong(mesh_coarse: Mesh1D, v_coarse: np.ndarray, mesh_fine: Mesh1D) -> np.ndarray:

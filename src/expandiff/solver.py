@@ -276,12 +276,16 @@ def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
          frozen_time: float | None = None) -> np.ndarray:
     """One implicit step: W^n from the states W^0 .. W^{n-1} stored in ``run``.
 
-    Returns the new state without writing it into the trajectory.  With
+    Returns the new state without writing it into the trajectory.  Raises
+    ValueError unless ``weights`` are for ``spec.alpha`` and ``run.tau``.  With
     ``frozen_time`` the diffusivity of the implicit operator is frozen at
     that time level and the correction term moved to the right-hand side.
     """
     if not 1 <= n <= run.n_steps:
         raise ValueError(f"step index must lie in 1..{run.n_steps}, got {n}")
+    if weights.alpha != spec.alpha or not math.isclose(weights.tau, run.tau, rel_tol=1e-12):
+        raise ValueError(f"weights for alpha={weights.alpha}, tau={weights.tau} do not match "
+                         f"alpha={spec.alpha}, tau={run.tau}")
     coeffs = np.empty((n + 1, run.mesh.n_interior))
     coeffs[:n] = sine_transform(run.trajectory[:n])
     _march(coeffs, [run.mesh], run.tau, spec, weights, n, frozen_time)

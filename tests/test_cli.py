@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import expandiff
 from expandiff.cli import _KEYS, ConfigError, main, parse_config, print_table, run
 from expandiff.studies import RateTable
 
@@ -99,6 +100,13 @@ def test_parse_reports_each_rejected_object_once():
         "alpha, final_time"]
 
 
+def test_parse_bad_preset_value_is_the_only_error():
+    # the default custom run used to add four errors about its missing keys
+    with pytest.raises(ConfigError) as exc:
+        parse_config("preset =\nalpha = 0.3")
+    assert exc.value.errors == ["line 1: bad value for preset: empty value"]
+
+
 def test_parse_bad_value_is_not_also_missing():
     with pytest.raises(ConfigError) as exc:
         parse_config(CUSTOM.replace("cells = 16", "cells = many"))
@@ -140,7 +148,9 @@ def test_parse_rejects_repeated_key():
                             "oracle, custom; got 'bogus'"),
     (["--preset", "table1", "--alpha", "abc"],
      "error: --alpha: bad value for alpha: could not convert string to float: 'abc'"),
-], ids=["preset", "alpha"])
+    # the default custom run used to stand in for a preset that failed to parse
+    (["--preset", ""], "error: --preset: bad value for preset: empty value"),
+], ids=["preset", "alpha", "preset-empty"])
 def test_cli_bad_flag_exits_1_with_one_error_line(capsys, argv, line):
     # flags go through the config reader like config lines; argparse exited 2
     assert main(argv) == 1
@@ -274,6 +284,14 @@ def test_config_keys_are_declared_once():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     listed = re.findall(r"`([^`]+)`", re.search(r"Keys:(.*?`)\.", readme, re.S).group(1))
     assert set(listed) == set(_KEYS)
+
+
+def test_readme_entry_points_are_public():
+    # every name in the README's table of main entry points is in the package's __all__
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"Main entry points:\n\n(.*?)\n\n", readme, re.S).group(1)
+    listed = re.findall(r"`([^`]+)`", " ".join(row.split("|")[1] for row in table.splitlines()))
+    assert listed and set(listed) <= set(expandiff.__all__)
 
 
 @pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.cfg")),

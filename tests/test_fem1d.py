@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from expandiff import (PiecewiseFn, TriDiagMatrix, assemble_mass,
-                       assemble_stiffness, basis_integrals, build_mesh,
-                       l2_norm, l2_project, prolong, ritz_project,
-                       solve_tridiag)
-from expandiff.fem1d import mode_eigenvalues, sine_transform
+from expandiff import (PiecewiseFn, basis_integrals, build_mesh, l2_norm,
+                       l2_project, prolong, ritz_project)
+from expandiff.fem1d import (TriDiagMatrix, assemble_mass, assemble_stiffness,
+                             mode_eigenvalues, sine_transform, solve_tridiag)
 
 
 # -- mesh ---------------------------------------------------------------------
@@ -394,6 +393,30 @@ def test_l2_norm_sine_interpolant():
     mesh = build_mesh(256)
     v = np.sin(np.pi * mesh.interior_nodes)
     assert abs(l2_norm(mesh, v) - 1 / np.sqrt(2)) < 1e-4
+
+
+_FAST_PATH_DATA = {
+    "chi": PiecewiseFn.indicator(0.5, 1.0),
+    "chi-off-grid": PiecewiseFn.indicator(0.2, 0.7),
+    "cubic": PiecewiseFn([0.0, 1.0], [[0.7, -3.0, 1.0, 4.0]]),
+    "rough-sine": PiecewiseFn([0.0, 1.0], [], smooth=False, sine_mode=3),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 256, 1024])
+@pytest.mark.parametrize("name", list(_FAST_PATH_DATA))
+def test_sine_basis_projection_and_norm_match_tridiagonal_reference(name, n):
+    # direct references: the Thomas solve of M c = b and sqrt(v' M v) by matvec
+    g, mesh = _FAST_PATH_DATA[name], build_mesh(n)
+    M = assemble_mass(mesh)
+    direct = solve_tridiag(M, basis_integrals(g, mesh))
+    c = l2_project(g, mesh)
+    assert np.abs(c - direct).max() <= 1e-14 * np.abs(direct).max()
+    assert l2_norm(mesh, c) == pytest.approx(np.sqrt(c @ M.matvec(c)), rel=1e-14, abs=0)
+    with pytest.raises(ValueError):
+        l2_norm(mesh, np.ones(n))
+    with pytest.raises(ValueError):
+        l2_norm(mesh, np.ones((2, n - 1)))
 
 
 def test_prolong_hat():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from expandiff import (CoefficientLaw, DiscreteRun, PiecewiseFn, ProblemSpec,
-                       SourceTerm, assemble_mass, assemble_stiffness,
-                       basis_integrals, build_mesh, generate_weights,
+                       SourceTerm, basis_integrals, build_mesh, generate_weights,
                        history_sum, l2_project, project_initial, solve, solve_meshes,
                        step)
-from expandiff.fem1d import mode_eigenvalues, sine_transform
+from expandiff.fem1d import (assemble_mass, assemble_stiffness, mode_eigenvalues,
+                             sine_transform)
 
 
 def _table2_like(alpha=0.45, scale=0.8, exponent=1.5):
@@ -395,6 +395,11 @@ def test_step_validates_index_and_weights():
     short = generate_weights(spec.alpha, run.tau, 2)
     with pytest.raises(ValueError):
         step(run, spec, short, 5)
+    # weights of another order or step size used to give wrong states silently
+    with pytest.raises(ValueError, match="do not match"):
+        step(run, spec, generate_weights(0.7, run.tau, 6), 5)
+    with pytest.raises(ValueError, match="do not match"):
+        step(run, spec, generate_weights(spec.alpha, 5 * run.tau, 6), 5)
 
 
 def test_solve_rejects_bad_steps():
