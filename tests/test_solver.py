@@ -290,17 +290,19 @@ def _direct_history_solve(spec, n_cells, n_steps):
     """Reference modal stepper: the direct history sum of rows 1..n-1 at every step."""
     mesh = build_mesh(n_cells)
     tau = spec.final_time / n_steps
-    weights = generate_weights(spec.alpha, tau, n_steps + 1)
+    d = generate_weights(spec.alpha, tau, n_steps + 1).d
     lam_m, lam_s = mode_eigenvalues(mesh)
-    load = sine_transform(basis_integrals(spec.source.spatial, mesh))
+    load = 0.0
+    if not spec.source.is_zero:
+        load = sine_transform(basis_integrals(spec.source.spatial, mesh))
     c = np.empty((n_steps + 1, mesh.n_interior))
     c[0] = sine_transform(project_initial(spec, mesh))
     for n in range(1, n_steps + 1):
         t = n * tau
         kap = spec.coefficient(t)
-        hist = history_sum(weights, c[1:n], n, exclude_current=True)
+        hist = d[n - 1:0:-1] @ c[1:n]  # d_{n-1} W^1 + ... + d_1 W^{n-1}
         rhs = lam_m * c[n - 1] / tau + spec.source.time_factor(t) * load - kap * lam_s * hist
-        c[n] = rhs / (lam_m / tau + weights.d[0] * kap * lam_s)
+        c[n] = rhs / (lam_m / tau + d[0] * kap * lam_s)
     return 2.0 / n_cells * sine_transform(c)
 
 
@@ -321,6 +323,63 @@ def test_solve_matches_direct_history_sum(alpha, n_steps, blocked):
     assert (n_steps * (n_cells - 1) > 2 ** 18) == blocked
     ref = _direct_history_solve(spec, n_cells, n_steps)
     assert np.abs(run.trajectory - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _random_cases(count=60, seed=16):
+    """Seeded draws from the input space the CLI admits, for the randomised
+    differential tests of the stepping kernel: one to three meshes of 2-300
+    cells, 1-300 steps (the step counts around the 64-step chunks and the
+    128-step reach of the window first, then uniform), alpha in (0, 1] with
+    alpha = 1 and log-uniform values down to 1e-6, kappa = s * t**p with
+    s = 0 allowed and 0 <= p <= 3, chi, sine, rough-flagged sine and zero
+    initial data, and zero or chi sources with a time exponent."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(count):
+        n_steps = [64, 65, 128, 129, 192, 193][k] if k < 6 else int(rng.integers(1, 301))
+        alpha = (1.0, 10 ** rng.uniform(-6, -1), rng.uniform(0.05, 1.0))[k % 3]
+        scale = 0.0 if rng.random() < 0.1 else 10 ** rng.uniform(-1, 1)
+        a, b = np.sort(rng.choice(np.arange(9) / 8, 2, replace=False))
+        mode = int(rng.integers(1, 4))
+        initial = [PiecewiseFn.indicator(a, b), PiecewiseFn.sine(mode),
+                   PiecewiseFn([0.0, 1.0], [], smooth=False, sine_mode=mode),
+                   PiecewiseFn.zero()][k % 4]
+        source = SourceTerm.zero()
+        if initial.is_sine and initial.smooth or rng.random() < 0.5:
+            source = SourceTerm.separable(PiecewiseFn.indicator(b / 2, (1 + b) / 2),
+                                          time_exponent=rng.uniform(0.0, 2.0),
+                                          time_scale=rng.uniform(-2.0, 2.0))
+        if initial.sine_mode is None and not initial.coeffs[0].any() and source.is_zero:
+            source = SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5))
+        spec = ProblemSpec(alpha=alpha, final_time=10 ** rng.uniform(-0.6, 0.6),
+                           coefficient=CoefficientLaw.power(scale, rng.uniform(0.0, 3.0)),
+                           initial=initial, source=source)
+        cells = sorted({int(n) for n in rng.integers(2, 301, size=int(rng.integers(1, 4)))})
+        cases.append(pytest.param(spec, cells, n_steps, int(rng.integers(1, n_steps + 1)),
+                                  id=f"{k}-a{alpha:.2g}-N{n_steps}-cells{'.'.join(map(str, cells))}"))
+    return cases
+
+
+@pytest.mark.parametrize("spec, cells, n_steps, n", _random_cases())
+def test_random_marches_match_direct_history_sum(spec, cells, n_steps, n):
+    # every run of one joint march, and one step from W^0 .. W^{n-1}, against
+    # the direct history sum, within 1e-12 of the largest state
+    refs = [_direct_history_solve(spec, n_cells, n_steps) for n_cells in cells]
+    for run, ref in zip(solve_meshes(spec, cells, n_steps), refs):
+        assert np.abs(run.trajectory - ref).max() <= 1e-12 * np.abs(ref).max()
+    tau = spec.final_time / n_steps
+    run = DiscreteRun(mesh=build_mesh(cells[0]), n_steps=n_steps, tau=tau, trajectory=refs[0])
+    weights = generate_weights(spec.alpha, tau, n_steps + 1)
+    assert np.abs(step(run, spec, weights, n) - refs[0][n]).max() <= 1e-12 * np.abs(refs[0]).max()
+
+
+def test_random_cases_cover_the_far_field():
+    cases = [param.values for param in _random_cases()]
+    assert sum(n_steps > 128 for _, _, n_steps, _ in cases) >= len(cases) / 3
+    assert sum(n > 128 for _, _, _, n in cases) >= 5
+    assert sum(len(cells) > 1 for _, cells, _, _ in cases) >= len(cases) / 3
+    assert {spec.alpha for spec, *_ in cases} >= {1.0}
+    assert min(spec.alpha for spec, *_ in cases) < 1e-5
 
 
 def test_non_finite_solve_raises():
