@@ -3,7 +3,7 @@ P1 finite elements in space, backward-Euler convolution quadrature for the
 fractional history term, plus a Mittag-Leffler validation oracle and a
 convergence-study harness."""
 
-from .cq import CQWeights, generate as generate_weights, history_sum
+from .cq import CQWeights, generate as generate_weights
 from .fem1d import (Mesh1D, PiecewiseFn, basis_integrals, build_mesh, l2_norm,
                     l2_project, prolong, ritz_project)
 from .mittag_leffler import exact_solution, mittag_leffler
@@ -15,7 +15,7 @@ from .studies import (RateTable, mode_error, observed_rates, oracle_study,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CQWeights", "generate_weights", "history_sum",
+    "CQWeights", "generate_weights",
     "Mesh1D", "PiecewiseFn", "basis_integrals", "build_mesh", "l2_norm",
     "l2_project", "prolong", "ritz_project",
     "exact_solution", "mittag_leffler",

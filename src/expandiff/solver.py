@@ -14,9 +14,9 @@ history sum and the source with factors computed for 64 steps at a time.
 Modes never couple, so ``solve_meshes`` marches several meshes that share
 the step size at once, their modes side by side in one coefficient array;
 ``solve`` is its one-mesh case.  A run holds its mesh's coefficients, and
-rows are transformed back to nodal values when they are read.  Once the stored
-history outgrows the cache, each chunk of 64 steps takes the history of
-earlier chunks from one matrix product (see ``_march``).  The scheme admits
+rows are transformed back to nodal values when they are read.  History older
+than the previous chunk enters through a sum of Q exponentials of the weights,
+so N steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).  The scheme admits
 an equivalent formulation with the diffusivity frozen at an arbitrary time
 level and a correction term moved to the right-hand side; ``step`` exposes
 it through ``frozen_time`` so the algebraic cancellation can be verified
@@ -209,17 +209,15 @@ def _march(coeffs: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSp
         W^n = carry_n W^{n-1} + hist_n sum_{i=1}^{n-1} d_i W^{n-i} + part_n,
 
     with inv = 1/(lam_M/tau + d_0 kappa lam_S), carry = lam_M/tau inv,
-    hist = -kappa lam_S inv and part = f(t_n) b inv.  Once the n_steps x M
-    coefficient history outgrows 2**18 doubles (2 MB, the L2 cache of the
-    2-vCPU Xeon it was measured on), a chunk is also a block: the history of
-    the rows before it is one matrix product for all its steps
-    (``cq.history_sum`` over a range) and goes into ``part``, and each step
-    sums only the rows of its own block.  Below that each step sums all
-    earlier rows: a history the cache holds gains nothing from the product,
-    and at such shapes the product's second BLAS thread costs CPU time while
-    the step loop runs.  M counts the columns of all meshes.  Raises
-    ValueError, naming the mesh, as soon as a chunk holds a non-finite
-    coefficient.
+    hist = -kappa lam_S inv and part = f(t_n) b inv.  Each step sums its near
+    field, the rows from the start of the previous chunk on, directly.  The
+    rows before meet lags > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q}
+    (``CQWeights.exponentials``): they live in Q running sums per mode,
+    Y_q = sum_j e^{-(origin-1-j) x_q} W^j, which take each finished chunk in
+    one product, and the far field of a chunk's steps is one more product that
+    goes into ``part``.  A run of up to 128 steps has no far field.  M counts
+    the columns of all meshes.  Raises ValueError, naming the mesh, as soon as
+    a chunk holds a non-finite coefficient.
     """
     n_rows, n_modes = coeffs.shape
     if weights.count < n_rows - 1:
@@ -240,20 +238,23 @@ def _march(coeffs: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSp
         load = np.concatenate([sine_transform(basis_integrals(spec.source.spatial, mesh))
                                for mesh in meshes])
     columns = _columns(meshes)
-    blocked = (n_rows - 1) * n_modes > 2 ** 18
     hist = np.empty(n_modes)
-    for n0 in range(first, n_rows, 64):
-        n1 = min(n0 + 64, n_rows)
+    summed, y = 1, 0.0  # y holds the running sums of rows 1 .. summed-1
+    for n0 in range(first, n_rows, cq.CHUNK):
+        n1 = min(n0 + cq.CHUNK, n_rows)
         inv = 1.0 / (lam_m_tau + lead[n0:n1, None] * d0_lam_s)
         carry = lam_m_tau * inv
         hist_c = hist_factor[n0:n1, None] * lam_s * inv
         part = None if load is None else f[n0:n1, None] * load * inv
-        origin = 1
-        if blocked:  # rows 1 .. n0-1 as one product; the steps sum from row n0
-            far = hist_c * cq.history_sum(weights, coeffs[1:n0], range(n0, n1),
-                                          exclude_current=True)
+        origin = max(1, n0 - cq.CHUNK)
+        if origin > 1:
+            x, amp = weights.exponentials
+            lag = np.arange(origin - summed)
+            y = (np.exp(-lag.size * x)[:, None] * y
+                 + np.exp(-np.outer(x, lag[::-1])) @ coeffs[summed:origin])
+            summed = origin
+            far = hist_c * (np.exp(-np.outer(np.arange(n1 - n0), x)) * amp @ y)
             part = far if part is None else part + far
-            origin = n0
         rows = zip(range(n0, n1), coeffs[n0 - 1:n1 - 1], coeffs[n0:n1], carry, hist_c)
         for k, (n, prev, row, c, h) in enumerate(rows):
             np.dot(weights.history_window(n - origin + 1), coeffs[origin:n], out=hist)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gamma, gammaln
 
-from expandiff import CQWeights, generate_weights, history_sum
+from expandiff import CQWeights, generate_weights
+from expandiff.cq import CHUNK
 
 
 def test_alpha_one_degenerates_to_backward_euler():
@@ -91,59 +94,38 @@ def test_generate_rejects_bad_tau_and_count():
 # -- history sums -------------------------------------------------------------
 
 
+def _direct(w, states, n):
+    """sum_{i=1}^{n-1} d_i W^{n-i} over states[j-1] = W^j, one term at a time."""
+    return sum((w.d[i] * states[n - i - 1] for i in range(1, n)), np.zeros(states.shape[1]))
+
+
 def test_history_first_step_excluding_current_is_empty():
     w = generate_weights(0.5, 1.0, 8)
-    out = history_sum(w, np.ones((1, 3)), 1, exclude_current=True)
-    np.testing.assert_array_equal(out, np.zeros(3))
+    assert w.history_window(1).shape == (0,)
+    np.testing.assert_array_equal(w.history_window(1) @ np.ones((0, 3)), np.zeros(3))
 
 
 def test_history_two_steps_of_ones():
     w = generate_weights(0.5, 1.0, 8)
     states = np.ones((2, 4))
-    full = history_sum(w, states, 2)
+    full = w.d[0] * states[1] + w.history_window(2) @ states[:1]
     np.testing.assert_allclose(full, 0.5 * np.ones(4), rtol=1e-14)
-    tail = history_sum(w, states, 2, exclude_current=True)
+    tail = w.history_window(2) @ states[:1]
     np.testing.assert_allclose(tail, -0.5 * np.ones(4), rtol=1e-14)
 
 
 def test_history_all_zero_states():
     w = generate_weights(0.4, 0.1, 8)
-    out = history_sum(w, np.zeros((5, 2)), 5)
-    np.testing.assert_array_equal(out, 0.0)
+    np.testing.assert_array_equal(w.history_window(5) @ np.zeros((4, 2)), 0.0)
 
 
 def test_history_matches_direct_loop():
     rng = np.random.default_rng(3)
     w = generate_weights(0.6, 0.05, 12)
     states = rng.standard_normal((10, 5))
-    for upto in (1, 2, 5, 10):
-        for excl in (False, True):
-            i0 = 1 if excl else 0
-            ref = sum(w.d[i] * states[upto - i - 1] for i in range(i0, upto))
-            if i0 == upto:
-                ref = np.zeros(5)
-            got = history_sum(w, states, upto, exclude_current=excl)
-            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15)
-
-
-def test_history_insufficient_weights():
-    w = generate_weights(0.5, 1.0, 3)
-    with pytest.raises(ValueError):
-        history_sum(w, np.ones((5, 2)), 5)
-
-
-def test_history_insufficient_states():
-    w = generate_weights(0.5, 1.0, 8)
-    with pytest.raises(ValueError):
-        history_sum(w, np.ones((2, 2)), 4)
-
-
-def test_history_rejects_non_2d_states():
-    w = generate_weights(0.5, 1.0, 8)
-    with pytest.raises(ValueError):
-        history_sum(w, np.ones(4), 2)
-    with pytest.raises(ValueError):
-        history_sum(w, np.ones((2, 2)), 0)
+    for n in (1, 2, 5, 10):
+        np.testing.assert_allclose(w.history_window(n) @ states[:n - 1], _direct(w, states, n),
+                                   rtol=1e-13, atol=1e-15)
 
 
 def test_reversed_weights_cached_view():
@@ -152,40 +134,9 @@ def test_reversed_weights_cached_view():
     assert w.d_reversed is w.d_reversed  # cached, not rebuilt
 
 
-@pytest.mark.parametrize("exclude_current", [False, True])
-def test_history_block_rows_match_single_target(exclude_current):
-    # each row of the block form is the single-target sum over the states
-    # the block's first step sees; later states are zeroed for the reference
-    rng = np.random.default_rng(11)
-    w = generate_weights(0.35, 0.01, 200)
-    states = rng.standard_normal((199, 6))
-    i0 = 1 if exclude_current else 0
-    for n0, n1 in [(1, 2), (1, 64), (2, 3), (5, 69), (70, 134), (150, 200)]:
-        block = history_sum(w, states, range(n0, n1), exclude_current=exclude_current)
-        assert block.shape == (n1 - n0, 6)
-        seen = states.copy()
-        seen[n0 - i0:] = 0.0
-        for n in range(n0, n1):
-            ref = history_sum(w, seen, n, exclude_current=exclude_current)
-            np.testing.assert_allclose(block[n - n0], ref, rtol=1e-13,
-                                       atol=1e-13 * np.abs(ref).max())
-
-
-def test_history_block_validates_range():
-    w = generate_weights(0.5, 1.0, 8)
-    states = np.ones((7, 2))
-    for bad in (range(3, 3), range(2, 6, 2), range(0, 2)):
-        with pytest.raises(ValueError):
-            history_sum(w, states, bad)
-    with pytest.raises(ValueError):
-        history_sum(w, states, range(4, 10))  # the last step needs 9 weights
-    with pytest.raises(ValueError):
-        history_sum(w, states[:2], range(4, 6))  # the first step needs 4 states
-
-
 def test_history_window_matches_history_sum():
     # the stepper's unchecked window, over all earlier states and over the
-    # states of a block, against the validated sums it replaces
+    # states from a chunk's origin on, against the direct sum
     rng = np.random.default_rng(5)
     w = generate_weights(0.35, 0.01, 200)
     states = rng.standard_normal((199, 6))
@@ -193,16 +144,49 @@ def test_history_window_matches_history_sum():
         window = w.history_window(n)
         assert window.shape == (n - 1,)
         assert n == 1 or np.shares_memory(window, w.d_reversed)  # a view, not a copy
-        np.testing.assert_allclose(window @ states[:n - 1],
-                                   history_sum(w, states, n, exclude_current=True),
-                                   rtol=1e-14, atol=0.0)
-    for n0, n1 in [(1, 65), (65, 129), (150, 200)]:
-        far = history_sum(w, states, range(n0, n1), exclude_current=True)
+        direct = w.d[n - 1:0:-1].copy() @ states[:n - 1]  # d_{n-1} W^1 + ... + d_1 W^{n-1}
+        np.testing.assert_allclose(window @ states[:n - 1], direct, rtol=1e-14, atol=0.0)
+    for origin, n0, n1 in [(1, 1, 65), (1, 65, 129), (86, 150, 200)]:
         for n in range(n0, n1):
-            near = w.history_window(n - n0 + 1) @ states[n0 - 1:n - 1]  # W^n0 .. W^{n-1}
-            np.testing.assert_allclose(
-                near, history_sum(w, states[n0 - 1:], n - n0 + 1, exclude_current=True),
-                rtol=1e-14, atol=0.0)
-            full = history_sum(w, states, n, exclude_current=True)
-            np.testing.assert_allclose(far[n - n0] + near, full, rtol=1e-13,
-                                       atol=1e-13 * np.abs(full).max())
+            near = w.history_window(n - origin + 1) @ states[origin - 1:n - 1]  # W^origin ..
+            far = w.d[n - 1:n - origin:-1] @ states[:origin - 1]  # W^1 .. W^{origin-1}
+            full = _direct(w, states, n)
+            np.testing.assert_allclose(far + near, full, rtol=1e-13,
+                                       atol=1e-13 * np.abs(full).max(initial=0.0))
+
+
+# -- the far field's sum of exponentials -----------------------------------------
+
+
+@pytest.mark.parametrize("count", [129, 2_001, 20_001])
+@pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.5, 0.999, 1.0])
+def test_exponentials_match_weights_beyond_the_near_field(alpha, count):
+    # d_i = sum_q c_q e^{-(i-65) x_q} at every lag the far field meets
+    w = generate_weights(alpha, 0.37, count)
+    x, c = w.exponentials
+    assert w.exponentials is w.exponentials  # built once
+    if alpha == 1.0:
+        assert x.size == c.size == 0
+        return
+    assert x.size == c.size <= 50
+    assert np.all(x > 0.0)
+    lags = np.arange(CHUNK + 1, count)
+    fit = np.exp(-np.outer(lags - CHUNK - 1, x)) @ c
+    assert np.abs(fit / w.d[lags] - 1.0).max() <= 1e-12
+
+
+def test_exponentials_check_themselves():
+    # the construction compares the fit with g at lags 65, 66, 68, .., 192 and
+    # 299: a g off by 1e-11 at one of them raises instead of reaching a march
+    w = generate_weights(0.5, 1.0, 300)
+    w.g[CHUNK + 128] *= 1 + 1e-11
+    with pytest.raises(ValueError, match="exponentials miss the CQ weights"):
+        w.exponentials
+
+
+@pytest.mark.parametrize("tau, count, match", [
+    (math.nan, 4, "tau must be finite"), (math.inf, 4, "tau must be finite"),
+    (1.0, 2.5, "count must be an integer")])
+def test_generate_rejects_non_finite_tau_and_fractional_count(tau, count, match):
+    with pytest.raises(ValueError, match=match):
+        generate_weights(0.5, tau, count)

@@ -5,8 +5,7 @@ import pytest
 
 from expandiff import (CoefficientLaw, DiscreteRun, PiecewiseFn, ProblemSpec,
                        SourceTerm, basis_integrals, build_mesh, generate_weights,
-                       history_sum, l2_project, project_initial, solve, solve_meshes,
-                       step)
+                       l2_project, project_initial, solve, solve_meshes, step)
 from expandiff.fem1d import (assemble_mass, assemble_stiffness, mode_eigenvalues,
                              sine_transform)
 
@@ -310,9 +309,9 @@ def _direct_history_solve(spec, n_cells, n_steps):
 @pytest.mark.parametrize("n_steps", [63, 64, 65, 129, 300])
 @pytest.mark.parametrize("blocked", [False, True], ids=["cached", "blocked"])
 def test_solve_matches_direct_history_sum(alpha, n_steps, blocked):
-    # n_steps * M above 2**18 steps in blocks of 64; these step counts hit a
-    # lone partial block, one full block, a one-row last block, a middle
-    # block and a partial last block
+    # narrow and wide runs (n_steps * M below and above 2**18); the step
+    # counts hit a lone partial chunk of 64, one full chunk, a one-row last
+    # chunk, the first chunk with a far field and a partial last chunk
     n_cells = 2 ** 18 // n_steps + 2 if blocked else 24
     spec = ProblemSpec(alpha=alpha, final_time=1.0,
                        coefficient=CoefficientLaw.power(2.0, 1.5),
@@ -380,6 +379,16 @@ def test_random_cases_cover_the_far_field():
     assert sum(len(cells) > 1 for _, cells, _, _ in cases) >= len(cases) / 3
     assert {spec.alpha for spec, *_ in cases} >= {1.0}
     assert min(spec.alpha for spec, *_ in cases) < 1e-5
+
+
+def test_runs_of_up_to_128_steps_build_no_exponentials(monkeypatch):
+    # the near field spans two chunks of 64, so only a later chunk needs a far field
+    from expandiff import cq
+
+    monkeypatch.setattr(cq.CQWeights, "exponentials", property(lambda w: pytest.fail("built")))
+    solve_meshes(_forced(), [8, 16], 128)
+    with pytest.raises(pytest.fail.Exception, match="built"):
+        solve(_forced(), 8, 129)
 
 
 def test_non_finite_solve_raises():
@@ -489,7 +498,8 @@ def test_trajectory_shape_and_times():
 def test_rows_read_back_agree_bitwise(n_steps, blocked):
     # final and state(n) transform one row, trajectory all rows in blocks;
     # each is 2/n times the sine transform of the coefficient row; 5 * 2**16
-    # cells put n_steps x M above 2**18 at a transform length with small factors
+    # cells give wide runs (n_steps x M above 2**18) at a transform length
+    # with small factors
     n_cells = 5 * 2 ** 16 // n_steps if blocked else 24
     rng = np.random.default_rng(n_steps)
     coeffs = rng.standard_normal((n_steps + 1, n_cells - 1))
@@ -503,7 +513,7 @@ def test_rows_read_back_agree_bitwise(n_steps, blocked):
     assert np.array_equal(run.final, expected[-1])
     assert np.array_equal(run.state(n_steps // 2), expected[n_steps // 2])
     # a solved run: the pure-Python projection onto 5 * 2**16 cells would
-    # dominate the suite, so the one-step solve stays on the cached side
+    # dominate the suite, so the one-step solve stays narrow
     if blocked and n_steps == 1:
         return
     solved = solve(_forced(), n_cells, n_steps)
@@ -523,23 +533,6 @@ def test_discrete_run_takes_exactly_one_kind_of_rows():
     with pytest.raises(ValueError, match="exactly one"):
         DiscreteRun(mesh=mesh, n_steps=1, tau=1.0, trajectory=np.zeros((2, 3)),
                     coefficients=np.zeros((2, 3)))
-
-
-@pytest.mark.parametrize("n_cells, n_steps, calls", [(128, 1600, 0), (300, 1000, 16)])
-def test_history_sum_called_once_per_block(monkeypatch, n_cells, n_steps, calls):
-    # steps take their weights from the unchecked window; only the far field
-    # of a block (n_steps x M above 2**18) goes through the validated sum
-    from expandiff import cq
-
-    checked, seen = cq.history_sum, []
-
-    def counted(*args, **kwargs):
-        seen.append(args[2])
-        return checked(*args, **kwargs)
-
-    monkeypatch.setattr(cq, "history_sum", counted)
-    solve(_forced(), n_cells, n_steps)
-    assert len(seen) == calls
 
 
 # -- joint march of several meshes ----------------------------------------------
@@ -568,8 +561,8 @@ def _chi_forced(alpha=0.35):
                          [([8, 16, 32], 50, False), ([128, 256, 512], 300, True)],
                          ids=["cached", "blocked"])
 def test_joint_march_matches_separate_solves(spec, cells, n_steps, blocked):
-    # the joint width decides the 2**18 rule: the blocked case marches three
-    # meshes in blocks that each would step alone on the cached side
+    # the wide case marches three meshes for 300 steps, so their modes share
+    # one far field
     runs = solve_meshes(spec, cells, n_steps)
     assert (n_steps * sum(n - 1 for n in cells) > 2 ** 18) == blocked
     assert [run.mesh.n_cells for run in runs] == cells
