@@ -213,8 +213,8 @@ def _march(coeffs: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSp
     field, the rows from the start of the previous chunk on, directly.  The
     rows before meet lags > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q}
     (``CQWeights.exponentials``): they live in Q running sums per mode,
-    Y_q = sum_j e^{-(origin-1-j) x_q} W^j, which take each finished chunk in
-    one product, and the far field of a chunk's steps is one more product that
+    c_q sum_j e^{-(origin-1-j) x_q} W^j, which take each finished chunk in one
+    product, and the far field of a chunk's steps is one more product that
     goes into ``part``.  A run of up to 128 steps has no far field.  M counts
     the columns of all meshes.  Raises ValueError, naming the mesh, as soon as
     a chunk holds a non-finite coefficient.
@@ -239,7 +239,7 @@ def _march(coeffs: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSp
                                for mesh in meshes])
     columns = _columns(meshes)
     hist = np.empty(n_modes)
-    summed, y = 1, 0.0  # y holds the running sums of rows 1 .. summed-1
+    summed, y = 1, 0.0  # the sums over rows 1 .. summed-1, scaled by c_q like the weights
     for n0 in range(first, n_rows, cq.CHUNK):
         n1 = min(n0 + cq.CHUNK, n_rows)
         inv = 1.0 / (lam_m_tau + lead[n0:n1, None] * d0_lam_s)
@@ -251,9 +251,9 @@ def _march(coeffs: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSp
             x, amp = weights.exponentials
             lag = np.arange(origin - summed)
             y = (np.exp(-lag.size * x)[:, None] * y
-                 + np.exp(-np.outer(x, lag[::-1])) @ coeffs[summed:origin])
+                 + amp[:, None] * np.exp(-np.outer(x, lag[::-1])) @ coeffs[summed:origin])
             summed = origin
-            far = hist_c * (np.exp(-np.outer(np.arange(n1 - n0), x)) * amp @ y)
+            far = hist_c * (np.exp(-np.outer(np.arange(n1 - n0), x)) @ y)
             part = far if part is None else part + far
         rows = zip(range(n0, n1), coeffs[n0 - 1:n1 - 1], coeffs[n0:n1], carry, hist_c)
         for k, (n, prev, row, c, h) in enumerate(rows):

@@ -391,6 +391,16 @@ def test_runs_of_up_to_128_steps_build_no_exponentials(monkeypatch):
         solve(_forced(), 8, 129)
 
 
+def test_far_field_of_huge_states_stays_finite():
+    # the running sums carry c_q, so they grow no faster than the direct sum;
+    # unscaled, 4,000 rows of 1e305 overflow them
+    unit = _table2_like(exponent=0.0)
+    huge = ProblemSpec(alpha=unit.alpha, final_time=1.0, coefficient=unit.coefficient,
+                       initial=1e305 * unit.initial, source=unit.source)
+    final = solve(huge, 16, 4000).final
+    assert np.abs(final - 1e305 * solve(unit, 16, 4000).final).max() <= 1e-13 * np.abs(final).max()
+
+
 def test_non_finite_solve_raises():
     # one ValueError and no numpy warning, which would fail the suite
     spec = ProblemSpec(alpha=0.5, final_time=1.0,
