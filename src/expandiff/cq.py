@@ -63,9 +63,8 @@ class CQWeights:
             return np.empty(0), np.empty(0)
         beta, log_eps = 1.0 - alpha, math.log(1e-15)
         h = -0.9 * math.pi ** 2 / log_eps
-        u = np.arange(log_eps / (1 + beta) - math.log(count) - 2,
-                      math.log(-log_eps / (lag - beta) + 1) + 0.5, h)
-        x = np.exp(u)
+        x = np.exp(np.arange(log_eps / (1 + beta) - math.log(count) - 2,
+                             math.log(-log_eps / (lag - beta) + 1) + 0.5, h))  # u = log x
         # sin(pi min(alpha, beta)): no cancellation in pi beta near alpha = 0 or 1
         c = -math.sin(math.pi * min(alpha, beta)) / math.pi * h * x * np.exp(
             beta * np.log(np.expm1(x)) - lag * x)

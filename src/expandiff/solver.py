@@ -209,15 +209,14 @@ def _march(coeffs: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSp
         W^n = carry_n W^{n-1} + hist_n sum_{i=1}^{n-1} d_i W^{n-i} + part_n,
 
     with inv = 1/(lam_M/tau + d_0 kappa lam_S), carry = lam_M/tau inv,
-    hist = -kappa lam_S inv and part = f(t_n) b inv.  Each step sums its near
-    field, the rows from the start of the previous chunk on, directly.  The
-    rows before meet lags > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q}
-    (``CQWeights.exponentials``): they live in Q running sums per mode,
-    c_q sum_j e^{-(origin-1-j) x_q} W^j, which take each finished chunk in one
-    product, and the far field of a chunk's steps is one more product that
-    goes into ``part``.  A run of up to 128 steps has no far field.  M counts
-    the columns of all meshes.  Raises ValueError, naming the mesh, as soon as
-    a chunk holds a non-finite coefficient.
+    hist = -kappa lam_S inv and part = f(t_n) b inv.  Each step sums the rows
+    from the start of the previous chunk on directly.  Older rows meet lags
+    > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q} (``CQWeights.exponentials``):
+    they enter as Q running sums per mode, c_q sum_j e^{-(origin-1-j) x_q} W^j,
+    which take each finished chunk in one product; one more product gives the
+    chunk's far field, which goes into ``part``.  A run of up to 128 steps has
+    no far field.  M counts the columns of all meshes.  Raises ValueError,
+    naming the mesh, as soon as a chunk holds a non-finite coefficient.
     """
     n_rows, n_modes = coeffs.shape
     if weights.count < n_rows - 1:
@@ -239,7 +238,7 @@ def _march(coeffs: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSp
                                for mesh in meshes])
     columns = _columns(meshes)
     hist = np.empty(n_modes)
-    summed, y = 1, 0.0  # the sums over rows 1 .. summed-1, scaled by c_q like the weights
+    summed = 1  # y: the running sums over rows 1 .. summed-1, scaled by c_q like the weights
     for n0 in range(first, n_rows, cq.CHUNK):
         n1 = min(n0 + cq.CHUNK, n_rows)
         inv = 1.0 / (lam_m_tau + lead[n0:n1, None] * d0_lam_s)
@@ -249,12 +248,15 @@ def _march(coeffs: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSp
         origin = max(1, n0 - cq.CHUNK)
         if origin > 1:
             x, amp = weights.exponentials
-            lag = np.arange(origin - summed)
-            y = (np.exp(-lag.size * x)[:, None] * y
-                 + amp[:, None] * np.exp(-np.outer(x, lag[::-1])) @ coeffs[summed:origin])
-            summed = origin
-            far = hist_c * (np.exp(-np.outer(np.arange(n1 - n0), x)) @ y)
-            part = far if part is None else part + far
+            if summed == 1:  # fresh (Q or 64) x M arrays per chunk fragment the heap
+                y, new, far = (np.zeros((rows, n_modes)) for rows in (x.size, x.size, cq.CHUNK))
+            y *= np.exp((summed - origin) * x)[:, None]
+            y += np.matmul(amp[:, None] * np.exp(np.outer(x, np.arange(summed - origin + 1, 1))),
+                           coeffs[summed:origin], out=new)
+            summed, far = origin, far[:n1 - n0]
+            np.multiply(hist_c, np.matmul(np.exp(-np.outer(np.arange(n1 - n0), x)), y, out=far),
+                        out=far)
+            part = far if part is None else np.add(part, far, out=part)
         rows = zip(range(n0, n1), coeffs[n0 - 1:n1 - 1], coeffs[n0:n1], carry, hist_c)
         for k, (n, prev, row, c, h) in enumerate(rows):
             np.dot(weights.history_window(n - origin + 1), coeffs[origin:n], out=hist)
