@@ -4,11 +4,12 @@ The weights d_i are the Taylor coefficients of ((1 - z)/tau)^(1-alpha):
 d_i = tau^(alpha-1) * g_i with g_i = (-1)^i * binom(1-alpha, i).  They are
 produced by the multiplicative recurrence g_i = g_{i-1} * (i - 2 + alpha) / i,
 one cumulative product, which is O(N), overflow-free and stable for all i.
-A stepper sums the recent history directly, taking its weights from
-``CQWeights.history_window``; beyond lag ``CHUNK`` it takes them from
-``CQWeights.exponentials``, a short sum of exponentials that turns the
-older history into running sums (the kernel compression of Baffet &
-Hesthaven, SIAM J. Numer. Anal. 55 (2017) 496).
+A stepper sums the history of its current and previous chunk of ``CHUNK``
+steps directly, with weights from ``d`` and ``CQWeights.history_window``;
+the older history meets lags > ``CHUNK`` only, and there it takes them from
+``CQWeights.exponentials``, a short sum of exponentials that turns that
+history into running sums (the kernel compression of Baffet & Hesthaven,
+SIAM J. Numer. Anal. 55 (2017) 496).
 """
 
 from __future__ import annotations

@@ -109,6 +109,8 @@ class PiecewiseFn:
         self.breakpoints = bp
         self.sine_mode = None if sine_mode is None else require_count(sine_mode, 1, "sine mode")
         self.amplitude = float(amplitude)
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {amplitude}")
         self.smooth = bool(smooth)
         self.coeffs = []
         if sine_mode is None:
@@ -117,6 +119,8 @@ class PiecewiseFn:
                 raise ValueError("need one coefficient array per subinterval")
             if any(c.size > 4 for c in self.coeffs):
                 raise ValueError("piece degree must be <= 3")
+            if not all(np.isfinite(c).all() for c in self.coeffs):
+                raise ValueError("coeffs must be finite")
 
     # -- constructors -----------------------------------------------------
 
@@ -167,10 +171,15 @@ class PiecewiseFn:
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, scalar):
+        """The datum times a finite ``scalar``; ValueError if the product overflows."""
         s = float(scalar)
+        if not np.isfinite(s):
+            raise ValueError(f"scalar must be finite, got {scalar}")
         if self.is_sine:
             return PiecewiseFn.sine(self.sine_mode, self.amplitude * s)
-        return PiecewiseFn(self.breakpoints, [c * s for c in self.coeffs], smooth=self.smooth)
+        with np.errstate(over="ignore"):  # an overflow raises as non-finite coeffs
+            coeffs = [c * s for c in self.coeffs]
+        return PiecewiseFn(self.breakpoints, coeffs, smooth=self.smooth)
 
     __rmul__ = __mul__
 

@@ -14,13 +14,15 @@ history sum and the source with factors computed for 64 steps at a time.
 Modes never couple, so ``solve_meshes`` marches several meshes that share
 the step size at once, their modes side by side in one coefficient array;
 ``solve`` is its one-mesh case.  A run holds its mesh's coefficients, and
-rows are transformed back to nodal values when they are read.  History older
-than the previous chunk enters through a sum of Q exponentials of the weights,
-so N steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).  The scheme admits
-an equivalent formulation with the diffusivity frozen at an arbitrary time
-level and a correction term moved to the right-hand side; ``step`` exposes
-it through ``frozen_time`` so the algebraic cancellation can be verified
-directly.
+rows are transformed back to nodal values when they are read.  A march works
+in a buffer of 1 + 2 * 64 rows, and history older than the previous chunk
+enters through a sum of Q exponentials of the weights, so N steps cost
+O(N Q M) work, not O(N^2 M) (see ``_march``).  ``final_states`` keeps no
+rows, so its memory does not grow with N; studies read nothing else.  The
+scheme admits an equivalent formulation with the diffusivity frozen at an
+arbitrary time level and a correction term moved to the right-hand side;
+``step`` exposes it through ``frozen_time`` so the algebraic cancellation
+can be verified directly.
 """
 
 from __future__ import annotations
@@ -159,7 +161,8 @@ class DiscreteRun:
         if self._modal:
             nodal = np.empty_like(self._rows)
             for start in range(0, nodal.shape[0], 16):  # blocks bound the FFT's buffers
-                nodal[start:start + 16] = self._nodal(self._rows[start:start + 16])
+                nodal[start:start + 16] = _nodal(self._rows[start:start + 16], self.mesh,
+                                                 self.n_steps)
             self._rows, self._modal = nodal, False
         return self._rows
 
@@ -171,14 +174,17 @@ class DiscreteRun:
         return self._row(n)
 
     def _row(self, n: int) -> np.ndarray:
-        return self._nodal(self._rows[n]) if self._modal else self._rows[n]
+        return _nodal(self._rows[n], self.mesh, self.n_steps) if self._modal else self._rows[n]
 
-    def _nodal(self, coeffs: np.ndarray) -> np.ndarray:
-        # overflow surfaces once, as the ValueError, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = 2.0 / self.mesh.n_cells * sine_transform(coeffs)
-        _require_finite(values, self.mesh, self.n_steps)
-        return values
+
+def _nodal(coeffs: np.ndarray, mesh: Mesh1D, n_steps: int) -> np.ndarray:
+    """Nodal values of rows of sine coefficients on ``mesh``; ValueError if
+    they overflow."""
+    # overflow surfaces once, as the ValueError, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = 2.0 / mesh.n_cells * sine_transform(coeffs)
+    _require_finite(values, mesh, n_steps)
+    return values
 
 
 def _require_finite(values: np.ndarray, mesh: Mesh1D, n_steps: int) -> None:
@@ -195,30 +201,46 @@ def project_initial(spec: ProblemSpec, mesh: Mesh1D) -> np.ndarray:
     return l2_project(w0, mesh)
 
 
-def _march(coeffs: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
-           weights: cq.CQWeights, first: int, frozen_time: float | None = None) -> None:
-    """Fill rows ``first`` .. of ``coeffs``, the sine coefficients of W^0 ..,
-    by the implicit scheme from the rows before them.
+_WORK_ROWS = 2 * cq.CHUNK + 1  # the rows a march holds: see _march
+# _NEAR_LAGS[k, j] is the lag of the previous chunk's row j at step k of a chunk
+_NEAR_LAGS = cq.CHUNK + np.arange(cq.CHUNK)[:, None] - np.arange(cq.CHUNK)
 
-    The columns of ``coeffs`` hold the modes of each mesh in ``meshes`` side
-    by side, in order.  Modes never couple, so one march advances meshes that
-    share the step size as if they were one mesh with their eigenvalues and
-    loads concatenated.  Steps go in chunks of 64.  Per chunk the scheme's
+
+def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float,
+           spec: ProblemSpec, weights: cq.CQWeights, n_rows: int,
+           frozen_time: float | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """March the sine coefficients of W^0 .. W^{n_rows-1} by the implicit
+    scheme from ``known``, the rows W^0 .. W^{first-1}; return the last row,
+    and copy rows ``first`` .. into ``out`` if one is given.
+
+    The columns hold the modes of each mesh in ``meshes`` side by side, in
+    order.  Modes never couple, so one march advances meshes that share the
+    step size as if they were one mesh with their eigenvalues and loads
+    concatenated.  Steps go in chunks of 64.  Per chunk the scheme's
     coefficients become (chunk x M) arrays, so that step n is, per mode,
 
         W^n = carry_n W^{n-1} + hist_n sum_{i=1}^{n-1} d_i W^{n-i} + part_n,
 
     with inv = 1/(lam_M/tau + d_0 kappa lam_S), carry = lam_M/tau inv,
-    hist = -kappa lam_S inv and part = f(t_n) b inv.  Each step sums the rows
-    from the start of the previous chunk on directly.  Older rows meet lags
-    > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q} (``CQWeights.exponentials``):
-    they enter as Q running sums per mode, c_q sum_j e^{-(origin-1-j) x_q} W^j,
-    which take each finished chunk in one product; one more product gives the
-    chunk's far field, which goes into ``part``.  A run of up to 128 steps has
-    no far field.  M counts the columns of all meshes.  Raises ValueError,
-    naming the mesh, as soon as a chunk holds a non-finite coefficient.
+    hist = -kappa lam_S inv and part = f(t_n) b inv.  The march keeps
+    2 * 64 + 1 rows in ``work``, whatever n_rows: the row before the previous
+    chunk, the previous chunk and the current one.  The history sum has
+    three parts:
+    - the rows of the step's own chunk, in one dot per step;
+    - the previous chunk's rows, for all steps of the chunk at once, in one
+      product with the Toeplitz block of d_1 .. d_127;
+    - older rows, which meet lags > 64 only, where
+      d_i = sum_q c_q e^{-(i-65) x_q} (``CQWeights.exponentials``).  They
+      enter as Q running sums per mode, c_q sum_j e^{-(origin-1-j) x_q} W^j,
+      into which the previous chunk folds in one product before the buffer
+      moves on; one more product gives the chunk's share.
+    The last two go into the chunk's rows before it starts, and each step's
+    dot takes its own row with weight 1 before the step overwrites it.  A
+    run of up to 128 steps has no older rows and builds no exponentials.
+    M counts the columns of all meshes.  Raises ValueError, naming the mesh,
+    as soon as a chunk holds a non-finite coefficient.
     """
-    n_rows, n_modes = coeffs.shape
+    first, n_modes = known.shape
     if weights.count < n_rows - 1:
         raise ValueError(f"need at least {n_rows - 1} weights, have {weights.count}")
     times = tau * np.arange(n_rows)
@@ -236,37 +258,73 @@ def _march(coeffs: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSp
     if not spec.source.is_zero:
         load = np.concatenate([sine_transform(basis_integrals(spec.source.spatial, mesh))
                                for mesh in meshes])
-    columns = _columns(meshes)
+    chunk = cq.CHUNK
+    # work[j] holds W^{n0-chunk-1+j} while the chunk from n0 runs: the row
+    # before the previous chunk, the previous chunk, then the current one
+    start = max(0, first - chunk - 1)
+    work[start - first + chunk + 1:chunk + 1] = known[start:]
+    # the last step's weights d_63 .. d_1, and 1 for the row being computed
+    window = np.concatenate((weights.history_window(min(chunk, weights.count)), (1.0,)))
+    top = window.size - 1
     hist = np.empty(n_modes)
-    summed = 1  # y: the running sums over rows 1 .. summed-1, scaled by c_q like the weights
-    for n0 in range(first, n_rows, cq.CHUNK):
-        n1 = min(n0 + cq.CHUNK, n_rows)
-        inv = 1.0 / (lam_m_tau + lead[n0:n1, None] * d0_lam_s)
-        carry = lam_m_tau * inv
-        hist_c = hist_factor[n0:n1, None] * lam_s * inv
-        part = None if load is None else f[n0:n1, None] * load * inv
-        origin = max(1, n0 - cq.CHUNK)
-        if origin > 1:
-            x, amp = weights.exponentials
-            if summed == 1:  # fresh (Q or 64) x M arrays per chunk fragment the heap
-                y, new, far = (np.zeros((rows, n_modes)) for rows in (x.size, x.size, cq.CHUNK))
-            y *= np.exp((summed - origin) * x)[:, None]
-            y += np.matmul(amp[:, None] * np.exp(np.outer(x, np.arange(summed - origin + 1, 1))),
-                           coeffs[summed:origin], out=new)
-            summed, far = origin, far[:n1 - n0]
-            np.multiply(hist_c, np.matmul(np.exp(-np.outer(np.arange(n1 - n0), x)), y, out=far),
-                        out=far)
-            part = far if part is None else np.add(part, far, out=part)
-        rows = zip(range(n0, n1), coeffs[n0 - 1:n1 - 1], coeffs[n0:n1], carry, hist_c)
-        for k, (n, prev, row, c, h) in enumerate(rows):
-            np.dot(weights.history_window(n - origin + 1), coeffs[origin:n], out=hist)
+    # the chunk's factors, in fixed buffers: two chunks' worth would be alive at once
+    factors = np.empty((4, min(chunk, n_rows - first), n_modes))
+    last_n0 = first + (n_rows - 1 - first) // chunk * chunk
+    if last_n0 - chunk > 1:  # some chunk meets rows before its previous chunk
+        x, amp = weights.exponentials
+        decay = np.exp(-np.outer(np.arange(chunk), x))
+        # y: the running sums, scaled by c_q like the weights; fixed buffers,
+        # because fresh (Q or 64) x M arrays per chunk fragment the heap
+        y, scratch = np.zeros((x.size, n_modes)), np.empty((max(x.size, chunk), n_modes))
+        _fold(y, known[1:max(1, first - chunk)], x, amp, scratch)
+    for n0 in range(first, n_rows, chunk):
+        n1 = min(n0 + chunk, n_rows)
+        inv, carry, hist_c, part = factors[:, :n1 - n0]
+        np.multiply(lead[n0:n1, None], d0_lam_s, out=inv)
+        inv += lam_m_tau
+        np.divide(1.0, inv, out=inv)
+        np.multiply(lam_m_tau, inv, out=carry)
+        np.multiply(hist_factor[n0:n1, None], lam_s, out=hist_c)
+        hist_c *= inv
+        if load is not None:
+            np.multiply(f[n0:n1, None], load, out=part)
+            part *= inv
+        origin = max(1, n0 - chunk)  # the previous chunk's rows from W^origin on
+        rows = work[chunk + 1:chunk + 1 + n1 - n0]
+        if origin < n0:
+            near = work[origin - n0 + chunk + 1:chunk + 1]
+            np.matmul(weights.d[_NEAR_LAGS[:n1 - n0, -near.shape[0]:]], near, out=rows)
+            if origin > 1:
+                rows += np.matmul(decay[:n1 - n0], y, out=scratch[:n1 - n0])
+        else:
+            rows.fill(0.0)
+        for k, (prev, row, c, h) in enumerate(zip(work[chunk:], rows, carry, hist_c)):
+            np.dot(window[top - k:], rows[:k + 1], out=hist)
             hist *= h
             np.multiply(c, prev, out=row)
             row += hist
-            if part is not None:
+            if load is not None:
                 row += part[k]
-        for mesh, cols in zip(meshes, columns):
-            _require_finite(coeffs[n0:n1, cols], mesh, n_rows - 1)
+        if not np.isfinite(rows).all():  # name the first mesh at fault
+            for mesh, cols in zip(meshes, _columns(meshes)):
+                _require_finite(rows[:, cols], mesh, n_rows - 1)
+        if out is not None:
+            out[n0:n1] = rows
+        if n1 < n_rows:
+            if origin < n0:
+                _fold(y, near, x, amp, scratch)
+            work[:chunk + 1] = work[chunk:]
+    return rows[-1]
+
+
+def _fold(y: np.ndarray, rows: np.ndarray, x: np.ndarray, amp: np.ndarray,
+          scratch: np.ndarray) -> None:
+    """Take ``rows``, the rows that follow those in the running sums ``y``,
+    into ``y``."""
+    r = rows.shape[0]
+    y *= np.exp(-r * x)[:, None]
+    y += np.matmul(amp[:, None] * np.exp(np.outer(x, np.arange(1 - r, 1))), rows,
+                   out=scratch[:x.size])
 
 
 def _columns(meshes: list[Mesh1D]) -> list[slice]:
@@ -289,10 +347,10 @@ def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
     if weights.alpha != spec.alpha or not math.isclose(weights.tau, run.tau, rel_tol=1e-12):
         raise ValueError(f"weights for alpha={weights.alpha}, tau={weights.tau} do not match "
                          f"alpha={spec.alpha}, tau={run.tau}")
-    coeffs = np.empty((n + 1, run.mesh.n_interior))
-    coeffs[:n] = sine_transform(run.trajectory[:n])
-    _march(coeffs, [run.mesh], run.tau, spec, weights, n, frozen_time)
-    return 2.0 / run.mesh.n_cells * sine_transform(coeffs[n])
+    work = np.empty((_WORK_ROWS, run.mesh.n_interior))
+    final = _march(sine_transform(run.trajectory[:n]), work, [run.mesh], run.tau, spec,
+                   weights, n + 1, frozen_time)
+    return 2.0 / run.mesh.n_cells * sine_transform(final)
 
 
 def solve_meshes(spec: ProblemSpec, cells, n_steps: int) -> list[DiscreteRun]:
@@ -308,32 +366,55 @@ def solve_meshes(spec: ProblemSpec, cells, n_steps: int) -> list[DiscreteRun]:
     cannot be allocated; any other row whose nodal values overflow raises
     when read.
     """
+    n_steps, meshes, columns, coeffs = _joint_march(spec, cells, n_steps, keep=True)
+    runs = [DiscreteRun(mesh=mesh, n_steps=n_steps, tau=spec.final_time / n_steps,
+                        coefficients=coeffs[:, cols]) for mesh, cols in zip(meshes, columns)]
+    for run in runs:
+        run._row(-1)  # raises now if the final nodal row overflows
+    return runs
+
+
+def final_states(spec: ProblemSpec, cells, n_steps: int) -> list[np.ndarray]:
+    """The final states of ``solve_meshes(spec, cells, n_steps)``, bitwise,
+    from a march that keeps no rows: its memory does not grow with n_steps.
+    Raises ValueError as ``solve_meshes`` does."""
+    n_steps, meshes, columns, final = _joint_march(spec, cells, n_steps, keep=False)
+    return [_nodal(final[cols], mesh, n_steps) for mesh, cols in zip(meshes, columns)]
+
+
+def _joint_march(spec: ProblemSpec, cells, n_steps: int, keep: bool):
+    """The step count, the meshes of ``cells`` cells, their columns, and the
+    sine coefficients of their joint march with tau = T / n_steps: every row
+    if ``keep``, else the last.  ValueError if the rows kept, the march's
+    buffer or the weights cannot be allocated."""
     n_steps = require_count(n_steps, 1, "n_steps")
     meshes = [build_mesh(n) for n in cells]
     if not meshes:
         raise ValueError("cells must not be empty")
-    tau = spec.final_time / n_steps
     columns = _columns(meshes)
-    shape = (n_steps + 1, columns[-1].stop)
-    try:  # numpy refuses a shape beyond the address space with ValueError
-        coeffs = np.empty(shape)
-    except (MemoryError, ValueError):
-        raise _unallocated("coefficients", 8 * shape[0] * shape[1], meshes, n_steps) from None
+    rows = _coefficients(n_steps + 1 if keep else 1, columns[-1].stop, meshes, n_steps)
+    work = _coefficients(_WORK_ROWS, columns[-1].stop, meshes, n_steps)
+    tau = spec.final_time / n_steps
     try:
         weights = cq.generate(spec.alpha, tau, n_steps + 1)
     except MemoryError:
-        raise _unallocated("weights", 8 * shape[0], meshes, n_steps) from None
-
-    runs = [DiscreteRun(mesh=mesh, n_steps=n_steps, tau=tau, coefficients=coeffs[:, cols])
-            for mesh, cols in zip(meshes, columns)]
+        raise _unallocated("weights", 8 * (n_steps + 1), meshes, n_steps) from None
     # overflow surfaces once, as the ValueError of _require_finite, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for mesh, cols in zip(meshes, columns):
-            coeffs[0, cols] = sine_transform(project_initial(spec, mesh))
-        _march(coeffs, meshes, tau, spec, weights, 1)
-    for run in runs:
-        run._row(-1)  # raises now if the final nodal row overflows
-    return runs
+            rows[0, cols] = sine_transform(project_initial(spec, mesh))
+        final = _march(rows[:1], work, meshes, tau, spec, weights, n_steps + 1,
+                       out=rows if keep else None)
+    return n_steps, meshes, columns, rows if keep else final
+
+
+def _coefficients(n_rows: int, n_modes: int, meshes: list[Mesh1D], n_steps: int) -> np.ndarray:
+    """An array for ``n_rows`` rows of the meshes' joint sine coefficients;
+    ValueError if it cannot be allocated."""
+    try:  # numpy refuses a shape beyond the address space with ValueError
+        return np.empty((n_rows, n_modes))
+    except (MemoryError, ValueError):
+        raise _unallocated("coefficients", 8 * n_rows * n_modes, meshes, n_steps) from None
 
 
 def _unallocated(what: str, nbytes: int, meshes: list[Mesh1D], n_steps: int) -> ValueError:

@@ -4,8 +4,9 @@ Temporal errors compare final-time states of runs with step tau and tau/2
 on the same mesh; spatial errors prolong the coarse final state to the
 once-refined mesh and measure the difference there.  Both are exact L2
 norms of P1 functions.  Rates are pairwise log2 error ratios; a NaN rate
-marks a zero error (no information).  The meshes of a spatial study share
-one step size, so ``_final_states`` marches all but the finest together.
+marks a zero error (no information).  Studies read final states only, so
+their marches keep no rows (``solver.final_states``), and all meshes of a
+spatial study, which share one step size, march together.
 Oracle studies share the ladder checks and final states of these studies and
 measure each final state against the closed form instead.
 """
@@ -21,7 +22,7 @@ from .fem1d import (_GAUSS_W, _GAUSS_X, Mesh1D, build_mesh, l2_norm, prolong,
                     require_count)
 from .mittag_leffler import exact_solution
 from .solver import (CoefficientLaw, PiecewiseFn, ProblemSpec, SourceTerm,
-                     solve, solve_meshes)
+                     final_states)
 
 
 @dataclass
@@ -39,8 +40,8 @@ class RateTable:
             raise ValueError(f"axis must be 'temporal' or 'spatial', got {self.axis!r}")
         if len(self.resolutions) != len(self.errors):
             raise ValueError("resolutions and errors must have equal length")
-        if any(e < 0 for e in self.errors):
-            raise ValueError("errors must be nonnegative")
+        if not all(0.0 <= e < math.inf for e in self.errors):
+            raise ValueError(f"errors must be finite and nonnegative, got {self.errors}")
         self.rates = observed_rates(self.errors)
 
 
@@ -76,22 +77,9 @@ def _steps_for(tau: float, final_time: float) -> int:
     return n
 
 
-def _final_states(spec: ProblemSpec, cells: list[int], n_steps: int) -> list[np.ndarray]:
-    """Final states on meshes of ``cells`` cells (ascending), all with n_steps.
-
-    The coarse meshes march together and the finest alone.  For a halving
-    sequence the coarse meshes hold fewer modes together than the finest
-    (31 + 63 < 127), so the joint array is freed before the finest solve
-    allocates a larger one, and peak memory stays that of the finest solve.
-    """
-    coarse, finest = cells[:-1], cells[-1:]
-    finals = [run.final for run in solve_meshes(spec, coarse, n_steps)] if coarse else []
-    return finals + [solve(spec, n, n_steps).final for n in finest]
-
-
 def _final_states_over_tau(spec: ProblemSpec, n_cells: int, taus) -> list[np.ndarray]:
-    """Final states on one mesh, one solve per step in ``taus``."""
-    return [solve(spec, n_cells, _steps_for(t, spec.final_time)).final for t in taus]
+    """Final states on one mesh, one march per step in ``taus``."""
+    return [final_states(spec, [n_cells], _steps_for(t, spec.final_time))[0] for t in taus]
 
 
 def temporal_study(spec: ProblemSpec, n_cells: int, tau_list, label: str = "") -> RateTable:
@@ -107,7 +95,7 @@ def spatial_study(spec: ProblemSpec, tau: float, n_cells_list, label: str = "") 
     """E_h = ||prolong(W_h) - W_{h/2}|| at the final time, on the finer mesh."""
     cells, hs = _cell_ladder(n_cells_list)
     steps = _steps_for(tau, spec.final_time)
-    finals = _final_states(spec, cells + [2 * cells[-1]], steps)
+    finals = final_states(spec, cells + [2 * cells[-1]], steps)
     errors = []
     for n, coarse, fine_final in zip(cells, finals[:-1], finals[1:]):
         fine = build_mesh(2 * n)
@@ -161,7 +149,7 @@ def oracle_study(alpha: float, kappa: float, mode: int, *, final_time: float,
     else:
         cells, resolutions = _cell_ladder(n_cells_list)
         axis, meshes = "spatial", [build_mesh(n) for n in cells]
-        finals = _final_states(spec, cells, _steps_for(tau, final_time))
+        finals = final_states(spec, cells, _steps_for(tau, final_time))
     errors = [mode_error(mesh, final, alpha, kappa, mode, final_time)
               for mesh, final in zip(meshes, finals)]
     return RateTable(label=label, axis=axis, resolutions=resolutions, errors=errors)

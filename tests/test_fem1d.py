@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -457,6 +459,18 @@ def test_matvec_rejects_wrong_length():
     M = assemble_mass(build_mesh(8))
     with pytest.raises(ValueError):
         M.matvec(np.zeros(5))
+
+
+@pytest.mark.parametrize("make, argument", [
+    (lambda: PiecewiseFn.sine(1, math.nan), "amplitude"),
+    (lambda: PiecewiseFn([0, 1], [[math.nan]]), "coeffs"),
+    (lambda: math.inf * PiecewiseFn.indicator(0, 0.5), "scalar"),
+], ids=["nan-amplitude", "nan-coeffs", "inf-times-indicator"])
+def test_piecewise_rejects_non_finite_data(make, argument):
+    # NaN data used to surface only in a later solve, as "non-finite states";
+    # inf * chi raised numpy's RuntimeWarning for inf * 0
+    with pytest.raises(ValueError, match=f"{argument} must be finite"):
+        make()
 
 
 def test_piecewise_breakpoint_validation():

@@ -6,8 +6,10 @@ import pytest
 from expandiff import (CoefficientLaw, DiscreteRun, PiecewiseFn, ProblemSpec,
                        SourceTerm, basis_integrals, build_mesh, generate_weights,
                        l2_project, project_initial, solve, solve_meshes, step)
+from expandiff import cq
 from expandiff.fem1d import (assemble_mass, assemble_stiffness, mode_eigenvalues,
                              sine_transform)
+from expandiff.solver import final_states
 
 
 def _table2_like(alpha=0.45, scale=0.8, exponent=1.5):
@@ -354,18 +356,26 @@ def _random_cases(count=60, seed=16):
                            coefficient=CoefficientLaw.power(scale, rng.uniform(0.0, 3.0)),
                            initial=initial, source=source)
         cells = sorted({int(n) for n in rng.integers(2, 301, size=int(rng.integers(1, 4)))})
-        cases.append(pytest.param(spec, cells, n_steps, int(rng.integers(1, n_steps + 1)),
+        n = int(rng.integers(1, n_steps + 1))
+        if k % 4 == 0 and n > cq.CHUNK:  # one or two steps past the start of a chunk
+            n = min((n - 1) // cq.CHUNK * cq.CHUNK + 1 + k // 4 % 2, n_steps)
+        cases.append(pytest.param(spec, cells, n_steps, n,
                                   id=f"{k}-a{alpha:.2g}-N{n_steps}-cells{'.'.join(map(str, cells))}"))
     return cases
 
 
 @pytest.mark.parametrize("spec, cells, n_steps, n", _random_cases())
 def test_random_marches_match_direct_history_sum(spec, cells, n_steps, n):
-    # every run of one joint march, and one step from W^0 .. W^{n-1}, against
-    # the direct history sum, within 1e-12 of the largest state
+    # every run of one joint march, the final states of one march that keeps
+    # no rows, and one step from W^0 .. W^{n-1}, against the direct history
+    # sum, within 1e-12 of the largest state; the march that keeps no rows
+    # gives the joint march's final states bitwise
     refs = [_direct_history_solve(spec, n_cells, n_steps) for n_cells in cells]
-    for run, ref in zip(solve_meshes(spec, cells, n_steps), refs):
+    runs = solve_meshes(spec, cells, n_steps)
+    for run, final, ref in zip(runs, final_states(spec, cells, n_steps), refs):
         assert np.abs(run.trajectory - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(final - ref[-1]).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(final, run.final)
     tau = spec.final_time / n_steps
     run = DiscreteRun(mesh=build_mesh(cells[0]), n_steps=n_steps, tau=tau, trajectory=refs[0])
     weights = generate_weights(spec.alpha, tau, n_steps + 1)
@@ -376,6 +386,7 @@ def test_random_cases_cover_the_far_field():
     cases = [param.values for param in _random_cases()]
     assert sum(n_steps > 128 for _, _, n_steps, _ in cases) >= len(cases) / 3
     assert sum(n > 128 for _, _, _, n in cases) >= 5
+    assert sum(n > 64 and n % 64 in (1, 2) for _, _, _, n in cases) >= 5
     assert sum(len(cells) > 1 for _, cells, _, _ in cases) >= len(cases) / 3
     assert {spec.alpha for spec, *_ in cases} >= {1.0}
     assert min(spec.alpha for spec, *_ in cases) < 1e-5

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from expandiff import (CoefficientLaw, PiecewiseFn, ProblemSpec, RateTable,
-                       SourceTerm, build_mesh, mode_error, observed_rates,
-                       oracle_study, ritz_project, spatial_study,
+                       SourceTerm, build_mesh, l2_norm, mode_error, observed_rates,
+                       oracle_study, prolong, ritz_project, solve, spatial_study,
                        temporal_study, write_csv)
+from expandiff.solver import final_states
 from test_cli import read_csv
 
 
@@ -49,6 +51,13 @@ def test_rate_table_invariants():
     with pytest.raises(TypeError):  # rates are always derived from the errors
         RateTable(label="x", axis="temporal", resolutions=[0.1, 0.05],
                   errors=[2.0, 1.0], rates=[3.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rate_table_rejects_non_finite_errors(bad):
+    # the rates derived from them were NaN, and write_csv wrote them out
+    with pytest.raises(ValueError, match="errors must be finite"):
+        RateTable("x", "temporal", [0.1, 0.05, 0.025], [1e-3, bad, 1e-4])
 
 
 # -- study validation -----------------------------------------------------------
@@ -121,28 +130,52 @@ def test_zero_data_spatial_study():
 
 
 
-@pytest.mark.parametrize("study, finest", [
-    (lambda: spatial_study(_homogeneous_spec(), 1 / 40, [4, 8, 16, 32]), 64),
-    (lambda: oracle_study(0.5, 1.0, 1, final_time=1.0, tau=1 / 40,
-                          n_cells_list=[4, 8, 16, 32]), 32),
+def _table3_like(alpha=0.3):
+    return ProblemSpec(alpha=alpha, final_time=1.0,
+                       coefficient=CoefficientLaw.power(10.0, 1.01),
+                       initial=PiecewiseFn.indicator(0.5, 1.0),
+                       source=SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5),
+                                                   time_exponent=0.1))
+
+
+def _traced_peak(run) -> int:
+    run()  # first-call allocations (imports, caches) out of the way
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("study", [
+    lambda tau: spatial_study(_table3_like(), tau, [16, 32, 64, 128]),
+    lambda tau: oracle_study(0.5, 1.0, 1, final_time=1.0, tau=tau,
+                             n_cells_list=[32, 64, 128, 256]),
 ], ids=["spatial", "oracle"])
-def test_spatial_studies_march_coarse_meshes_together(monkeypatch, study, finest):
-    # all meshes but the finest in one march, the finest alone: for a halving
-    # sequence the joint march is narrower than the finest, so it sets no
-    # new memory peak
-    from expandiff import solver
+def test_spatial_study_memory_does_not_grow_with_steps(study):
+    # a study reads final states only, so its march keeps no rows: four times
+    # the steps on the same meshes leave the peak where it was (a march that
+    # stored every row of the finest mesh grew it by 87 % on the spatial study)
+    peaks = [_traced_peak(lambda: study(1 / n_steps)) for n_steps in (256, 1024)]
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
 
-    march, widths = solver._march, []
 
-    def spied(coeffs, meshes, *args, **kwargs):
-        widths.append(coeffs.shape[1])
-        return march(coeffs, meshes, *args, **kwargs)
+@pytest.mark.parametrize("alpha, n_steps", [(0.3, 300), (0.8, 64)])
+def test_spatial_study_final_states_match_separate_solves(alpha, n_steps):
+    # one march for every mesh, keeping no rows, against a stored solve per
+    # mesh: the final states within 1e-13 of the largest, so each error of
+    # the study within twice that of the errors of the separate solves
+    spec, cells = _table3_like(alpha), [8, 16, 32, 64]
+    refs = [solve(spec, n, n_steps).final for n in cells + [2 * cells[-1]]]
+    bound = 1e-13 * max(np.abs(ref).max() for ref in refs)
+    for final, ref in zip(final_states(spec, cells + [2 * cells[-1]], n_steps), refs):
+        assert np.abs(final - ref).max() <= bound
+    study = spatial_study(spec, 1 / n_steps, cells)
+    for n, coarse, fine, error in zip(cells, refs[:-1], refs[1:], study.errors):
+        mesh = build_mesh(2 * n)
+        assert abs(error - l2_norm(mesh, prolong(build_mesh(n), coarse, mesh) - fine)) <= 2 * bound
 
-    monkeypatch.setattr(solver, "_march", spied)
-    study()
-    assert len(widths) == 2
-    assert max(widths) == build_mesh(finest).n_interior
-    assert min(widths) < max(widths)
 
 # -- small genuine studies --------------------------------------------------------
 
