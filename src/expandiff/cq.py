@@ -5,11 +5,10 @@ d_i = tau^(alpha-1) * g_i with g_i = (-1)^i * binom(1-alpha, i).  They are
 produced by the multiplicative recurrence g_i = g_{i-1} * (i - 2 + alpha) / i,
 one cumulative product, which is O(N), overflow-free and stable for all i.
 A stepper sums the history of its current and previous chunk of ``CHUNK``
-steps directly, with weights from ``d`` and ``CQWeights.history_window``;
-the older history meets lags > ``CHUNK`` only, and there it takes them from
-``CQWeights.exponentials``, a short sum of exponentials that turns that
-history into running sums (the kernel compression of Baffet & Hesthaven,
-SIAM J. Numer. Anal. 55 (2017) 496).
+steps directly, with weights from ``d``; the older history meets lags >
+``CHUNK`` only, and there it takes them from ``CQWeights.exponentials``, a
+short sum of exponentials that turns that history into running sums (the
+kernel compression of Baffet & Hesthaven, SIAM J. Numer. Anal. 55 (2017) 496).
 """
 
 from __future__ import annotations
@@ -27,7 +26,9 @@ CHUNK = 64  # steps per chunk of a march; the exponentials serve lags > CHUNK
 
 @dataclass(frozen=True)
 class CQWeights:
-    """Weights of the generating function ((1 - z)/tau)^(1-alpha)."""
+    """Weights of the generating function ((1 - z)/tau)^(1-alpha), as built
+    by ``generate``, which checks its arguments; the fields are not checked,
+    so NaN propagates."""
 
     alpha: float
     tau: float
@@ -37,17 +38,6 @@ class CQWeights:
     @property
     def count(self) -> int:
         return self.g.size
-
-    @cached_property
-    def d_reversed(self) -> np.ndarray:
-        """d in reverse order; lets history sums take contiguous slices."""
-        return self.d[::-1].copy()
-
-    def history_window(self, n: int) -> np.ndarray:
-        """d_{n-1} .. d_1, a contiguous view: the weights that meet W^1 ..
-        W^{n-1} in the history sum at step n without its current term.
-        Unchecked; 1 <= n <= count."""
-        return self.d_reversed[-n:-1]
 
     @cached_property
     def exponentials(self) -> tuple[np.ndarray, np.ndarray]:

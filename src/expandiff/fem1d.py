@@ -23,7 +23,8 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Uniform partition of (0, 1) into ``n_cells`` elements of width ``h``."""
+    """Uniform partition of (0, 1) into ``n_cells`` elements of width ``h``;
+    ``build_mesh`` checks the count, the fields are not checked: NaN propagates."""
 
     n_cells: int
     h: float
@@ -316,7 +317,7 @@ def solve_tridiag(A: TriDiagMatrix, rhs: np.ndarray) -> np.ndarray:
 
 def l2_norm(mesh: Mesh1D, v: np.ndarray) -> float:
     """Exact L2 norm sqrt(v' M v) of the P1 function with interior values v,
-    as sqrt(2h sum_k lam_M,k (S v)_k^2) for S = sine_transform."""
+    as sqrt(2h sum_k lam_M,k (S v)_k^2) for S = sine_transform; NaN propagates."""
     v = np.asarray(v, dtype=float)
     if v.shape != (mesh.n_interior,):
         raise ValueError(f"vector shape {v.shape} does not match {mesh.n_interior} interior nodes")
@@ -324,7 +325,7 @@ def l2_norm(mesh: Mesh1D, v: np.ndarray) -> float:
 
 
 def prolong(mesh_coarse: Mesh1D, v_coarse: np.ndarray, mesh_fine: Mesh1D) -> np.ndarray:
-    """Exact P1 transfer to the once-refined mesh; the function is unchanged."""
+    """Exact P1 transfer to the once-refined mesh: the function is unchanged; NaN propagates."""
     if mesh_fine.n_cells != 2 * mesh_coarse.n_cells:
         raise ValueError(
             f"meshes are not nested: {mesh_fine.n_cells} != 2 * {mesh_coarse.n_cells}")

@@ -49,7 +49,7 @@ def mittag_leffler(alpha: float, z: float) -> float:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     z = float(z)
     if not z <= 0.0:
-        raise ValueError(f"argument must be <= 0, got {z}")
+        raise ValueError(f"z must be <= 0, got {z}")
     if z == 0.0:
         return 1.0
     if alpha == 1.0:
@@ -83,13 +83,14 @@ def exact_solution(alpha: float, kappa: float, mode: int, x, t: float):
 
     For a nonnegative number ``kappa``, initial datum sin(mode*pi*x) and zero
     source the solution is E_alpha(-kappa (mode*pi)^2 t^alpha) * sin(mode*pi*x).
+    ValueError, naming it, for a NaN or negative ``kappa`` or ``t``; an infinite
+    one gives 0.0, E_alpha(-inf), unless the other is 0.  NaN in ``x`` propagates.
     """
-    kappa = float(kappa)
-    if kappa < 0.0:
-        raise ValueError(f"diffusivity must be nonnegative, got {kappa}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    kappa, t = float(kappa), float(t)
+    if not kappa >= 0.0:
+        raise ValueError(f"kappa must be a nonnegative diffusivity, got {kappa}")
+    if not t >= 0.0:
+        raise ValueError(f"t must be a nonnegative time, got {t}")
     j = require_count(mode, 1, "mode")
-    lam = (j * np.pi) ** 2
-    amp = mittag_leffler(alpha, -kappa * lam * t ** alpha)
-    return amp * np.sin(j * np.pi * np.asarray(x, dtype=float))
+    z = -kappa * (j * np.pi) ** 2 * t ** alpha if kappa and t else 0.0
+    return mittag_leffler(alpha, z) * np.sin(j * np.pi * np.asarray(x, dtype=float))

@@ -9,9 +9,9 @@ Each implicit backward-Euler step solves
 where M and S are the P1 mass and stiffness matrices, b is the load vector
 of the source and d_i are the convolution-quadrature weights.  M and S are
 diagonal in the discrete sine basis, so the stepper advances sine
-coefficients: per mode, a step combines the previous coefficient, the
-history sum and the source with factors computed for 64 steps at a time.
-Modes never couple, so ``solve_meshes`` marches several meshes that share
+coefficients, and time enters only through kappa(t_n) and the source's
+f(t_n).  Steps go in chunks of 64, whose weight block carries both, so a step
+is four array operations with or without a source (see ``_march``).  Modes never couple, so ``solve_meshes`` marches several meshes that share
 the step size at once, their modes side by side in one coefficient array;
 ``solve`` is its one-mesh case.  A run holds its mesh's coefficients, and
 rows are transformed back to nodal values when they are read.  A march works
@@ -134,17 +134,18 @@ class ProblemSpec:
 
 
 class DiscreteRun:
-    """A mesh, a step count and the trajectory W^0 .. W^L (row-wise).
+    """A mesh, a step count and the trajectory W^0 .. W^L (row-wise); the
+    numbers are not checked, and NaN propagates.
 
     A run built from nodal rows (``trajectory=``) holds that array itself, so
     writes into it are what ``step`` reads later.  ``solve_meshes`` builds its
     runs from the sine coefficients of the rows (``coefficients=``), each a
     view of its mesh's columns in the array of the joint march, which
-    therefore lives as long as any of its runs does.  Nodal rows
-    are transformed on read: ``final`` and ``state(n)`` transform one row, and
-    the first read of ``trajectory`` transforms every row and keeps them.
-    The three agree bitwise.  Reading a row whose nodal values overflow
-    raises the ValueError of a non-finite solve.
+    therefore lives as long as any of its runs does.  Nodal rows are
+    transformed on read: ``final`` and ``state(n)`` transform one row, and the
+    first read of ``trajectory`` transforms every row and keeps them.  The
+    three agree bitwise.  Reading a row whose nodal values overflow raises
+    the ValueError of a non-finite solve.
     """
 
     def __init__(self, mesh: Mesh1D, n_steps: int, tau: float,
@@ -202,8 +203,7 @@ def project_initial(spec: ProblemSpec, mesh: Mesh1D) -> np.ndarray:
 
 
 _WORK_ROWS = 2 * cq.CHUNK + 1  # the rows a march holds: see _march
-# _NEAR_LAGS[k, j] is the lag of the previous chunk's row j at step k of a chunk
-_NEAR_LAGS = cq.CHUNK + np.arange(cq.CHUNK)[:, None] - np.arange(cq.CHUNK)
+_LAGS = abs(np.arange(2 * cq.CHUNK, -cq.CHUNK, -1))  # the Toeplitz source of the weight block
 
 
 def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float,
@@ -216,29 +216,29 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
     The columns hold the modes of each mesh in ``meshes`` side by side, in
     order.  Modes never couple, so one march advances meshes that share the
     step size as if they were one mesh with their eigenvalues and loads
-    concatenated.  Steps go in chunks of 64.  Per chunk the scheme's
-    coefficients become (chunk x M) arrays, so that step n is, per mode,
+    concatenated.  Divided by lam_S, step n is, per mode,
 
-        W^n = carry_n W^{n-1} + hist_n sum_{i=1}^{n-1} d_i W^{n-i} + part_n,
+        W^n = c_n W^{n-1} + q_n (sum_{i=1}^{n-1} -kappa_n d_i W^{n-i} + f(t_n) b / lam_S)
 
-    with inv = 1/(lam_M/tau + d_0 kappa lam_S), carry = lam_M/tau inv,
-    hist = -kappa lam_S inv and part = f(t_n) b inv.  The march keeps
-    2 * 64 + 1 rows in ``work``, whatever n_rows: the row before the previous
-    chunk, the previous chunk and the current one.  The history sum has
-    three parts:
-    - the rows of the step's own chunk, in one dot per step;
-    - the previous chunk's rows, for all steps of the chunk at once, in one
-      product with the Toeplitz block of d_1 .. d_127;
-    - older rows, which meet lags > 64 only, where
-      d_i = sum_q c_q e^{-(i-65) x_q} (``CQWeights.exponentials``).  They
-      enter as Q running sums per mode, c_q sum_j e^{-(origin-1-j) x_q} W^j,
-      into which the previous chunk folds in one product before the buffer
-      moves on; one more product gives the chunk's share.
-    The last two go into the chunk's rows before it starts, and each step's
-    dot takes its own row with weight 1 before the step overwrites it.  A
-    run of up to 128 steps has no older rows and builds no exponentials.
-    M counts the columns of all meshes.  Raises ValueError, naming the mesh,
-    as soon as a chunk holds a non-finite coefficient.
+    with rho = lam_M / (tau lam_S), q_n = 1 / (rho + d_0 kappa_n) and
+    c_n = rho q_n.  Steps go in chunks of 64, whose q and c take three passes.
+    The march keeps 2 * 64 + 1 rows in ``work``, whatever n_rows: a slot for
+    the source, the previous chunk and the current one.  Each chunk scales
+    its weight block, -kappa_n d at the lag of each of these rows and 1 where
+    a step meets its own row.  The block's left part weighs
+    the previous chunk's rows, for all steps at once, in one product.  Older
+    rows meet lags > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q}
+    (``CQWeights.exponentials``): they enter as Q running sums per mode,
+    c_q sum_j e^{-(origin-1-j) x_q} W^j, into which the previous chunk folds
+    in one product before the buffer moves on, and one more product, with
+    decay rows scaled by -kappa_n, gives the chunk's share.  Both products,
+    and the source as one more row of the first, go into the chunk's rows
+    before it starts.  Each step's dot with the block's right part then takes
+    its own row, with weight 1, and the chunk's earlier rows, so a step is
+    four array operations.  A run of up to 128 steps has no older rows and
+    builds no exponentials.  M counts the columns of all meshes.  Raises
+    ValueError, naming the mesh, as soon as a chunk holds a non-finite
+    coefficient.
     """
     first, n_modes = known.shape
     if weights.count < n_rows - 1:
@@ -250,61 +250,69 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
     # correction; their difference cancels algebraically against kappa(t_n)
     implicit = kappa if frozen_time is None else spec.coefficient(float(frozen_time))
     hist_factor = -implicit + (implicit - kappa)
-    lead = implicit - (implicit - kappa)
+    lead = -weights.d[0] * hist_factor  # d_0 (implicit - (implicit - kappa)), exactly
 
     lam_m, lam_s = (np.concatenate(lams) for lams in zip(*map(mode_eigenvalues, meshes)))
-    lam_m_tau, d0_lam_s = lam_m / tau, weights.d[0] * lam_s
+    rho = lam_m / (tau * lam_s)
     load = None
     if not spec.source.is_zero:
         load = np.concatenate([sine_transform(basis_integrals(spec.source.spatial, mesh))
-                               for mesh in meshes])
+                               for mesh in meshes]) / lam_s
     chunk = cq.CHUNK
-    # work[j] holds W^{n0-chunk-1+j} while the chunk from n0 runs: the row
-    # before the previous chunk, the previous chunk, then the current one
-    start = max(0, first - chunk - 1)
+    # work[j], j >= 1, holds W^{n0-chunk-1+j} while the chunk from n0 runs:
+    # the previous chunk, then the current one; work[0] is the source's slot
+    start = max(0, first - chunk)
     work[start - first + chunk + 1:chunk + 1] = known[start:]
-    # the last step's weights d_63 .. d_1, and 1 for the row being computed
-    window = np.concatenate((weights.history_window(min(chunk, weights.count)), (1.0,)))
-    top = window.size - 1
+    # column j of the weight block meets work[j], at lag |here + k - j| for
+    # step k: the block scales a Toeplitz view of d (a lag beyond the run is
+    # never read), and work[here + k] is the step's own row
+    here = chunk + 1
+    d = np.take(weights.d, _LAGS, mode="clip")
+    lags = np.ndarray((chunk, _WORK_ROWS), buffer=d, offset=d.itemsize * (chunk - 1),
+                      strides=(-d.itemsize, d.itemsize))
+    block = np.empty_like(lags)
+    own = block.reshape(-1)[here::_WORK_ROWS + 1]  # the diagonal: weight 1
+    span = min(chunk, n_rows - first)  # the rows of the longest chunk
+    q, c = np.empty((2, span, n_modes))
     hist = np.empty(n_modes)
-    # the chunk's factors, in fixed buffers: two chunks' worth would be alive at once
-    factors = np.empty((4, min(chunk, n_rows - first), n_modes))
+    ws = [w[:k] for k, w in enumerate(block[:, here:], 1)]  # step k's dot, sliced once
+    olds = [work[here:here + k] for k in range(1, span + 1)]
     last_n0 = first + (n_rows - 1 - first) // chunk * chunk
     if last_n0 - chunk > 1:  # some chunk meets rows before its previous chunk
         x, amp = weights.exponentials
-        decay = np.exp(-np.outer(np.arange(chunk), x))
+        decay = np.exp(-np.outer(np.arange(span), x))
         # y: the running sums, scaled by c_q like the weights; fixed buffers,
         # because fresh (Q or 64) x M arrays per chunk fragment the heap
         y, scratch = np.zeros((x.size, n_modes)), np.empty((max(x.size, chunk), n_modes))
         _fold(y, known[1:max(1, first - chunk)], x, amp, scratch)
     for n0 in range(first, n_rows, chunk):
         n1 = min(n0 + chunk, n_rows)
-        inv, carry, hist_c, part = factors[:, :n1 - n0]
-        np.multiply(lead[n0:n1, None], d0_lam_s, out=inv)
-        inv += lam_m_tau
-        np.divide(1.0, inv, out=inv)
-        np.multiply(lam_m_tau, inv, out=carry)
-        np.multiply(hist_factor[n0:n1, None], lam_s, out=hist_c)
-        hist_c *= inv
-        if load is not None:
-            np.multiply(f[n0:n1, None], load, out=part)
-            part *= inv
+        r = n1 - n0
+        qn, cn, weight, rows = q[:r], c[:r], block[:r], work[here:here + r]
+        np.add(lead[n0:n1, None], rho, out=qn)
+        np.divide(1.0, qn, out=qn)
+        np.multiply(rho, qn, out=cn)
         origin = max(1, n0 - chunk)  # the previous chunk's rows from W^origin on
-        rows = work[chunk + 1:chunk + 1 + n1 - n0]
+        a = origin - n0 + here  # their first column
+        np.multiply(hist_factor[n0:n1, None], lags[:r, a:here + r], out=weight[:, a:here + r])
+        own[:r] = 1.0
+        near = work[a:here]
         if origin < n0:
-            near = work[origin - n0 + chunk + 1:chunk + 1]
-            np.matmul(weights.d[_NEAR_LAGS[:n1 - n0, -near.shape[0]:]], near, out=rows)
+            if load is not None:  # the source: one more row, with weights f(t_n)
+                a -= 1
+                work[a], weight[:, a] = load, f[n0:n1]
+            np.matmul(weight[:, a:here], work[a:here], out=rows)
             if origin > 1:
-                rows += np.matmul(decay[:n1 - n0], y, out=scratch[:n1 - n0])
+                rows += np.matmul(hist_factor[n0:n1, None] * decay[:r], y, out=scratch[:r])
+        elif load is not None:
+            np.multiply(f[n0:n1, None], load, out=rows)
         else:
             rows.fill(0.0)
-        for k, (prev, row, c, h) in enumerate(zip(work[chunk:], rows, carry, hist_c)):
-            np.dot(window[top - k:], rows[:k + 1], out=hist)
-            hist *= h
-            np.multiply(c, prev, out=row)
+        for w, older, qk, ck, prev, row in zip(ws, olds, qn, cn, work[chunk:], rows):
+            np.dot(w, older, hist)  # out by position: parsed faster than out=
+            hist *= qk
+            np.multiply(ck, prev, row)
             row += hist
-            if load is not None:
-                row += part[k]
         if not np.isfinite(rows).all():  # name the first mesh at fault
             for mesh, cols in zip(meshes, _columns(meshes)):
                 _require_finite(rows[:, cols], mesh, n_rows - 1)
@@ -313,7 +321,7 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
         if n1 < n_rows:
             if origin < n0:
                 _fold(y, near, x, amp, scratch)
-            work[:chunk + 1] = work[chunk:]
+            work[1:chunk + 1] = work[chunk + 1:]  # disjoint rows: a plain copy
     return rows[-1]
 
 

@@ -46,7 +46,7 @@ class RateTable:
 
 
 def observed_rates(errors) -> list[float]:
-    """Pairwise rates log2(e_k / e_{k+1}); NaN where either error is zero."""
+    """Pairwise rates log2(e_k / e_{k+1}); NaN where either error is zero, and NaN propagates."""
     out = []
     for a, b in zip(errors[:-1], errors[1:]):
         out.append(math.log2(a / b) if a > 0 and b > 0 else math.nan)

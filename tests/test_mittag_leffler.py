@@ -233,3 +233,21 @@ def test_exact_solution_validation():
         exact_solution(0.5, 1.0, 1.9, 0.5, 0.0)
     with pytest.raises(ValueError):
         exact_solution(0.5, 1.0, 1, 0.5, -1.0)
+
+
+@pytest.mark.parametrize("kappa, t, name", [(math.nan, 1.0, "kappa"), (1.0, math.nan, "t")])
+def test_exact_solution_rejects_nan_naming_the_argument(kappa, t, name):
+    # NaN used to reach mittag_leffler, whose message named its own argument
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        exact_solution(0.5, kappa, 1, 0.5, t)
+    mesh = expandiff.build_mesh(8)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        expandiff.mode_error(mesh, np.zeros(mesh.n_interior), 0.5, kappa, 1, t)
+
+
+@pytest.mark.parametrize("kappa, t, amplitude", [
+    (math.inf, 1.0, 0.0), (1.0, math.inf, 0.0), (math.inf, 0.0, 1.0), (0.0, math.inf, 1.0)])
+def test_exact_solution_infinite_kappa_or_time(kappa, t, amplitude):
+    # the limit E_alpha(-inf) = 0, except where the other factor is 0: that
+    # product was NaN, and mittag_leffler rejected it
+    assert exact_solution(0.5, kappa, 1, 0.5, t) == amplitude

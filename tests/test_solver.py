@@ -146,6 +146,20 @@ def test_vanishing_diffusivity_freezes_state():
         np.testing.assert_allclose(run.state(n), run.state(0), atol=1e-14)
 
 
+def test_stiff_limit_damps_every_state_to_exactly_zero():
+    # kappa(t) = t over T = 1e300, the problem of test_cli_zero_errors_write_nan_rate:
+    # c_n = rho q_n underflows to 0 and the history meets only zeros, so each
+    # state after W^0 is 0.0 exactly.  A step in increment form,
+    # W^{n-1} + (c_n - 1) W^{n-1} + ..., would leave residues of about 1e-17
+    spec = ProblemSpec(alpha=0.5, final_time=1e300, coefficient=CoefficientLaw.power(1.0, 1.0),
+                       initial=PiecewiseFn.indicator(0.5, 1.0), source=SourceTerm.zero())
+    for n_steps in (4, 8, 16):
+        run = solve(spec, 16, n_steps)
+        assert run.trajectory[0].any()
+        np.testing.assert_array_equal(run.trajectory[1:], 0.0)
+        np.testing.assert_array_equal(final_states(spec, [16], n_steps)[0], 0.0)
+
+
 def test_alpha_one_matches_independent_backward_euler_heat():
     # independently assembled theta = 1 stepper for w_t = kappa * w_xx + f
     n, L, kappa = 16, 40, 2.0
