@@ -26,9 +26,8 @@ CHUNK = 64  # steps per chunk of a march; the exponentials serve lags > CHUNK
 
 @dataclass(frozen=True)
 class CQWeights:
-    """Weights of the generating function ((1 - z)/tau)^(1-alpha), as built
-    by ``generate``, which checks its arguments; the fields are not checked,
-    so NaN propagates."""
+    """Weights of the generating function ((1 - z)/tau)^(1-alpha), built by
+    ``generate``, which checks its arguments; the fields are not: NaN propagates."""
 
     alpha: float
     tau: float

@@ -10,8 +10,9 @@ where M and S are the P1 mass and stiffness matrices, b is the load vector
 of the source and d_i are the convolution-quadrature weights.  M and S are
 diagonal in the discrete sine basis, so the stepper advances sine
 coefficients, and time enters only through kappa(t_n) and the source's
-f(t_n).  Steps go in chunks of 64, whose weight block carries both, so a step
-is four array operations with or without a source (see ``_march``).  Modes never couple, so ``solve_meshes`` marches several meshes that share
+f(t_n).  Steps go in chunks of 64, whose weight block carries both, so a
+step is four array operations with or without a source (see ``_march``).
+Modes never couple, so ``solve_meshes`` marches several meshes that share
 the step size at once, their modes side by side in one coefficient array;
 ``solve`` is its one-mesh case.  A run holds its mesh's coefficients, and
 rows are transformed back to nodal values when they are read.  A march works
@@ -141,11 +142,11 @@ class DiscreteRun:
     writes into it are what ``step`` reads later.  ``solve_meshes`` builds its
     runs from the sine coefficients of the rows (``coefficients=``), each a
     view of its mesh's columns in the array of the joint march, which
-    therefore lives as long as any of its runs does.  Nodal rows are
-    transformed on read: ``final`` and ``state(n)`` transform one row, and the
-    first read of ``trajectory`` transforms every row and keeps them.  The
-    three agree bitwise.  Reading a row whose nodal values overflow raises
-    the ValueError of a non-finite solve.
+    therefore lives as long as any of its runs does.  Nodal rows
+    are transformed on read: ``final`` and ``state(n)`` transform one row, and
+    the first read of ``trajectory`` transforms every row and keeps them.
+    The three agree bitwise.  Reading a row whose nodal values overflow
+    raises the ValueError of a non-finite solve.
     """
 
     def __init__(self, mesh: Mesh1D, n_steps: int, tau: float,
@@ -203,7 +204,7 @@ def project_initial(spec: ProblemSpec, mesh: Mesh1D) -> np.ndarray:
 
 
 _WORK_ROWS = 2 * cq.CHUNK + 1  # the rows a march holds: see _march
-_LAGS = abs(np.arange(2 * cq.CHUNK, -cq.CHUNK, -1))  # the Toeplitz source of the weight block
+_LAGS = abs(np.arange(2 * cq.CHUNK, -cq.CHUNK, -1))  # lags 128 .. 0 .. 63: see _march
 
 
 def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float,
@@ -225,9 +226,9 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
     The march keeps 2 * 64 + 1 rows in ``work``, whatever n_rows: a slot for
     the source, the previous chunk and the current one.  Each chunk scales
     its weight block, -kappa_n d at the lag of each of these rows and 1 where
-    a step meets its own row.  The block's left part weighs
-    the previous chunk's rows, for all steps at once, in one product.  Older
-    rows meet lags > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q}
+    a step meets its own row.  The block's left part weighs the previous
+    chunk's rows, for all steps at once, in one product.  Older rows meet
+    lags > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q}
     (``CQWeights.exponentials``): they enter as Q running sums per mode,
     c_q sum_j e^{-(origin-1-j) x_q} W^j, into which the previous chunk folds
     in one product before the buffer moves on, and one more product, with
@@ -275,7 +276,7 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
     span = min(chunk, n_rows - first)  # the rows of the longest chunk
     q, c = np.empty((2, span, n_modes))
     hist = np.empty(n_modes)
-    ws = [w[:k] for k, w in enumerate(block[:, here:], 1)]  # step k's dot, sliced once
+    ws = [w[:k] for k, w in enumerate(block[:span, here:], 1)]  # step k's dot, sliced once
     olds = [work[here:here + k] for k in range(1, span + 1)]
     last_n0 = first + (n_rows - 1 - first) // chunk * chunk
     if last_n0 - chunk > 1:  # some chunk meets rows before its previous chunk

@@ -52,7 +52,8 @@ CONTRACT = {
     "solve_meshes": [(lambda: ex.solve_meshes(_spec(), [nan], 4), "n_cells must")],
     "step": [(lambda: _step(nan), "step index must")],
     "RateTable": [(lambda: ex.RateTable("", "temporal", [0.5], [nan]), "errors must")],
-    "mode_error": [(lambda: ex.mode_error(ex.build_mesh(2), [0.0], 0.5, nan, 1, 1.0), "kappa must"),
+    "mode_error": [(lambda: ex.mode_error(ex.build_mesh(2), [0.0], 0.5, nan, 1, 1.0),
+                    "kappa must"),
                    (lambda: ex.mode_error(ex.build_mesh(2), [0.0], 0.5, 1.0, 1, nan), "t must")],
     "observed_rates": [PROPAGATES],
     "oracle_study": [(lambda: ex.oracle_study(nan, 1.0, 1, final_time=1.0, n_cells=4,
