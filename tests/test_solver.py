@@ -150,7 +150,7 @@ def test_stiff_limit_damps_every_state_to_exactly_zero():
     # kappa(t) = t over T = 1e300, the problem of test_cli_zero_errors_write_nan_rate:
     # c_n = rho q_n underflows to 0 and the history meets only zeros, so each
     # state after W^0 is 0.0 exactly.  A step in increment form,
-    # W^{n-1} + (c_n - 1) W^{n-1} + ..., would leave residues of about 1e-17
+    # W^{n-1} + q_n (history - d_0 kappa_n W^{n-1}), leaves residues of about 1e-17
     spec = ProblemSpec(alpha=0.5, final_time=1e300, coefficient=CoefficientLaw.power(1.0, 1.0),
                        initial=PiecewiseFn.indicator(0.5, 1.0), source=SourceTerm.zero())
     for n_steps in (4, 8, 16):
