@@ -60,13 +60,13 @@ class CQWeights:
             beta * np.log(np.expm1(x)) - lag * x)
         small = x <= 4.0 / count
         t, w = count * x[small], -c[small]
-        basis = [np.sqrt(w / w.sum())]
-        for _ in range(11):  # Lanczos on diag(t), with full reorthogonalisation
-            v = t * basis[-1]
+        basis = np.empty((12, t.size))
+        basis[0] = np.sqrt(w / w.sum())
+        for k in range(1, 12):  # Lanczos on diag(t), with full reorthogonalisation
+            v = t * basis[k - 1]
             for _ in range(2):
-                v -= np.array(basis).T @ (np.array(basis) @ v)
-            basis.append(v / np.linalg.norm(v))
-        basis = np.array(basis)
+                v -= basis[:k].T @ (basis[:k] @ v)
+            basis[k] = v / np.linalg.norm(v)
         nodes, vectors = np.linalg.eigh(basis * t @ basis.T)  # the Jacobi matrix
         x = np.concatenate((nodes / count, x[~small]))
         c = np.concatenate((-w.sum() * vectors[0] ** 2, c[~small]))

@@ -10,8 +10,10 @@ where M and S are the P1 mass and stiffness matrices, b is the load vector
 of the source and d_i are the convolution-quadrature weights.  M and S are
 diagonal in the discrete sine basis, so the stepper advances sine
 coefficients, and time enters only through kappa(t_n) and the source's
-f(t_n).  Steps go in chunks of 64, whose weight block carries both, so a
-step is four array operations with or without a source (see ``_march``).
+f(t_n).  Divided by the stiffness eigenvalue and a power of two, a step is
+one dot, one division and one product, with or without a source: chunks of
+64 steps carry kappa(t_n) and f(t_n) in their weight block, and a buffer row
+carries rho W^{n-1} (see ``_march``).
 Modes never couple, so ``solve_meshes`` marches several meshes that share
 the step size at once, their modes side by side in one coefficient array;
 ``solve`` is its one-mesh case.  A run holds its mesh's coefficients, and
@@ -219,42 +221,47 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
     step size as if they were one mesh with their eigenvalues and loads
     concatenated.  Divided by lam_S, step n is, per mode,
 
-        W^n = c_n W^{n-1} + q_n (sum_{i=1}^{n-1} -kappa_n d_i W^{n-i} + f(t_n) b / lam_S)
+        (rho + d_0 kappa_n) W^n = rho W^{n-1} + sum_{i=1}^{n-1} -kappa_n d_i W^{n-i}
+                                  + f(t_n) b / lam_S
 
-    with rho = lam_M / (tau lam_S), q_n = 1 / (rho + d_0 kappa_n) and
-    c_n = rho q_n.  Steps go in chunks of 64, whose q and c take three passes.
-    The march keeps 2 * 64 + 1 rows in ``work``, whatever n_rows: a slot for
-    the source, the previous chunk and the current one.  Each chunk scales
-    its weight block, -kappa_n d at the lag of each of these rows and 1 where
-    a step meets its own row.  The block's left part weighs the previous
-    chunk's rows, for all steps at once, in one product.  Older rows meet
-    lags > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q}
-    (``CQWeights.exponentials``): they enter as Q running sums per mode,
-    c_q sum_j e^{-(origin-1-j) x_q} W^j, into which the previous chunk folds
-    in one product before the buffer moves on, and one more product, with
-    decay rows scaled by -kappa_n, gives the chunk's share.  Both products,
-    and the source as one more row of the first, go into the chunk's rows
-    before it starts.  Each step's dot with the block's right part then takes
-    its own row, with weight 1, and the chunk's earlier rows, so a step is
-    four array operations.  A run of up to 128 steps has no older rows and
-    builds no exponentials.  M counts the columns of all meshes.  Raises
-    ValueError, naming the mesh, as soon as a chunk holds a non-finite
-    coefficient.
+    with rho = lam_M / (tau lam_S).  When max rho > 1 the march divides the
+    scheme by the least power of two s above it: exactly, barring underflow,
+    and so rho W^{n-1} / s stays within |W^{n-1}|.  Steps go in chunks of 64,
+    whose divisors rho + d_0 kappa_n take one pass.  The march keeps
+    2 * 64 + 1 rows in ``work``, whatever n_rows: a slot for the source, the
+    previous chunk and the current one.  Each chunk scales its weight block,
+    -kappa_n d at the lag of each of these rows and 1 where a step meets its
+    own row.  The block's left part weighs the previous chunk's rows, for all
+    steps at once, in one product.  Older rows meet lags > 64 only, where
+    d_i = sum_q c_q e^{-(i-65) x_q} (``CQWeights.exponentials``): they enter
+    as Q running sums per mode, c_q sum_j e^{-(origin-1-j) x_q} W^j, and one
+    more product, with decay rows scaled by -kappa_n, gives the chunk's
+    share.  Both products, and the source as one more row of the first, go
+    into the chunk's rows before it starts; then the previous chunk folds
+    into the running sums, with weights set once per march, and its last
+    row, W^{n0-1}, becomes ``carry``, rho W^{n-1}.  A step's dot, with weight
+    1 on ``carry`` and on its own row, gives the right-hand side, so a step
+    is three array operations: the dot, the division and rho W^n into
+    ``carry``.  A run of up to 128 steps has no older rows and builds no
+    exponentials.  M counts the columns of all meshes.  Raises ValueError,
+    naming the mesh, as soon as a chunk holds a non-finite coefficient.
     """
     first, n_modes = known.shape
     if weights.count < n_rows - 1:
         raise ValueError(f"need at least {n_rows - 1} weights, have {weights.count}")
+    lam_m, lam_s = (np.concatenate(lams) for lams in zip(*map(mode_eigenvalues, meshes)))
+    rho = lam_m / (tau * lam_s)
+    scale = math.ldexp(1.0, math.frexp(rho.max())[1]) if rho.max() > 1.0 else 1.0
+    rho /= scale
     times = tau * np.arange(n_rows)
     kappa = spec.coefficient(times)
-    f = spec.source.time_factor(times)
+    f = spec.source.time_factor(times) / scale
     # the frozen form puts kappa(t_m) in the implicit part and in a right-hand
     # correction; their difference cancels algebraically against kappa(t_n)
     implicit = kappa if frozen_time is None else spec.coefficient(float(frozen_time))
-    hist_factor = -implicit + (implicit - kappa)
-    lead = -weights.d[0] * hist_factor  # d_0 (implicit - (implicit - kappa)), exactly
+    hist_factor = (-implicit + (implicit - kappa)) / scale
+    lead = -weights.d[0] * hist_factor  # d_0 (implicit - (implicit - kappa)) / s, exactly
 
-    lam_m, lam_s = (np.concatenate(lams) for lams in zip(*map(mode_eigenvalues, meshes)))
-    rho = lam_m / (tau * lam_s)
     load = None
     if not spec.source.is_zero:
         load = np.concatenate([sine_transform(basis_integrals(spec.source.spatial, mesh))
@@ -264,6 +271,7 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
     # the previous chunk, then the current one; work[0] is the source's slot
     start = max(0, first - chunk)
     work[start - first + chunk + 1:chunk + 1] = known[start:]
+    carry = work[chunk]  # W^{n0-1}, until the chunk's products and fold have read it
     # column j of the weight block meets work[j], at lag |here + k - j| for
     # step k: the block scales a Toeplitz view of d (a lag beyond the run is
     # never read), and work[here + k] is the step's own row
@@ -274,25 +282,25 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
     block = np.empty_like(lags)
     own = block.reshape(-1)[here::_WORK_ROWS + 1]  # the diagonal: weight 1
     span = min(chunk, n_rows - first)  # the rows of the longest chunk
-    q, c = np.empty((2, span, n_modes))
+    den = np.empty((span, n_modes))
     hist = np.empty(n_modes)
-    ws = [w[:k] for k, w in enumerate(block[:span, here:], 1)]  # step k's dot, sliced once
-    olds = [work[here:here + k] for k in range(1, span + 1)]
+    # step k's dot, sliced once: carry, then the chunk's rows up to its own
+    ws = [w[:k] for k, w in enumerate(block[:span, chunk:], 2)]
+    olds = [work[chunk:chunk + k] for k in range(2, span + 2)]
     last_n0 = first + (n_rows - 1 - first) // chunk * chunk
     if last_n0 - chunk > 1:  # some chunk meets rows before its previous chunk
         x, amp = weights.exponentials
         decay = np.exp(-np.outer(np.arange(span), x))
+        fold = amp[:, None] * np.exp(np.outer(x, np.arange(1 - chunk, 1)))  # c_q e^{(j-63) x_q}
+        shift = np.exp(-chunk * x)
         # y: the running sums, scaled by c_q like the weights; fixed buffers,
         # because fresh (Q or 64) x M arrays per chunk fragment the heap
         y, scratch = np.zeros((x.size, n_modes)), np.empty((max(x.size, chunk), n_modes))
-        _fold(y, known[1:max(1, first - chunk)], x, amp, scratch)
+        _fold(y, known[1:max(1, first - chunk)], fold, shift, scratch)
     for n0 in range(first, n_rows, chunk):
         n1 = min(n0 + chunk, n_rows)
         r = n1 - n0
-        qn, cn, weight, rows = q[:r], c[:r], block[:r], work[here:here + r]
-        np.add(lead[n0:n1, None], rho, out=qn)
-        np.divide(1.0, qn, out=qn)
-        np.multiply(rho, qn, out=cn)
+        weight, rows, dn = block[:r], work[here:here + r], den[:r]
         origin = max(1, n0 - chunk)  # the previous chunk's rows from W^origin on
         a = origin - n0 + here  # their first column
         np.multiply(hist_factor[n0:n1, None], lags[:r, a:here + r], out=weight[:, a:here + r])
@@ -305,35 +313,39 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
             np.matmul(weight[:, a:here], work[a:here], out=rows)
             if origin > 1:
                 rows += np.matmul(hist_factor[n0:n1, None] * decay[:r], y, out=scratch[:r])
+            if n1 < n_rows:  # a later chunk meets these rows in the far field
+                _fold(y, near, fold, shift, scratch)
         elif load is not None:
             np.multiply(f[n0:n1, None], load, out=rows)
         else:
             rows.fill(0.0)
-        for w, older, qk, ck, prev, row in zip(ws, olds, qn, cn, work[chunk:], rows):
+        weight[:, chunk] = 1.0
+        np.multiply(rho, carry, carry)
+        np.add(lead[n0:n1, None], rho, out=dn)
+        for w, older, dk, row in zip(ws, olds, dn, rows):
             np.dot(w, older, hist)  # out by position: parsed faster than out=
-            hist *= qk
-            np.multiply(ck, prev, row)
-            row += hist
+            np.divide(hist, dk, row)
+            np.multiply(rho, row, carry)
         if not np.isfinite(rows).all():  # name the first mesh at fault
             for mesh, cols in zip(meshes, _columns(meshes)):
                 _require_finite(rows[:, cols], mesh, n_rows - 1)
         if out is not None:
             out[n0:n1] = rows
         if n1 < n_rows:
-            if origin < n0:
-                _fold(y, near, x, amp, scratch)
             work[1:chunk + 1] = work[chunk + 1:]  # disjoint rows: a plain copy
     return rows[-1]
 
 
-def _fold(y: np.ndarray, rows: np.ndarray, x: np.ndarray, amp: np.ndarray,
+def _fold(y: np.ndarray, rows: np.ndarray, weights: np.ndarray, shift: np.ndarray,
           scratch: np.ndarray) -> None:
     """Take ``rows``, the rows that follow those in the running sums ``y``,
-    into ``y``."""
-    r = rows.shape[0]
-    y *= np.exp(-r * x)[:, None]
-    y += np.matmul(amp[:, None] * np.exp(np.outer(x, np.arange(1 - r, 1))), rows,
-                   out=scratch[:x.size])
+    into ``y``, 64 at a time, with the march's ``weights`` c_q e^{(j-63) x_q}
+    and ``shift`` e^{-64 x_q}.  A first block of fewer rows meets the last
+    columns of the weights, as if zero rows preceded it: ``y`` is zero then."""
+    for end in range(rows.shape[0] % cq.CHUNK or cq.CHUNK, rows.shape[0] + 1, cq.CHUNK):
+        block = rows[max(0, end - cq.CHUNK):end]
+        y *= shift[:, None]
+        y += np.matmul(weights[:, cq.CHUNK - block.shape[0]:], block, out=scratch[:y.shape[0]])
 
 
 def _columns(meshes: list[Mesh1D]) -> list[slice]:
@@ -347,12 +359,15 @@ def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
     """One implicit step: W^n from the states W^0 .. W^{n-1} stored in ``run``.
 
     Returns the new state without writing it into the trajectory.  Raises
-    ValueError unless ``weights`` are for ``spec.alpha`` and ``run.tau``.  With
+    ValueError unless ``weights`` are for ``spec.alpha`` and ``run.tau``, and
+    for a ``frozen_time`` that is not a finite time >= 0.  With
     ``frozen_time`` the diffusivity of the implicit operator is frozen at
     that time level and the correction term moved to the right-hand side.
     """
     if not 1 <= n <= run.n_steps:
         raise ValueError(f"step index must lie in 1..{run.n_steps}, got {n}")
+    if frozen_time is not None and not 0.0 <= frozen_time < math.inf:
+        raise ValueError(f"frozen_time must be a finite time >= 0, got {frozen_time}")
     if weights.alpha != spec.alpha or not math.isclose(weights.tau, run.tau, rel_tol=1e-12):
         raise ValueError(f"weights for alpha={weights.alpha}, tau={weights.tau} do not match "
                          f"alpha={spec.alpha}, tau={run.tau}")

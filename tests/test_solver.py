@@ -426,6 +426,20 @@ def test_far_field_of_huge_states_stays_finite():
     assert np.abs(final - 1e305 * solve(unit, 16, 4000).final).max() <= 1e-13 * np.abs(final).max()
 
 
+@pytest.mark.parametrize("scale", [1e305, 1e-300])
+def test_scaled_states_keep_their_headroom(scale):
+    # the table2 problem: its history sum outgrows the states by about
+    # tau^(alpha-1), 380 here, and overflowed from 1e305 states until the
+    # march divided the scheme by a power of two above max rho (2048 here);
+    # at 1e-300 that division must not flush the small states
+    unit = _table2_like(alpha=0.4, scale=1.0, exponent=2.01)
+    scaled = ProblemSpec(alpha=unit.alpha, final_time=1.0, coefficient=unit.coefficient,
+                         initial=scale * unit.initial, source=unit.source)
+    final = final_states(scaled, [128], 20000)[0]
+    ref = scale * final_states(unit, [128], 20000)[0]
+    assert np.abs(final - ref).max() <= 1e-13 * np.abs(final).max()
+
+
 def test_non_finite_solve_raises():
     # one ValueError and no numpy warning, which would fail the suite
     spec = ProblemSpec(alpha=0.5, final_time=1.0,
@@ -503,6 +517,9 @@ def test_step_validates_index_and_weights():
         step(run, spec, generate_weights(0.7, run.tau, 6), 5)
     with pytest.raises(ValueError, match="do not match"):
         step(run, spec, generate_weights(spec.alpha, 5 * run.tau, 6), 5)
+    for frozen_time in (-1.0, math.inf):
+        with pytest.raises(ValueError, match="frozen_time must"):
+            step(run, spec, weights, 5, frozen_time)
 
 
 def test_solve_rejects_bad_steps():
