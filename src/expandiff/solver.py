@@ -21,11 +21,11 @@ rows are transformed back to nodal values when they are read.  A march works
 in a buffer of 1 + 2 * 64 rows, and history older than the previous chunk
 enters through a sum of Q exponentials of the weights, so N steps cost
 O(N Q M) work, not O(N^2 M) (see ``_march``).  ``final_states`` keeps no
-rows, so its memory does not grow with N; studies read nothing else.  The
-scheme admits an equivalent formulation with the diffusivity frozen at an
-arbitrary time level and a correction term moved to the right-hand side;
-``step`` exposes it through ``frozen_time`` so the algebraic cancellation
-can be verified directly.
+rows, so its memory does not grow with N; studies read nothing else.
+``step`` takes one step by the direct history sum.  Through ``frozen_time``
+it also takes the scheme's equivalent form with the diffusivity frozen at
+any time level and a correction on the right-hand side, so that the
+algebraic cancellation can be verified directly.
 """
 
 from __future__ import annotations
@@ -137,8 +137,9 @@ class ProblemSpec:
 
 
 class DiscreteRun:
-    """A mesh, a step count and the trajectory W^0 .. W^L (row-wise); the
-    numbers are not checked, and NaN propagates.
+    """A mesh, a step count L and the trajectory W^0 .. W^L: L + 1 rows of
+    ``mesh.n_interior`` values, else ValueError.  The numbers are not
+    checked, and NaN propagates.
 
     A run built from nodal rows (``trajectory=``) holds that array itself, so
     writes into it are what ``step`` reads later.  ``solve_meshes`` builds its
@@ -158,6 +159,9 @@ class DiscreteRun:
             raise ValueError("pass exactly one of trajectory and coefficients")
         self.mesh, self.n_steps, self.tau = mesh, n_steps, tau
         self._rows = coefficients if trajectory is None else trajectory
+        if self._rows.shape != (n_steps + 1, mesh.n_interior):
+            raise ValueError(f"rows of shape {self._rows.shape} do not fit n_steps={n_steps} "
+                             f"and n_interior={mesh.n_interior}")
         self._modal = trajectory is None
 
     @property
@@ -209,12 +213,12 @@ _WORK_ROWS = 2 * cq.CHUNK + 1  # the rows a march holds: see _march
 _LAGS = abs(np.arange(2 * cq.CHUNK, -cq.CHUNK, -1))  # lags 128 .. 0 .. 63: see _march
 
 
-def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float,
+def _march(w0: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float,
            spec: ProblemSpec, weights: cq.CQWeights, n_rows: int,
-           frozen_time: float | None = None, out: np.ndarray | None = None) -> np.ndarray:
+           out: np.ndarray | None = None) -> np.ndarray:
     """March the sine coefficients of W^0 .. W^{n_rows-1} by the implicit
-    scheme from ``known``, the rows W^0 .. W^{first-1}; return the last row,
-    and copy rows ``first`` .. into ``out`` if one is given.
+    scheme from ``w0``, the row of W^0; return the last row, and copy rows
+    1 .. into ``out`` if one is given.
 
     The columns hold the modes of each mesh in ``meshes`` side by side, in
     order.  Modes never couple, so one march advances meshes that share the
@@ -224,53 +228,38 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
         (rho + d_0 kappa_n) W^n = rho W^{n-1} + sum_{i=1}^{n-1} -kappa_n d_i W^{n-i}
                                   + f(t_n) b / lam_S
 
-    with rho = lam_M / (tau lam_S).  When max rho > 1 the march divides the
-    scheme by the least power of two s above it: exactly, barring underflow,
-    and so rho W^{n-1} / s stays within |W^{n-1}|.  Steps go in chunks of 64,
-    whose divisors rho + d_0 kappa_n take one pass.  The march keeps
-    2 * 64 + 1 rows in ``work``, whatever n_rows: a slot for the source, the
-    previous chunk and the current one.  Each chunk scales its weight block,
-    -kappa_n d at the lag of each of these rows and 1 where a step meets its
-    own row.  The block's left part weighs the previous chunk's rows, for all
-    steps at once, in one product.  Older rows meet lags > 64 only, where
+    with rho = lam_M / (tau lam_S), divided by a power of two s (see
+    ``_scaled_modes``).  Steps go in chunks of 64 from n = 1, whose divisors
+    rho + d_0 kappa_n take one pass.  The march keeps 2 * 64 + 1 rows in
+    ``work``, whatever n_rows: a slot for the source, the previous chunk and
+    the current one.  Each chunk scales its weight block, -kappa_n d at the
+    lag of each of these rows and 1 where a step meets its own row.  The
+    block's left part weighs the previous chunk's rows, for all steps at
+    once, in one product.  Older rows meet lags > 64 only, where
     d_i = sum_q c_q e^{-(i-65) x_q} (``CQWeights.exponentials``): they enter
     as Q running sums per mode, c_q sum_j e^{-(origin-1-j) x_q} W^j, and one
     more product, with decay rows scaled by -kappa_n, gives the chunk's
     share.  Both products, and the source as one more row of the first, go
-    into the chunk's rows before it starts; then the previous chunk folds
-    into the running sums, with weights set once per march, and its last
-    row, W^{n0-1}, becomes ``carry``, rho W^{n-1}.  A step's dot, with weight
-    1 on ``carry`` and on its own row, gives the right-hand side, so a step
-    is three array operations: the dot, the division and rho W^n into
-    ``carry``.  A run of up to 128 steps has no older rows and builds no
-    exponentials.  M counts the columns of all meshes.  Raises ValueError,
-    naming the mesh, as soon as a chunk holds a non-finite coefficient.
+    into the chunk's rows before it starts; then the previous chunk, always
+    64 rows, folds into the running sums in one product, with weights set
+    once per march, and its last row, W^{n0-1}, becomes ``carry``,
+    rho W^{n-1}.  A step's dot, with weight 1 on ``carry`` and on its own
+    row, gives the right-hand side, so a step is three array operations: the
+    dot, the division and rho W^n into ``carry``.  A run of up to 128 steps
+    has no older rows and builds no exponentials.  M counts the columns of
+    all meshes.  Raises ValueError, naming the mesh, as soon as a chunk holds
+    a non-finite coefficient.
     """
-    first, n_modes = known.shape
-    if weights.count < n_rows - 1:
-        raise ValueError(f"need at least {n_rows - 1} weights, have {weights.count}")
-    lam_m, lam_s = (np.concatenate(lams) for lams in zip(*map(mode_eigenvalues, meshes)))
-    rho = lam_m / (tau * lam_s)
-    scale = math.ldexp(1.0, math.frexp(rho.max())[1]) if rho.max() > 1.0 else 1.0
-    rho /= scale
+    n_modes = w0.size
+    rho, scale, load = _scaled_modes(meshes, tau, spec)
     times = tau * np.arange(n_rows)
-    kappa = spec.coefficient(times)
+    hist_factor = -spec.coefficient(times) / scale
     f = spec.source.time_factor(times) / scale
-    # the frozen form puts kappa(t_m) in the implicit part and in a right-hand
-    # correction; their difference cancels algebraically against kappa(t_n)
-    implicit = kappa if frozen_time is None else spec.coefficient(float(frozen_time))
-    hist_factor = (-implicit + (implicit - kappa)) / scale
-    lead = -weights.d[0] * hist_factor  # d_0 (implicit - (implicit - kappa)) / s, exactly
-
-    load = None
-    if not spec.source.is_zero:
-        load = np.concatenate([sine_transform(basis_integrals(spec.source.spatial, mesh))
-                               for mesh in meshes]) / lam_s
+    lead = -weights.d[0] * hist_factor  # d_0 kappa_n / s
     chunk = cq.CHUNK
     # work[j], j >= 1, holds W^{n0-chunk-1+j} while the chunk from n0 runs:
     # the previous chunk, then the current one; work[0] is the source's slot
-    start = max(0, first - chunk)
-    work[start - first + chunk + 1:chunk + 1] = known[start:]
+    work[chunk] = w0
     carry = work[chunk]  # W^{n0-1}, until the chunk's products and fold have read it
     # column j of the weight block meets work[j], at lag |here + k - j| for
     # step k: the block scales a Toeplitz view of d (a lag beyond the run is
@@ -281,23 +270,21 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
                       strides=(-d.itemsize, d.itemsize))
     block = np.empty_like(lags)
     own = block.reshape(-1)[here::_WORK_ROWS + 1]  # the diagonal: weight 1
-    span = min(chunk, n_rows - first)  # the rows of the longest chunk
+    span = min(chunk, n_rows - 1)  # the rows of the longest chunk
     den = np.empty((span, n_modes))
     hist = np.empty(n_modes)
     # step k's dot, sliced once: carry, then the chunk's rows up to its own
     ws = [w[:k] for k, w in enumerate(block[:span, chunk:], 2)]
     olds = [work[chunk:chunk + k] for k in range(2, span + 2)]
-    last_n0 = first + (n_rows - 1 - first) // chunk * chunk
-    if last_n0 - chunk > 1:  # some chunk meets rows before its previous chunk
+    if n_rows - 1 > 2 * chunk:  # some chunk meets rows before its previous chunk
         x, amp = weights.exponentials
         decay = np.exp(-np.outer(np.arange(span), x))
         fold = amp[:, None] * np.exp(np.outer(x, np.arange(1 - chunk, 1)))  # c_q e^{(j-63) x_q}
-        shift = np.exp(-chunk * x)
+        shift = np.exp(-chunk * x)[:, None]
         # y: the running sums, scaled by c_q like the weights; fixed buffers,
         # because fresh (Q or 64) x M arrays per chunk fragment the heap
         y, scratch = np.zeros((x.size, n_modes)), np.empty((max(x.size, chunk), n_modes))
-        _fold(y, known[1:max(1, first - chunk)], fold, shift, scratch)
-    for n0 in range(first, n_rows, chunk):
+    for n0 in range(1, n_rows, chunk):
         n1 = min(n0 + chunk, n_rows)
         r = n1 - n0
         weight, rows, dn = block[:r], work[here:here + r], den[:r]
@@ -314,7 +301,8 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
             if origin > 1:
                 rows += np.matmul(hist_factor[n0:n1, None] * decay[:r], y, out=scratch[:r])
             if n1 < n_rows:  # a later chunk meets these rows in the far field
-                _fold(y, near, fold, shift, scratch)
+                y *= shift
+                y += np.matmul(fold, near, out=scratch[:x.size])
         elif load is not None:
             np.multiply(f[n0:n1, None], load, out=rows)
         else:
@@ -336,16 +324,16 @@ def _march(known: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float
     return rows[-1]
 
 
-def _fold(y: np.ndarray, rows: np.ndarray, weights: np.ndarray, shift: np.ndarray,
-          scratch: np.ndarray) -> None:
-    """Take ``rows``, the rows that follow those in the running sums ``y``,
-    into ``y``, 64 at a time, with the march's ``weights`` c_q e^{(j-63) x_q}
-    and ``shift`` e^{-64 x_q}.  A first block of fewer rows meets the last
-    columns of the weights, as if zero rows preceded it: ``y`` is zero then."""
-    for end in range(rows.shape[0] % cq.CHUNK or cq.CHUNK, rows.shape[0] + 1, cq.CHUNK):
-        block = rows[max(0, end - cq.CHUNK):end]
-        y *= shift[:, None]
-        y += np.matmul(weights[:, cq.CHUNK - block.shape[0]:], block, out=scratch[:y.shape[0]])
+def _scaled_modes(meshes: list[Mesh1D], tau: float, spec: ProblemSpec):
+    """The meshes' joint rho = lam_M / (tau lam_S) over s, s, and the load b / lam_S or None:
+    s is the least power of two above max rho if that is > 1, else 1, so rho / s <= 1 exactly."""
+    lam_m, lam_s = (np.concatenate(lams) for lams in zip(*map(mode_eigenvalues, meshes)))
+    rho = lam_m / (tau * lam_s)
+    scale = math.ldexp(1.0, math.frexp(rho.max())[1]) if rho.max() > 1.0 else 1.0
+    rho /= scale
+    load = None if spec.source.is_zero else np.concatenate(
+        [sine_transform(basis_integrals(spec.source.spatial, mesh)) for mesh in meshes]) / lam_s
+    return rho, scale, load
 
 
 def _columns(meshes: list[Mesh1D]) -> list[slice]:
@@ -358,9 +346,12 @@ def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
          frozen_time: float | None = None) -> np.ndarray:
     """One implicit step: W^n from the states W^0 .. W^{n-1} stored in ``run``.
 
-    Returns the new state without writing it into the trajectory.  Raises
-    ValueError unless ``weights`` are for ``spec.alpha`` and ``run.tau``, and
-    for a ``frozen_time`` that is not a finite time >= 0.  With
+    Returns the new state without writing it into the trajectory.  The
+    history sum d_{n-1} W^1 + .. + d_1 W^{n-1} is one product over the nodal
+    rows, then one row to transform, so a step costs O(n M); the scheme is
+    divided as in ``_march``.  Raises ValueError unless ``weights`` are for
+    ``spec.alpha`` and ``run.tau`` and hold d_{n-1}, for a ``frozen_time``
+    that is not a finite time >= 0, and for a non-finite state.  With
     ``frozen_time`` the diffusivity of the implicit operator is frozen at
     that time level and the correction term moved to the right-hand side.
     """
@@ -371,10 +362,22 @@ def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
     if weights.alpha != spec.alpha or not math.isclose(weights.tau, run.tau, rel_tol=1e-12):
         raise ValueError(f"weights for alpha={weights.alpha}, tau={weights.tau} do not match "
                          f"alpha={spec.alpha}, tau={run.tau}")
-    work = np.empty((_WORK_ROWS, run.mesh.n_interior))
-    final = _march(sine_transform(run.trajectory[:n]), work, [run.mesh], run.tau, spec,
-                   weights, n + 1, frozen_time)
-    return 2.0 / run.mesh.n_cells * sine_transform(final)
+    if weights.count < n:
+        raise ValueError(f"need at least {n} weights, have {weights.count}")
+    rho, scale, load = _scaled_modes([run.mesh], run.tau, spec)
+    t = n * run.tau
+    kappa = spec.coefficient(t)
+    # the frozen form puts kappa(t_m) in the implicit part and in a right-hand
+    # correction; their difference cancels algebraically against kappa(t_n)
+    implicit = kappa if frozen_time is None else spec.coefficient(float(frozen_time))
+    hist_factor = (-implicit + (implicit - kappa)) / scale
+    rows = run.trajectory
+    last, hist = sine_transform(np.stack([rows[n - 1],
+                                          hist_factor * weights.d[n - 1:0:-1] @ rows[1:n]]))
+    rhs = rho * last + hist
+    if load is not None:
+        rhs += spec.source.time_factor(t) / scale * load
+    return _nodal(rhs / (rho - weights.d[0] * hist_factor), run.mesh, run.n_steps)
 
 
 def solve_meshes(spec: ProblemSpec, cells, n_steps: int) -> list[DiscreteRun]:
@@ -427,7 +430,7 @@ def _joint_march(spec: ProblemSpec, cells, n_steps: int, keep: bool):
     with np.errstate(over="ignore", invalid="ignore"):
         for mesh, cols in zip(meshes, columns):
             rows[0, cols] = sine_transform(project_initial(spec, mesh))
-        final = _march(rows[:1], work, meshes, tau, spec, weights, n_steps + 1,
+        final = _march(rows[0], work, meshes, tau, spec, weights, n_steps + 1,
                        out=rows if keep else None)
     return n_steps, meshes, columns, rows if keep else final
 

@@ -148,8 +148,8 @@ def test_vanishing_diffusivity_freezes_state():
 
 def test_stiff_limit_damps_every_state_to_exactly_zero():
     # kappa(t) = t over T = 1e300, the problem of test_cli_zero_errors_write_nan_rate:
-    # c_n = rho q_n underflows to 0 and the history meets only zeros, so each
-    # state after W^0 is 0.0 exactly.  A step in increment form,
+    # rho W^0 / (rho + d_0 kappa_1) underflows to 0 and the history meets only
+    # zeros, so each state after W^0 is 0.0 exactly.  A step in increment form,
     # W^{n-1} + q_n (history - d_0 kappa_n W^{n-1}), leaves residues of about 1e-17
     spec = ProblemSpec(alpha=0.5, final_time=1e300, coefficient=CoefficientLaw.power(1.0, 1.0),
                        initial=PiecewiseFn.indicator(0.5, 1.0), source=SourceTerm.zero())
@@ -255,9 +255,11 @@ def test_concurrent_solves_match_serial():
         assert np.array_equal(a, b)
 
 
-def test_step_by_step_matches_solve():
+@pytest.mark.parametrize("L", [12, 130])
+def test_step_by_step_matches_solve(L):
+    # step sums its history directly, the march through chunks and, from
+    # step 129 on, the far field: the walk crosses both
     spec = _forced(alpha=0.55)
-    L = 12
     ref = solve(spec, 16, L)
     weights = generate_weights(spec.alpha, ref.tau, L + 1)
     mesh = build_mesh(16)
@@ -585,6 +587,12 @@ def test_discrete_run_takes_exactly_one_kind_of_rows():
     with pytest.raises(ValueError, match="exactly one"):
         DiscreteRun(mesh=mesh, n_steps=1, tau=1.0, trajectory=np.zeros((2, 3)),
                     coefficients=np.zeros((2, 3)))
+    # three rows for ten steps: step(run, ..., 5) used to march W^3 .. W^5
+    for kind in ("trajectory", "coefficients"):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+            DiscreteRun(mesh=mesh, n_steps=10, tau=0.1, **{kind: np.zeros((3, 3))})
+    with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
+        DiscreteRun(mesh=mesh, n_steps=1, tau=1.0, trajectory=np.zeros((2, 4)))
 
 
 # -- joint march of several meshes ----------------------------------------------
