@@ -169,40 +169,6 @@ class PiecewiseFn:
                 out[mask] = npoly.polyval(x[mask], c)
         return out
 
-    # -- algebra -----------------------------------------------------------
-
-    def __mul__(self, scalar):
-        """The datum times a finite ``scalar``; ValueError if the product overflows."""
-        s = float(scalar)
-        if not np.isfinite(s):
-            raise ValueError(f"scalar must be finite, got {scalar}")
-        if self.is_sine:
-            return PiecewiseFn.sine(self.sine_mode, self.amplitude * s)
-        with np.errstate(over="ignore"):  # an overflow raises as non-finite coeffs
-            coeffs = [c * s for c in self.coeffs]
-        return PiecewiseFn(self.breakpoints, coeffs, smooth=self.smooth)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, PiecewiseFn) or self.is_sine or other.is_sine:
-            return NotImplemented
-        bp = np.union1d(self.breakpoints, other.breakpoints)
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        ia = np.clip(np.searchsorted(self.breakpoints, mids, side="right") - 1,
-                     0, len(self.coeffs) - 1)
-        ib = np.clip(np.searchsorted(other.breakpoints, mids, side="right") - 1,
-                     0, len(other.coeffs) - 1)
-        pieces = []
-        for a, b in zip(ia, ib):
-            ca, cb = self.coeffs[a], other.coeffs[b]
-            n = max(ca.size, cb.size)
-            c = np.zeros(n)
-            c[:ca.size] += ca
-            c[:cb.size] += cb
-            pieces.append(c)
-        return PiecewiseFn(bp, pieces, smooth=self.smooth and other.smooth)
-
 
 # -- assembly ---------------------------------------------------------------
 

@@ -18,6 +18,8 @@ it, and u = a r / (1 + r), r = (a / sin(alpha pi)) exp(2 phi), below it.
 Below x = 1e-6 the two-term power series, exact there to rounding, is used.
 Against 45-digit references the absolute error is below 1e-15 for alpha in
 [1e-3, 1) and x in [1e-9, 1e8]; every z <= 0 yields a value in [0, 1].
+Below alpha = 1e-3 the contracted sweep no longer resolves p (at 1e-6 it
+returns 0.0116 for E(-0.3) = 0.769), so such alpha raise ValueError.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ _W_NEAR = _W[_NEAR]
 _EXP_PHI = np.exp(_PHI[_NEAR])
 _W_ABOVE = _W_NEAR / (2.0 * np.cosh(_PHI[_NEAR]))   # p(u) du pi alpha above a
 _SERIES_BELOW = 1e-6
+_ALPHA_MIN = 1e-3  # the least alpha the sweep resolves; see the module docstring
 
 
 def _decay(log_ux, alpha: float) -> np.ndarray:
@@ -44,9 +47,9 @@ def _decay(log_ux, alpha: float) -> np.ndarray:
 
 
 def mittag_leffler(alpha: float, z: float) -> float:
-    """E_alpha(z) for 0 < alpha <= 1 and real z <= 0 (z = -inf gives 0)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    """E_alpha(z) for 1e-3 <= alpha <= 1 and real z <= 0 (z = -inf gives 0)."""
+    if not _ALPHA_MIN <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [{_ALPHA_MIN:g}, 1] for the closed form, got {alpha}")
     z = float(z)
     if not z <= 0.0:
         raise ValueError(f"z must be <= 0, got {z}")
@@ -83,7 +86,8 @@ def exact_solution(alpha: float, kappa: float, mode: int, x, t: float):
 
     For a nonnegative number ``kappa``, initial datum sin(mode*pi*x) and zero
     source the solution is E_alpha(-kappa (mode*pi)^2 t^alpha) * sin(mode*pi*x).
-    ValueError, naming it, for a NaN or negative ``kappa`` or ``t``; an infinite
+    ValueError, naming it, for alpha outside ``mittag_leffler``'s [1e-3, 1] and
+    for a NaN or negative ``kappa`` or ``t``; an infinite
     one gives 0.0, E_alpha(-inf), unless the other is 0.  NaN in ``x`` propagates.
     """
     kappa, t = float(kappa), float(t)

@@ -14,14 +14,14 @@ f(t_n).  Divided by the stiffness eigenvalue and a power of two, a step is
 one dot, one division and one product, with or without a source: chunks of
 64 steps carry kappa(t_n) and f(t_n) in their weight block, and a buffer row
 carries rho W^{n-1} (see ``_march``).
-Modes never couple, so ``solve_meshes`` marches several meshes that share
-the step size at once, their modes side by side in one coefficient array;
-``solve`` is its one-mesh case.  A run holds its mesh's coefficients, and
-rows are transformed back to nodal values when they are read.  A march works
-in a buffer of 1 + 2 * 64 rows, and history older than the previous chunk
-enters through a sum of Q exponentials of the weights, so N steps cost
-O(N Q M) work, not O(N^2 M) (see ``_march``).  ``final_states`` keeps no
-rows, so its memory does not grow with N; studies read nothing else.
+``solve`` keeps every row of one mesh's march in a run, which holds its
+sine coefficients and transforms rows back to nodal values when they are
+read.  Modes never couple, so ``final_states`` marches several meshes that
+share the step size at once, their modes side by side in one coefficient
+array, and keeps no rows, so its memory does not grow with N; studies read
+nothing else.  A march works in a buffer of 1 + 2 * 64 rows, and history
+older than the previous chunk enters through a sum of Q exponentials of the
+weights, so N steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
 ``step`` takes one step by the direct history sum.  Through ``frozen_time``
 it also takes the scheme's equivalent form with the diffusivity frozen at
 any time level and a correction on the right-hand side, so that the
@@ -142,10 +142,8 @@ class DiscreteRun:
     checked, and NaN propagates.
 
     A run built from nodal rows (``trajectory=``) holds that array itself, so
-    writes into it are what ``step`` reads later.  ``solve_meshes`` builds its
-    runs from the sine coefficients of the rows (``coefficients=``), each a
-    view of its mesh's columns in the array of the joint march, which
-    therefore lives as long as any of its runs does.  Nodal rows
+    writes into it are what ``step`` reads later.  ``solve`` builds its run
+    from the sine coefficients of the rows (``coefficients=``), and nodal rows
     are transformed on read: ``final`` and ``state(n)`` transform one row, and
     the first read of ``trajectory`` transforms every row and keeps them.
     The three agree bitwise.  Reading a row whose nodal values overflow
@@ -372,39 +370,24 @@ def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
     implicit = kappa if frozen_time is None else spec.coefficient(float(frozen_time))
     hist_factor = (-implicit + (implicit - kappa)) / scale
     rows = run.trajectory
-    last, hist = sine_transform(np.stack([rows[n - 1],
-                                          hist_factor * weights.d[n - 1:0:-1] @ rows[1:n]]))
-    rhs = rho * last + hist
-    if load is not None:
-        rhs += spec.source.time_factor(t) / scale * load
-    return _nodal(rhs / (rho - weights.d[0] * hist_factor), run.mesh, run.n_steps)
-
-
-def solve_meshes(spec: ProblemSpec, cells, n_steps: int) -> list[DiscreteRun]:
-    """The scheme's runs on fresh meshes of ``cells`` cells, all with
-    tau = T / n_steps, from one march.
-
-    The sine coefficients of all meshes sit side by side in the columns of
-    one array, and each run holds a view of its own columns; the array lives
-    as long as any of its runs does.  Each run agrees with ``solve`` of its
-    mesh to rounding.  Deterministic: identical inputs produce
-    bitwise-identical trajectories.  Raises ValueError when a coefficient or
-    a final state comes out non-finite, or when the coefficients or weights
-    cannot be allocated; any other row whose nodal values overflow raises
-    when read.
-    """
-    n_steps, meshes, columns, coeffs = _joint_march(spec, cells, n_steps, keep=True)
-    runs = [DiscreteRun(mesh=mesh, n_steps=n_steps, tau=spec.final_time / n_steps,
-                        coefficients=coeffs[:, cols]) for mesh, cols in zip(meshes, columns)]
-    for run in runs:
-        run._row(-1)  # raises now if the final nodal row overflows
-    return runs
+    # overflow surfaces once, as the ValueError of _nodal, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        last, hist = sine_transform(np.stack([rows[n - 1],
+                                              hist_factor * weights.d[n - 1:0:-1] @ rows[1:n]]))
+        rhs = rho * last + hist
+        if load is not None:
+            rhs += spec.source.time_factor(t) / scale * load
+        return _nodal(rhs / (rho - weights.d[0] * hist_factor), run.mesh, run.n_steps)
 
 
 def final_states(spec: ProblemSpec, cells, n_steps: int) -> list[np.ndarray]:
-    """The final states of ``solve_meshes(spec, cells, n_steps)``, bitwise,
-    from a march that keeps no rows: its memory does not grow with n_steps.
-    Raises ValueError as ``solve_meshes`` does."""
+    """The final states on fresh meshes of ``cells`` cells, all with
+    tau = T / n_steps, from one march that keeps no rows: its memory does not
+    grow with n_steps.  Each agrees with ``solve(spec, n, n_steps).final`` of
+    its mesh to rounding, and bitwise for one mesh.  Deterministic.  Raises
+    ValueError for no meshes, when a coefficient or a final state comes out
+    non-finite, or when the march's buffer or the weights cannot be
+    allocated."""
     n_steps, meshes, columns, final = _joint_march(spec, cells, n_steps, keep=False)
     return [_nodal(final[cols], mesh, n_steps) for mesh, cols in zip(meshes, columns)]
 
@@ -451,6 +434,14 @@ def _unallocated(what: str, nbytes: int, meshes: list[Mesh1D], n_steps: int) -> 
 
 
 def solve(spec: ProblemSpec, n_cells: int, n_steps: int) -> DiscreteRun:
-    """The scheme's run on a fresh mesh with tau = T / n_steps: ``solve_meshes``
-    of one mesh, with the same guarantees and errors."""
-    return solve_meshes(spec, [n_cells], n_steps)[0]
+    """The scheme's run on a fresh mesh with tau = T / n_steps, every row kept.
+
+    Deterministic: identical inputs produce bitwise-identical trajectories.
+    Raises ValueError when a coefficient or the final state comes out
+    non-finite, or when the rows or weights cannot be allocated; any other
+    row whose nodal values overflow raises when read.
+    """
+    n_steps, (mesh,), _, coeffs = _joint_march(spec, [n_cells], n_steps, keep=True)
+    run = DiscreteRun(mesh, n_steps, spec.final_time / n_steps, coefficients=coeffs)
+    run.final  # raises now if the final nodal row overflows
+    return run

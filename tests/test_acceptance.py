@@ -232,7 +232,7 @@ def test_criterion_6_property_suite():
                      source=SourceTerm.zero())
     a, b = 0.7, -1.3
     combo = ProblemSpec(alpha=0.5, final_time=1.0, coefficient=law,
-                        initial=a * s1.initial + b * s2.initial,
+                        initial=PiecewiseFn([0.0, 0.25, 0.5, 1.0], [[b], [0.0], [a]]),
                         source=SourceTerm.separable(g, time_exponent=0.1,
                                                     time_scale=a))
     r1, r2, rc = solve(s1, 32, 40), solve(s2, 32, 40), solve(combo, 32, 40)

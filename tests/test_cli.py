@@ -228,6 +228,16 @@ def test_cli_oracle_preset_prints_max_error(tmp_path, capsys):
     assert all(e > 0 for tb in tables for e in tb.errors)
 
 
+def test_cli_oracle_below_its_range_exits_1_without_csv(tmp_path, capsys):
+    # the oracle is wrong below alpha = 1e-3: this run exited 0 with rates
+    # near 0 and every error at 6.1e-2, which was the oracle's
+    out = tmp_path / "oracle.csv"
+    assert main(["--preset", "oracle", "--alpha", "1e-6", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: alpha must lie in [0.001, 1] for the closed form, "
+                                       "got 1e-06\n")
+    assert not out.exists()
+
+
 def test_cli_invalid_config_exits_nonzero_without_csv(tmp_path, capsys):
     cfgfile = tmp_path / "bad.txt"
     out = tmp_path / "never.csv"

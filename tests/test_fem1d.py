@@ -149,16 +149,6 @@ def test_polynomial_and_sine_eval():
     np.testing.assert_allclose(s(x), 3 * np.sin(2 * np.pi * x), atol=1e-15)
 
 
-def test_scaling_and_addition():
-    chi1 = PiecewiseFn.indicator(0.0, 0.5)
-    chi2 = PiecewiseFn.indicator(0.25, 1.0)
-    combo = 2.0 * chi1 + chi2 * (-1.0)
-    x = np.array([0.1, 0.3, 0.7])
-    np.testing.assert_allclose(combo(x), [2.0, 1.0, -1.0])
-    s = PiecewiseFn.sine(1) * 0.5
-    np.testing.assert_allclose(s(0.5), 0.5)
-
-
 # -- sine basis ---------------------------------------------------------------
 
 
@@ -464,11 +454,9 @@ def test_matvec_rejects_wrong_length():
 @pytest.mark.parametrize("make, argument", [
     (lambda: PiecewiseFn.sine(1, math.nan), "amplitude"),
     (lambda: PiecewiseFn([0, 1], [[math.nan]]), "coeffs"),
-    (lambda: math.inf * PiecewiseFn.indicator(0, 0.5), "scalar"),
-], ids=["nan-amplitude", "nan-coeffs", "inf-times-indicator"])
+], ids=["nan-amplitude", "nan-coeffs"])
 def test_piecewise_rejects_non_finite_data(make, argument):
-    # NaN data used to surface only in a later solve, as "non-finite states";
-    # inf * chi raised numpy's RuntimeWarning for inf * 0
+    # NaN data used to surface only in a later solve, as "non-finite states"
     with pytest.raises(ValueError, match=f"{argument} must be finite"):
         make()
 

@@ -197,6 +197,17 @@ def test_rejects_bad_order(bad):
         mittag_leffler(bad, -1.0)
 
 
+@pytest.mark.parametrize("alpha", [1e-6, 1e-5, 1e-4, 3e-4])
+def test_rejects_orders_below_the_resolved_range(alpha):
+    # the contracted sweep misses the density there: at 1e-6 it returned
+    # 0.0116 for E(-0.3) = 0.769, and at 1e-4 0.7638
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0.001, 1\]"):
+        mittag_leffler(alpha, -0.3)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0.001, 1\]"):
+        exact_solution(alpha, 1.0, 1, 0.5, 1.0)
+    assert mittag_leffler(1e-3, -0.3) == pytest.approx(1 / 1.3, abs=2e-4)  # E -> 1/(1 + x)
+
+
 # -- single-mode closed form ----------------------------------------------------
 
 

@@ -50,7 +50,6 @@ CONTRACT = {
     "SourceTerm": [(lambda: ex.SourceTerm(time_scale=nan), "time scale must")],
     "project_initial": [NO_NUMBERS],
     "solve": [(lambda: ex.solve(_spec(), 4, nan), "n_steps must")],
-    "solve_meshes": [(lambda: ex.solve_meshes(_spec(), [nan], 4), "n_cells must")],
     "step": [(lambda: _step(nan), "step index must"),
              (lambda: _step(2, nan), "frozen_time must"),  # NaN**0 = 1 gave finite states
              (lambda: _step(2, nan, coefficient=ex.CoefficientLaw.power(1.0, 1.0)),
