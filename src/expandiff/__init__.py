@@ -8,7 +8,7 @@ from .fem1d import (Mesh1D, PiecewiseFn, basis_integrals, build_mesh, l2_norm,
                     l2_project, prolong, ritz_project)
 from .mittag_leffler import exact_solution, mittag_leffler
 from .solver import (CoefficientLaw, DiscreteRun, ProblemSpec, SourceTerm,
-                     project_initial, solve, step)
+                     project_initial, solve)
 from .studies import (RateTable, mode_error, observed_rates, oracle_study,
                       spatial_study, temporal_study, write_csv)
 
@@ -20,7 +20,7 @@ __all__ = [
     "l2_project", "prolong", "ritz_project",
     "exact_solution", "mittag_leffler",
     "CoefficientLaw", "DiscreteRun", "ProblemSpec", "SourceTerm",
-    "project_initial", "solve", "step",
+    "project_initial", "solve",
     "RateTable", "mode_error", "observed_rates", "oracle_study",
     "spatial_study", "temporal_study", "write_csv",
     "__version__",

@@ -22,10 +22,6 @@ array, and keeps no rows, so its memory does not grow with N; studies read
 nothing else.  A march works in a buffer of 1 + 2 * 64 rows, and history
 older than the previous chunk enters through a sum of Q exponentials of the
 weights, so N steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
-``step`` takes one step by the direct history sum.  Through ``frozen_time``
-it also takes the scheme's equivalent form with the diffusivity frozen at
-any time level and a correction on the right-hand side, so that the
-algebraic cancellation can be verified directly.
 """
 
 from __future__ import annotations
@@ -137,50 +133,40 @@ class ProblemSpec:
 
 
 class DiscreteRun:
-    """A mesh, a step count L and the trajectory W^0 .. W^L: L + 1 rows of
-    ``mesh.n_interior`` values, else ValueError.  The numbers are not
-    checked, and NaN propagates.
+    """A mesh, a step count L and the trajectory W^0 .. W^L, held as the sine
+    coefficients of L + 1 rows of ``mesh.n_interior`` values, else
+    ValueError.  The numbers are not checked, and NaN propagates.
 
-    A run built from nodal rows (``trajectory=``) holds that array itself, so
-    writes into it are what ``step`` reads later.  ``solve`` builds its run
-    from the sine coefficients of the rows (``coefficients=``), and nodal rows
-    are transformed on read: ``final`` and ``state(n)`` transform one row, and
-    the first read of ``trajectory`` transforms every row and keeps them.
-    The three agree bitwise.  Reading a row whose nodal values overflow
-    raises the ValueError of a non-finite solve.
+    ``solve`` builds the run.  Nodal rows are transformed on read: ``final``
+    and ``state(n)`` transform one row, ``trajectory`` every row on each
+    read, and the three agree bitwise.  Reading a row whose nodal values
+    overflow raises the ValueError of a non-finite solve.
     """
 
-    def __init__(self, mesh: Mesh1D, n_steps: int, tau: float,
-                 trajectory: np.ndarray | None = None, *,
-                 coefficients: np.ndarray | None = None):
-        if (trajectory is None) == (coefficients is None):
-            raise ValueError("pass exactly one of trajectory and coefficients")
-        self.mesh, self.n_steps, self.tau = mesh, n_steps, tau
-        self._rows = coefficients if trajectory is None else trajectory
-        if self._rows.shape != (n_steps + 1, mesh.n_interior):
-            raise ValueError(f"rows of shape {self._rows.shape} do not fit n_steps={n_steps} "
+    def __init__(self, mesh: Mesh1D, n_steps: int, tau: float, coefficients: np.ndarray):
+        if coefficients.shape != (n_steps + 1, mesh.n_interior):
+            raise ValueError(f"rows of shape {coefficients.shape} do not fit n_steps={n_steps} "
                              f"and n_interior={mesh.n_interior}")
-        self._modal = trajectory is None
+        self.mesh, self.n_steps, self.tau = mesh, n_steps, tau
+        self._coeffs = coefficients
 
     @property
     def trajectory(self) -> np.ndarray:
-        if self._modal:
-            nodal = np.empty_like(self._rows)
-            for start in range(0, nodal.shape[0], 16):  # blocks bound the FFT's buffers
-                nodal[start:start + 16] = _nodal(self._rows[start:start + 16], self.mesh,
-                                                 self.n_steps)
-            self._rows, self._modal = nodal, False
-        return self._rows
+        nodal = np.empty_like(self._coeffs)
+        for start in range(0, nodal.shape[0], 16):  # blocks bound the FFT's buffers
+            nodal[start:start + 16] = _nodal(self._coeffs[start:start + 16], self.mesh,
+                                             self.n_steps)
+        return nodal
 
     @property
     def final(self) -> np.ndarray:
-        return self._row(-1)
+        return _nodal(self._coeffs[self.n_steps], self.mesh, self.n_steps)
 
     def state(self, n: int) -> np.ndarray:
-        return self._row(n)
-
-    def _row(self, n: int) -> np.ndarray:
-        return _nodal(self._rows[n], self.mesh, self.n_steps) if self._modal else self._rows[n]
+        """W^n for a step index n in 0 .. n_steps, else ValueError."""
+        if not (isinstance(n, (int, np.integer)) and 0 <= n <= self.n_steps):
+            raise ValueError(f"n must be an integer in 0..{self.n_steps}, got {n!r}")
+        return _nodal(self._coeffs[n], self.mesh, self.n_steps)
 
 
 def _nodal(coeffs: np.ndarray, mesh: Mesh1D, n_steps: int) -> np.ndarray:
@@ -338,46 +324,6 @@ def _columns(meshes: list[Mesh1D]) -> list[slice]:
     """The column slices of each mesh's modes in a joint coefficient array."""
     ends = list(accumulate((mesh.n_interior for mesh in meshes), initial=0))
     return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-
-
-def step(run: DiscreteRun, spec: ProblemSpec, weights: cq.CQWeights, n: int,
-         frozen_time: float | None = None) -> np.ndarray:
-    """One implicit step: W^n from the states W^0 .. W^{n-1} stored in ``run``.
-
-    Returns the new state without writing it into the trajectory.  The
-    history sum d_{n-1} W^1 + .. + d_1 W^{n-1} is one product over the nodal
-    rows, then one row to transform, so a step costs O(n M); the scheme is
-    divided as in ``_march``.  Raises ValueError unless ``weights`` are for
-    ``spec.alpha`` and ``run.tau`` and hold d_{n-1}, for a ``frozen_time``
-    that is not a finite time >= 0, and for a non-finite state.  With
-    ``frozen_time`` the diffusivity of the implicit operator is frozen at
-    that time level and the correction term moved to the right-hand side.
-    """
-    if not 1 <= n <= run.n_steps:
-        raise ValueError(f"step index must lie in 1..{run.n_steps}, got {n}")
-    if frozen_time is not None and not 0.0 <= frozen_time < math.inf:
-        raise ValueError(f"frozen_time must be a finite time >= 0, got {frozen_time}")
-    if weights.alpha != spec.alpha or not math.isclose(weights.tau, run.tau, rel_tol=1e-12):
-        raise ValueError(f"weights for alpha={weights.alpha}, tau={weights.tau} do not match "
-                         f"alpha={spec.alpha}, tau={run.tau}")
-    if weights.count < n:
-        raise ValueError(f"need at least {n} weights, have {weights.count}")
-    rho, scale, load = _scaled_modes([run.mesh], run.tau, spec)
-    t = n * run.tau
-    kappa = spec.coefficient(t)
-    # the frozen form puts kappa(t_m) in the implicit part and in a right-hand
-    # correction; their difference cancels algebraically against kappa(t_n)
-    implicit = kappa if frozen_time is None else spec.coefficient(float(frozen_time))
-    hist_factor = (-implicit + (implicit - kappa)) / scale
-    rows = run.trajectory
-    # overflow surfaces once, as the ValueError of _nodal, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        last, hist = sine_transform(np.stack([rows[n - 1],
-                                              hist_factor * weights.d[n - 1:0:-1] @ rows[1:n]]))
-        rhs = rho * last + hist
-        if load is not None:
-            rhs += spec.source.time_factor(t) / scale * load
-        return _nodal(rhs / (rho - weights.d[0] * hist_factor), run.mesh, run.n_steps)
 
 
 def final_states(spec: ProblemSpec, cells, n_steps: int) -> list[np.ndarray]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fem1d import (_GAUSS_W, _GAUSS_X, Mesh1D, build_mesh, l2_norm, prolong,
                     require_count)
-from .mittag_leffler import exact_solution
+from .mittag_leffler import exact_solution, mittag_leffler
 from .solver import (CoefficientLaw, PiecewiseFn, ProblemSpec, SourceTerm,
                      final_states)
 
@@ -134,7 +134,8 @@ def oracle_study(alpha: float, kappa: float, mode: int, *, final_time: float,
     ``n_cells_list`` with a fixed ``tau`` for the spatial axis; any other
     combination of these four raises ValueError.  The
     coefficient is the constant ``kappa``, a nonnegative number; the initial
-    datum is the smooth sine mode (Ritz-projected), the source is zero.
+    datum is the smooth sine mode (Ritz-projected), the source is zero.  An
+    alpha outside ``mittag_leffler``'s range raises ValueError before any march.
     """
     if not (tau_list is None) == (n_cells is None) != (n_cells_list is None) == (tau is None):
         raise ValueError("pass tau_list with n_cells, or n_cells_list with tau, and nothing else")
@@ -142,6 +143,7 @@ def oracle_study(alpha: float, kappa: float, mode: int, *, final_time: float,
                        coefficient=CoefficientLaw.constant(kappa),
                        initial=PiecewiseFn.sine(mode),
                        source=SourceTerm.zero())
+    mittag_leffler(alpha, 0.0)  # checks alpha against the closed form's range
     if tau_list is not None:
         axis, resolutions = "temporal", _ladder([float(t) for t in tau_list], "tau_list")
         meshes = [build_mesh(n_cells)] * len(resolutions)

@@ -18,10 +18,10 @@ import time
 import numpy as np
 import pytest
 
-from expandiff import (CoefficientLaw, DiscreteRun, PiecewiseFn, ProblemSpec,
-                       SourceTerm, build_mesh, generate_weights, l2_norm,
-                       oracle_study, project_initial, prolong, solve,
-                       spatial_study, step, temporal_study)
+from expandiff import (CoefficientLaw, PiecewiseFn, ProblemSpec, SourceTerm,
+                       build_mesh, generate_weights, l2_norm, oracle_study,
+                       prolong, solve, spatial_study, temporal_study)
+from direct_reference import direct_history_solve
 
 _TAUS = [1 / 50, 1 / 100, 1 / 200, 1 / 400, 1 / 800]
 
@@ -209,14 +209,8 @@ def test_criterion_6_property_suite():
                        source=SourceTerm.zero())
     L = 30
     ref = solve(spec, 24, L)
-    weights = generate_weights(spec.alpha, ref.tau, L + 1)
     for frac in (0.0, 0.5, 1.0):
-        mesh = build_mesh(24)
-        traj = np.zeros((L + 1, mesh.n_interior))
-        traj[0] = project_initial(spec, mesh)
-        run = DiscreteRun(mesh=mesh, n_steps=L, tau=ref.tau, trajectory=traj)
-        for k in range(1, L + 1):
-            traj[k] = step(run, spec, weights, k, frozen_time=frac * 1.0)
+        traj = direct_history_solve(spec, 24, L, frozen_time=frac * 1.0)
         diff = np.abs(traj - ref.trajectory).max()
         if diff > 1e-11:
             problems.append(f"frozen index m at t={frac} differs by {diff:.2e}")

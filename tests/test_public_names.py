@@ -19,11 +19,6 @@ def _spec(**changes):
     return ex.ProblemSpec(**{**fields, **changes})
 
 
-def _step(n, frozen_time=None, **changes):
-    spec = _spec(**changes)
-    return ex.step(ex.solve(spec, 4, 4), spec, ex.generate_weights(0.5, 0.25, 5), n, frozen_time)
-
-
 PROPAGATES = "propagates"  # the docstring says that NaN propagates
 NO_NUMBERS = "no numbers"  # every argument is a checked object, a path or a list of them
 
@@ -50,10 +45,6 @@ CONTRACT = {
     "SourceTerm": [(lambda: ex.SourceTerm(time_scale=nan), "time scale must")],
     "project_initial": [NO_NUMBERS],
     "solve": [(lambda: ex.solve(_spec(), 4, nan), "n_steps must")],
-    "step": [(lambda: _step(nan), "step index must"),
-             (lambda: _step(2, nan), "frozen_time must"),  # NaN**0 = 1 gave finite states
-             (lambda: _step(2, nan, coefficient=ex.CoefficientLaw.power(1.0, 1.0)),
-              "frozen_time must")],
     "RateTable": [(lambda: ex.RateTable("", "temporal", [0.5], [nan]), "errors must")],
     "mode_error": [(lambda: ex.mode_error(ex.build_mesh(2), [0.0], 0.5, nan, 1, 1.0),
                     "kappa must"),

@@ -1,15 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from expandiff import (CoefficientLaw, DiscreteRun, PiecewiseFn, ProblemSpec,
                        SourceTerm, basis_integrals, build_mesh, generate_weights,
-                       l2_project, project_initial, solve, step)
+                       l2_project, project_initial, solve)
 from expandiff import cq
-from expandiff.fem1d import (assemble_mass, assemble_stiffness, mode_eigenvalues,
-                             sine_transform)
+from expandiff.fem1d import assemble_mass, assemble_stiffness, sine_transform
 from expandiff.solver import final_states
+from direct_reference import direct_history_solve
 
 
 def _table2_like(alpha=0.45, scale=0.8, exponent=1.5):
@@ -224,16 +225,8 @@ def test_frozen_coefficient_index_cancels(m_fraction):
     spec = _table2_like()
     n_cells, L = 24, 30
     ref = solve(spec, n_cells, L)
-    tau = spec.final_time / L
-    weights = generate_weights(spec.alpha, tau, L + 1)
-    t_m = m_fraction * spec.final_time
-    mesh = build_mesh(n_cells)
-    traj = np.zeros((L + 1, mesh.n_interior))
-    traj[0] = project_initial(spec, mesh)
-    run = DiscreteRun(mesh=mesh, n_steps=L, tau=tau, trajectory=traj)
-    for n in range(1, L + 1):
-        traj[n] = step(run, spec, weights, n, frozen_time=t_m)
-    assert np.abs(traj - ref.trajectory).max() <= 1e-11
+    frozen = direct_history_solve(spec, n_cells, L, frozen_time=m_fraction * spec.final_time)
+    assert np.abs(frozen - ref.trajectory).max() <= 1e-11
 
 
 def test_solve_is_bitwise_deterministic():
@@ -253,22 +246,6 @@ def test_concurrent_solves_match_serial():
         parallel = list(pool.map(lambda s: solve(s, 24, 30).trajectory, specs))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("L", [12, 130])
-def test_step_by_step_matches_solve(L):
-    # step sums its history directly, the march through chunks and, from
-    # step 129 on, the far field: the walk crosses both
-    spec = _forced(alpha=0.55)
-    ref = solve(spec, 16, L)
-    weights = generate_weights(spec.alpha, ref.tau, L + 1)
-    mesh = build_mesh(16)
-    traj = np.zeros((L + 1, mesh.n_interior))
-    traj[0] = project_initial(spec, mesh)
-    run = DiscreteRun(mesh=mesh, n_steps=L, tau=ref.tau, trajectory=traj)
-    for n in range(1, L + 1):
-        traj[n] = step(run, spec, weights, n)
-    np.testing.assert_allclose(traj, ref.trajectory, atol=1e-14)
 
 
 def _dense_nodal_solve(spec, n_cells, n_steps):
@@ -303,26 +280,6 @@ def test_modal_solve_matches_dense_nodal_reference(alpha, n_cells):
     assert np.abs(run.trajectory - ref).max() <= 1e-12
 
 
-def _direct_history_solve(spec, n_cells, n_steps):
-    """Reference modal stepper: the direct history sum of rows 1..n-1 at every step."""
-    mesh = build_mesh(n_cells)
-    tau = spec.final_time / n_steps
-    d = generate_weights(spec.alpha, tau, n_steps + 1).d
-    lam_m, lam_s = mode_eigenvalues(mesh)
-    load = 0.0
-    if not spec.source.is_zero:
-        load = sine_transform(basis_integrals(spec.source.spatial, mesh))
-    c = np.empty((n_steps + 1, mesh.n_interior))
-    c[0] = sine_transform(project_initial(spec, mesh))
-    for n in range(1, n_steps + 1):
-        t = n * tau
-        kap = spec.coefficient(t)
-        hist = d[n - 1:0:-1] @ c[1:n]  # d_{n-1} W^1 + ... + d_1 W^{n-1}
-        rhs = lam_m * c[n - 1] / tau + spec.source.time_factor(t) * load - kap * lam_s * hist
-        c[n] = rhs / (lam_m / tau + d[0] * kap * lam_s)
-    return 2.0 / n_cells * sine_transform(c)
-
-
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
 @pytest.mark.parametrize("n_steps", [63, 64, 65, 129, 300])
 @pytest.mark.parametrize("blocked", [False, True], ids=["cached", "blocked"])
@@ -338,7 +295,7 @@ def test_solve_matches_direct_history_sum(alpha, n_steps, blocked):
                                                    time_exponent=0.1))
     run = solve(spec, n_cells, n_steps)
     assert (n_steps * (n_cells - 1) > 2 ** 18) == blocked
-    ref = _direct_history_solve(spec, n_cells, n_steps)
+    ref = direct_history_solve(spec, n_cells, n_steps)
     assert np.abs(run.trajectory - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -383,20 +340,17 @@ def _random_cases(count=60, seed=16):
 @pytest.mark.parametrize("spec, cells, n_steps, n", _random_cases())
 def test_random_marches_match_direct_history_sum(spec, cells, n_steps, n):
     # every row of one solve per mesh, the final states of one joint march
-    # that keeps no rows, and one step from W^0 .. W^{n-1}, against the direct
-    # history sum, within 1e-12 of the largest state; for one mesh the march
-    # that keeps no rows gives the solve's final state bitwise
-    refs = [_direct_history_solve(spec, n_cells, n_steps) for n_cells in cells]
-    for n_cells, final, ref in zip(cells, final_states(spec, cells, n_steps), refs):
-        run = solve(spec, n_cells, n_steps)
+    # that keeps no rows, and row n of the first mesh's solve read back alone,
+    # against the direct history sum, within 1e-12 of the largest state; for
+    # one mesh the march that keeps no rows gives the solve's final state bitwise
+    refs = [direct_history_solve(spec, n_cells, n_steps) for n_cells in cells]
+    runs = [solve(spec, n_cells, n_steps) for n_cells in cells]
+    for run, final, ref in zip(runs, final_states(spec, cells, n_steps), refs):
         assert np.abs(run.trajectory - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(final - ref[-1]).max() <= 1e-12 * np.abs(ref).max()
         if len(cells) == 1:
             assert np.array_equal(final, run.final)
-    tau = spec.final_time / n_steps
-    run = DiscreteRun(mesh=build_mesh(cells[0]), n_steps=n_steps, tau=tau, trajectory=refs[0])
-    weights = generate_weights(spec.alpha, tau, n_steps + 1)
-    assert np.abs(step(run, spec, weights, n) - refs[0][n]).max() <= 1e-12 * np.abs(refs[0]).max()
+    assert np.abs(runs[0].state(n) - refs[0][n]).max() <= 1e-12 * np.abs(refs[0]).max()
 
 
 def test_random_cases_cover_the_far_field():
@@ -504,37 +458,6 @@ def test_overflowing_power_laws_raise_value_error():
         src.time_factor(1e5)
 
 
-def test_step_validates_index_and_weights():
-    spec = _forced()
-    run = solve(spec, 8, 5)
-    weights = generate_weights(spec.alpha, run.tau, 6)
-    with pytest.raises(ValueError):
-        step(run, spec, weights, 0)
-    with pytest.raises(ValueError):
-        step(run, spec, weights, 6)
-    short = generate_weights(spec.alpha, run.tau, 2)
-    with pytest.raises(ValueError):
-        step(run, spec, short, 5)
-    # weights of another order or step size used to give wrong states silently
-    with pytest.raises(ValueError, match="do not match"):
-        step(run, spec, generate_weights(0.7, run.tau, 6), 5)
-    with pytest.raises(ValueError, match="do not match"):
-        step(run, spec, generate_weights(spec.alpha, 5 * run.tau, 6), 5)
-    for frozen_time in (-1.0, math.inf):
-        with pytest.raises(ValueError, match="frozen_time must"):
-            step(run, spec, weights, 5, frozen_time)
-
-
-def test_overflowing_step_raises():
-    # one ValueError and no numpy warning, which would fail the suite: the
-    # transform of stored rows at 1e307 overflowed before the step's check
-    run = DiscreteRun(mesh=build_mesh(16), n_steps=8, tau=1 / 8,
-                      trajectory=np.full((9, 15), 1e307))
-    spec = _table2_like()
-    with pytest.raises(ValueError, match="non-finite states"):
-        step(run, spec, generate_weights(spec.alpha, run.tau, 9), 8)
-
-
 def test_solve_rejects_bad_steps():
     with pytest.raises(ValueError):
         solve(_forced(), 8, 0)
@@ -592,18 +515,21 @@ def test_rows_read_back_agree_bitwise(n_steps, blocked):
 
 
 def test_discrete_run_takes_exactly_one_kind_of_rows():
+    # n_steps + 1 rows of sine coefficients, one column per interior node
     mesh = build_mesh(4)
-    with pytest.raises(ValueError, match="exactly one"):
-        DiscreteRun(mesh=mesh, n_steps=1, tau=1.0)
-    with pytest.raises(ValueError, match="exactly one"):
-        DiscreteRun(mesh=mesh, n_steps=1, tau=1.0, trajectory=np.zeros((2, 3)),
-                    coefficients=np.zeros((2, 3)))
-    # three rows for ten steps: step(run, ..., 5) used to march W^3 .. W^5
-    for kind in ("trajectory", "coefficients"):
-        with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
-            DiscreteRun(mesh=mesh, n_steps=10, tau=0.1, **{kind: np.zeros((3, 3))})
+    with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+        DiscreteRun(mesh=mesh, n_steps=10, tau=0.1, coefficients=np.zeros((3, 3)))
     with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
-        DiscreteRun(mesh=mesh, n_steps=1, tau=1.0, trajectory=np.zeros((2, 4)))
+        DiscreteRun(mesh=mesh, n_steps=1, tau=1.0, coefficients=np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("n", [-1, -9, 9, 1.5, 2.0, None])
+def test_state_takes_only_step_indices(n):
+    # a negative index would wrap round to a row counted from the end
+    run = solve(_forced(), 8, 8)
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer in 0..8, got {n!r}")):
+        run.state(n)
+    np.testing.assert_array_equal(run.state(np.int64(8)), run.final)
 
 
 # -- joint march of several meshes ----------------------------------------------

@@ -8,6 +8,7 @@ from expandiff import (CoefficientLaw, PiecewiseFn, ProblemSpec, RateTable,
                        SourceTerm, build_mesh, l2_norm, mode_error, observed_rates,
                        oracle_study, prolong, ritz_project, solve, spatial_study,
                        temporal_study, write_csv)
+from expandiff import studies
 from expandiff.solver import final_states
 from test_cli import read_csv
 
@@ -112,6 +113,19 @@ def test_oracle_needs_exactly_one_axis():
     with pytest.raises(ValueError):  # n_cells belongs to the temporal axis
         oracle_study(0.5, 1.0, 1, final_time=1.0, n_cells=8, tau=1 / 4,
                      n_cells_list=[4, 8])
+
+
+@pytest.mark.parametrize("axis", [dict(n_cells=256, tau_list=[1 / 50, 1 / 100, 1 / 200, 1 / 400]),
+                                  dict(tau=1 / 50, n_cells_list=[8, 16])],
+                         ids=["temporal", "spatial"])
+def test_oracle_below_its_range_fails_before_marching(monkeypatch, axis):
+    # the closed form rejects alpha = 1e-6, so no march can be of use
+    marches = []
+    monkeypatch.setattr(studies, "final_states",
+                        lambda *args: marches.append(args) or final_states(*args))
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0.001, 1\]"):
+        oracle_study(1e-6, 1.0, 1, final_time=1.0, **axis)
+    assert marches == []
 
 
 # -- zero-data studies ------------------------------------------------------------
