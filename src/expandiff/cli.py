@@ -72,9 +72,7 @@ _KINDS = {
         "constant": (("coeff.scale",), CoefficientLaw.constant)},
     "w0.kind": {
         "chi": (("w0.a", "w0.b"), PiecewiseFn.indicator),
-        # w0.smooth = false flags the sine rough, which forces the L2 projection
-        "sine": (("w0.mode", "w0.smooth"), lambda mode, smooth: PiecewiseFn(
-            [0.0, 1.0], [], smooth=smooth, sine_mode=mode)),
+        "sine": (("w0.mode", "w0.smooth"), PiecewiseFn.sine),
         "zero": ((), PiecewiseFn.zero)},
     "source.kind": {
         "chi": (("source.a", "source.b", "source.exponent"), lambda a, b, p: SourceTerm.separable(

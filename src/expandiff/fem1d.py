@@ -11,10 +11,9 @@ is the nodal interpolant of the datum minus that of the line through its end val
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 # 4-point Gauss-Legendre rule on [-1, 1]: exact through degree 7,
 # which makes quadrature error negligible against the P1 error scales.
@@ -23,11 +22,14 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Uniform partition of (0, 1) into ``n_cells`` elements of width ``h``;
-    ``build_mesh`` checks the count, the fields are not checked: NaN propagates."""
+    """Uniform partition of (0, 1) into ``n_cells`` elements of width ``h = 1 / n_cells``;
+    ``build_mesh`` checks the count, the field is not checked: NaN propagates."""
 
     n_cells: int
-    h: float
+
+    @property
+    def h(self) -> float:
+        return 1.0 / self.n_cells
 
     @property
     def n_interior(self) -> int:
@@ -60,7 +62,7 @@ def require_count(value, minimum: int, name: str) -> int:
 def build_mesh(n_cells: int) -> Mesh1D:
     """Uniform mesh with ``n_cells >= 2`` elements on (0, 1)."""
     n = require_count(n_cells, 2, "n_cells")
-    return Mesh1D(n_cells=n, h=1.0 / n)
+    return Mesh1D(n_cells=n)
 
 
 @dataclass(frozen=True)
@@ -92,16 +94,16 @@ class TriDiagMatrix:
 
 
 class PiecewiseFn:
-    """Spatial data on [0, 1]: piecewise polynomials or a smooth sine mode.
+    """Spatial data on [0, 1]: piecewise constants or a smooth sine mode.
 
-    Piecewise polynomials (degree <= 3 per piece, e.g. characteristic
-    functions chi_[a,b]) are integrated against the hat basis exactly,
-    splitting elements at the breakpoints.  Sine modes carry the
-    ``smooth`` flag and are integrated with the per-element Gauss rule;
-    the flag also selects the Ritz projection for initial data.
+    Piecewise constants (one value per piece, e.g. characteristic functions
+    chi_[a,b]) are integrated against the hat basis exactly, splitting
+    elements at the breakpoints.  A sine mode sin(m pi x) takes no values,
+    carries the ``smooth`` flag and is integrated with the per-element
+    Gauss rule; the flag also selects the Ritz projection for initial data.
     """
 
-    def __init__(self, breakpoints, coeffs, *, smooth=False, sine_mode=None, amplitude=1.0):
+    def __init__(self, breakpoints, values, *, smooth=False, sine_mode=None):
         bp = np.asarray(breakpoints, dtype=float)
         if bp.size < 2 or np.any(np.diff(bp) < 0) or bp[0] < 0.0 or bp[-1] > 1.0:
             raise ValueError("breakpoints must be sorted within [0, 1]")
@@ -109,25 +111,18 @@ class PiecewiseFn:
             raise ValueError("breakpoints must start at 0 and end at 1")
         self.breakpoints = bp
         self.sine_mode = None if sine_mode is None else require_count(sine_mode, 1, "sine mode")
-        self.amplitude = float(amplitude)
-        if not np.isfinite(self.amplitude):
-            raise ValueError(f"amplitude must be finite, got {amplitude}")
         self.smooth = bool(smooth)
-        self.coeffs = []
-        if sine_mode is None:
-            self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
-            if len(self.coeffs) != bp.size - 1:
-                raise ValueError("need one coefficient array per subinterval")
-            if any(c.size > 4 for c in self.coeffs):
-                raise ValueError("piece degree must be <= 3")
-            if not all(np.isfinite(c).all() for c in self.coeffs):
-                raise ValueError("coeffs must be finite")
+        self.values = np.asarray(values, dtype=float)
+        if self.values.shape != (0 if self.is_sine else bp.size - 1,):
+            raise ValueError(f"values must be one number per piece, none for a sine: {values!r}")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "PiecewiseFn":
-        return cls([0.0, 1.0], [[0.0]])
+        return cls([0.0, 1.0], [0.0])
 
     @classmethod
     def indicator(cls, a: float, b: float) -> "PiecewiseFn":
@@ -137,12 +132,13 @@ class PiecewiseFn:
         bp = [0.0, a, b, 1.0]
         vals = [0.0, 1.0, 0.0]
         keep = [i for i in range(3) if bp[i] < bp[i + 1]]
-        return cls([bp[i] for i in keep] + [1.0], [[vals[i]] for i in keep])
+        return cls([bp[i] for i in keep] + [1.0], [vals[i] for i in keep])
 
     @classmethod
-    def sine(cls, mode: int, amplitude: float = 1.0) -> "PiecewiseFn":
-        """amplitude * sin(mode * pi * x), flagged smooth."""
-        return cls([0.0, 1.0], [], smooth=True, sine_mode=mode, amplitude=amplitude)
+    def sine(cls, mode: int, smooth: bool = True) -> "PiecewiseFn":
+        """sin(mode * pi * x); ``smooth=False`` flags it rough, which forces
+        the L2 projection."""
+        return cls([0.0, 1.0], [], smooth=smooth, sine_mode=mode)
 
     # -- evaluation --------------------------------------------------------
 
@@ -153,21 +149,16 @@ class PiecewiseFn:
     @property
     def has_derivative(self) -> bool:
         """True when the datum is continuous on [0, 1] (a sine mode or a single
-        polynomial piece), so that it lies in H1 and has a Ritz projection."""
-        return self.is_sine or len(self.coeffs) == 1
+        piece), so that it lies in H1 and has a Ritz projection."""
+        return self.is_sine or self.values.size == 1
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.is_sine:
-            return self.amplitude * np.sin(self.sine_mode * np.pi * x)
+            return np.sin(self.sine_mode * np.pi * x)
         idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
-                      0, len(self.coeffs) - 1)
-        out = np.zeros_like(x)
-        for i, c in enumerate(self.coeffs):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = npoly.polyval(x[mask], c)
-        return out
+                      0, self.values.size - 1)
+        return self.values[idx]
 
 
 # -- assembly ---------------------------------------------------------------
@@ -211,8 +202,8 @@ def basis_integrals(g: PiecewiseFn, mesh: Mesh1D) -> np.ndarray:
     """b_j = integral of g * phi_j for every interior hat function phi_j.
 
     Elements are split at the breakpoints of g and the 4-point Gauss rule
-    runs on every piece.  Piecewise data has degree <= 3, so the rule is
-    exact for it; sine data carries the quadrature error of the rule.
+    runs on every piece.  Piecewise constants are integrated exactly; sine
+    data carries the quadrature error of the rule.
     """
     n, h = mesh.n_cells, mesh.h
     nodes = mesh.nodes

@@ -18,10 +18,11 @@ carries rho W^{n-1} (see ``_march``).
 sine coefficients and transforms rows back to nodal values when they are
 read.  Modes never couple, so ``final_states`` marches several meshes that
 share the step size at once, their modes side by side in one coefficient
-array, and keeps no rows, so its memory does not grow with N; studies read
-nothing else.  A march works in a buffer of 1 + 2 * 64 rows, and history
-older than the previous chunk enters through a sum of Q exponentials of the
-weights, so N steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
+array, and keeps no rows; studies read nothing else.  Its memory still grows
+by 48 bytes per step, for six arrays of N + 1 numbers: the weights and the
+march's time factors.  A march works in a buffer of 1 + 2 * 64 rows, and
+history older than the previous chunk enters through a sum of Q exponentials
+of the weights, so N steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
 """
 
 from __future__ import annotations
@@ -81,15 +82,12 @@ class CoefficientLaw:
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """Separable source f(x, t) = time_scale * t**time_exponent * g(x), or zero."""
+    """Separable source f(x, t) = t**time_exponent * g(x), or zero."""
 
     spatial: PiecewiseFn | None = None
-    time_scale: float = 1.0
     time_exponent: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.time_scale):
-            raise ValueError(f"time scale must be finite, got {self.time_scale}")
         if not 0.0 <= self.time_exponent < math.inf:
             raise ValueError(
                 f"time exponent must be finite and >= 0, got {self.time_exponent}")
@@ -99,10 +97,8 @@ class SourceTerm:
         return cls(spatial=None)
 
     @classmethod
-    def separable(cls, g: PiecewiseFn, time_exponent: float = 0.0,
-                  time_scale: float = 1.0) -> "SourceTerm":
-        return cls(spatial=g, time_scale=float(time_scale),
-                   time_exponent=float(time_exponent))
+    def separable(cls, g: PiecewiseFn, time_exponent: float = 0.0) -> "SourceTerm":
+        return cls(spatial=g, time_exponent=float(time_exponent))
 
     @property
     def is_zero(self) -> bool:
@@ -112,7 +108,7 @@ class SourceTerm:
         """Time factor at a time or an array of times; 0.0 for the zero source."""
         if self.is_zero:
             return 0.0
-        return _power_law("source time factor", self.time_scale, self.time_exponent, t)
+        return _power_law("source time factor", 1.0, self.time_exponent, t)
 
 
 @dataclass(frozen=True)
@@ -133,8 +129,8 @@ class ProblemSpec:
 
 
 class DiscreteRun:
-    """A mesh, a step count L and the trajectory W^0 .. W^L, held as the sine
-    coefficients of L + 1 rows of ``mesh.n_interior`` values, else
+    """A mesh, the step tau and the trajectory W^0 .. W^L, held as the sine
+    coefficients of L + 1 >= 2 rows of ``mesh.n_interior`` values, else
     ValueError.  The numbers are not checked, and NaN propagates.
 
     ``solve`` builds the run.  Nodal rows are transformed on read: ``final``
@@ -143,11 +139,12 @@ class DiscreteRun:
     overflow raises the ValueError of a non-finite solve.
     """
 
-    def __init__(self, mesh: Mesh1D, n_steps: int, tau: float, coefficients: np.ndarray):
-        if coefficients.shape != (n_steps + 1, mesh.n_interior):
-            raise ValueError(f"rows of shape {coefficients.shape} do not fit n_steps={n_steps} "
-                             f"and n_interior={mesh.n_interior}")
-        self.mesh, self.n_steps, self.tau = mesh, n_steps, tau
+    def __init__(self, mesh: Mesh1D, tau: float, coefficients: np.ndarray):
+        coefficients = np.asarray(coefficients, dtype=float)
+        if coefficients.shape[1:] != (mesh.n_interior,) or len(coefficients) < 2:
+            raise ValueError(f"rows of shape {coefficients.shape} are not >= 2 rows of "
+                             f"n_interior={mesh.n_interior} values")
+        self.mesh, self.n_steps, self.tau = mesh, len(coefficients) - 1, tau
         self._coeffs = coefficients
 
     @property
@@ -328,12 +325,12 @@ def _columns(meshes: list[Mesh1D]) -> list[slice]:
 
 def final_states(spec: ProblemSpec, cells, n_steps: int) -> list[np.ndarray]:
     """The final states on fresh meshes of ``cells`` cells, all with
-    tau = T / n_steps, from one march that keeps no rows: its memory does not
-    grow with n_steps.  Each agrees with ``solve(spec, n, n_steps).final`` of
-    its mesh to rounding, and bitwise for one mesh.  Deterministic.  Raises
-    ValueError for no meshes, when a coefficient or a final state comes out
-    non-finite, or when the march's buffer or the weights cannot be
-    allocated."""
+    tau = T / n_steps, from one march that keeps no rows, though six arrays
+    of n_steps + 1 numbers grow its memory by 48 bytes per step.  Each agrees
+    with ``solve(spec, n, n_steps).final`` of its mesh to rounding, and
+    bitwise for one mesh.  Deterministic.  Raises ValueError for no meshes,
+    when a coefficient or a final state comes out non-finite, or when the
+    march's buffer or the weights cannot be allocated."""
     n_steps, meshes, columns, final = _joint_march(spec, cells, n_steps, keep=False)
     return [_nodal(final[cols], mesh, n_steps) for mesh, cols in zip(meshes, columns)]
 
@@ -388,6 +385,6 @@ def solve(spec: ProblemSpec, n_cells: int, n_steps: int) -> DiscreteRun:
     row whose nodal values overflow raises when read.
     """
     n_steps, (mesh,), _, coeffs = _joint_march(spec, [n_cells], n_steps, keep=True)
-    run = DiscreteRun(mesh, n_steps, spec.final_time / n_steps, coefficients=coeffs)
+    run = DiscreteRun(mesh, spec.final_time / n_steps, coeffs)
     run.final  # raises now if the final nodal row overflows
     return run

@@ -226,9 +226,9 @@ def test_criterion_6_property_suite():
                      source=SourceTerm.zero())
     a, b = 0.7, -1.3
     combo = ProblemSpec(alpha=0.5, final_time=1.0, coefficient=law,
-                        initial=PiecewiseFn([0.0, 0.25, 0.5, 1.0], [[b], [0.0], [a]]),
-                        source=SourceTerm.separable(g, time_exponent=0.1,
-                                                    time_scale=a))
+                        initial=PiecewiseFn([0.0, 0.25, 0.5, 1.0], [b, 0.0, a]),
+                        source=SourceTerm.separable(PiecewiseFn([0.0, 0.5, 1.0], [a, 0.0]),
+                                                    time_exponent=0.1))
     r1, r2, rc = solve(s1, 32, 40), solve(s2, 32, 40), solve(combo, 32, 40)
     lin = np.abs(rc.trajectory - (a * r1.trajectory + b * r2.trajectory)).max()
     if lin > 1e-11:

@@ -142,11 +142,19 @@ def test_indicator_rejects_bad_support():
 
 
 def test_polynomial_and_sine_eval():
-    p = PiecewiseFn([0.0, 1.0], [[0.0, 1.0, -1.0]], smooth=True)  # x - x^2
-    x = np.array([0.0, 0.25, 0.5, 1.0])
-    np.testing.assert_allclose(p(x), x * (1 - x))
-    s = PiecewiseFn.sine(2, amplitude=3.0)
-    np.testing.assert_allclose(s(x), 3 * np.sin(2 * np.pi * x), atol=1e-15)
+    # one constant per piece, each piece closed on the left, the last also on the right
+    p = PiecewiseFn([0.0, 0.25, 0.5, 1.0], [-1.0, 2.0, 0.5])
+    x = np.array([0.0, 0.25, 0.4, 0.5, 1.0])
+    np.testing.assert_array_equal(p(x), [-1.0, 2.0, 2.0, 0.5, 0.5])
+    s = PiecewiseFn.sine(2)
+    np.testing.assert_allclose(3 * s(x), 3 * np.sin(2 * np.pi * x), atol=1e-15)
+
+
+def test_sine_takes_no_values():
+    # values given with a sine mode were ignored: sin(2 pi x) at 0.25 came out 1.0
+    for values in ([[5.0]], [5.0], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="^values must"):
+            PiecewiseFn([0.0, 1.0], values, sine_mode=2)
 
 
 # -- sine basis ---------------------------------------------------------------
@@ -196,8 +204,8 @@ def _basis_integrals_exact(g, mesh):
         mid = 0.5 * (a + bb)
         k = min(int(mid / h), n - 1)
         piece = np.clip(np.searchsorted(g.breakpoints, mid, side="right") - 1,
-                        0, len(g.coeffs) - 1)
-        p = g.coeffs[piece]
+                        0, g.values.size - 1)
+        p = g.values[piece:piece + 1]
         if k + 1 <= n - 1:
             anti = npoly.polyint(npoly.polymul(p, [-nodes[k] / h, 1.0 / h]))
             b[k] += npoly.polyval(bb, anti) - npoly.polyval(a, anti)
@@ -216,7 +224,7 @@ def test_basis_integrals_match_exact_antiderivatives(n):
     for pieces in (1, 4, 9):
         inner = np.sort(rng.uniform(0.0, 1.0, pieces - 1))
         data.append(PiecewiseFn(np.concatenate(([0.0], inner, [1.0])),
-                                rng.standard_normal((pieces, 4))))
+                                rng.standard_normal(pieces)))
     for g in data:
         np.testing.assert_allclose(basis_integrals(g, mesh),
                                    _basis_integrals_exact(g, mesh), rtol=0, atol=1e-12)
@@ -234,7 +242,7 @@ def test_l2_project_constant_against_dense_solve():
     # the boundary and the mismatch decays like (2 - sqrt(3))^k per node,
     # so mid-mesh nodes reproduce 1 to machine precision on fine meshes.
     mesh = build_mesh(128)
-    c = l2_project(PiecewiseFn([0.0, 1.0], [[1.0]]), mesh)
+    c = l2_project(PiecewiseFn([0.0, 1.0], [1.0]), mesh)
     m = mesh.n_interior
     M = np.zeros((m, m))
     idx = np.arange(m)
@@ -268,13 +276,16 @@ def test_l2_project_handles_breakpoints_inside_elements():
     assert b[0] == pytest.approx(3.0 * (1.0 / 3.0 - 0.2) ** 2, rel=1e-13)
 
 
-def _p1_function(mesh, values):
-    """The P1 function with the given interior nodal values, one linear
-    piece per element."""
-    full = np.concatenate(([0.0], values, [0.0]))
-    slopes = np.diff(full) / mesh.h
-    pieces = [[v - s * x, s] for v, s, x in zip(full, slopes, mesh.nodes)]
-    return PiecewiseFn(mesh.nodes, pieces)
+class _P1Function:
+    """The P1 function with the given interior nodal values, with what
+    ``basis_integrals`` reads of a datum: breakpoints and pointwise values."""
+
+    def __init__(self, mesh, values):
+        self.breakpoints = mesh.nodes
+        self._full = np.concatenate(([0.0], values, [0.0]))
+
+    def __call__(self, x):
+        return np.interp(x, self.breakpoints, self._full)
 
 
 @pytest.mark.parametrize("n", [5, 16, 33])
@@ -282,10 +293,10 @@ def test_l2_project_is_a_projection(n):
     rng = np.random.default_rng(42 + n)
     mesh = build_mesh(n)
     c = rng.standard_normal(mesh.n_interior)
-    g = _p1_function(mesh, c)
+    g = _P1Function(mesh, c)
     c1 = l2_project(g, mesh)
     np.testing.assert_allclose(c1, c, atol=1e-12)
-    c2 = l2_project(_p1_function(mesh, c1), mesh)
+    c2 = l2_project(_P1Function(mesh, c1), mesh)
     np.testing.assert_allclose(c2, c1, atol=1e-12)
 
 
@@ -296,21 +307,14 @@ def test_ritz_equals_interpolation_for_sine(n):
     np.testing.assert_allclose(c, np.sin(np.pi * mesh.interior_nodes), atol=1e-10)
 
 
-def test_ritz_parabola_n4():
-    c = ritz_project(PiecewiseFn([0.0, 1.0], [[0.0, 1.0, -1.0]], smooth=True), build_mesh(4))
-    np.testing.assert_allclose(c, [0.1875, 0.25, 0.1875], atol=1e-12)
-
-
 def test_ritz_zero():
     np.testing.assert_allclose(ritz_project(PiecewiseFn.zero(), build_mesh(8)),
                                0.0, atol=1e-15)
 
 
-_RITZ_DATA = {
-    **{f"sine{k}": PiecewiseFn.sine(k, amplitude=1.5) for k in range(1, 6)},
-    "constant": PiecewiseFn([0.0, 1.0], [[-2.5]], smooth=True),
-    "cubic": PiecewiseFn([0.0, 1.0], [[0.7, -3.0, 1.0, 4.0]], smooth=True),
-    "line": PiecewiseFn([0.0, 1.0], [[1.0, -0.25]], smooth=True),
+_RITZ_DATA = {  # each datum and a factor that scales both sides
+    **{f"sine{k}": (PiecewiseFn.sine(k), 1.5) for k in range(1, 6)},
+    "constant": (PiecewiseFn([0.0, 1.0], [-2.5], smooth=True), 1.0),
 }
 
 
@@ -319,11 +323,11 @@ _RITZ_DATA = {
 def test_ritz_closed_form_matches_stiffness_solve(name, n):
     # direct reference: S c = (g', phi_j') = (2 g_j - g_{j-1} - g_{j+1}) / h,
     # from exact nodal values that need not vanish at 0 or 1
-    g, mesh = _RITZ_DATA[name], build_mesh(n)
-    v = g(mesh.nodes)
+    (g, factor), mesh = _RITZ_DATA[name], build_mesh(n)
+    v = factor * g(mesh.nodes)
     b = (2.0 * v[1:-1] - v[:-2] - v[2:]) / mesh.h
     direct = solve_tridiag(assemble_stiffness(mesh), b)
-    np.testing.assert_allclose(ritz_project(g, mesh), direct, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(factor * ritz_project(g, mesh), direct, rtol=0, atol=1e-12)
 
 
 def test_ritz_rejects_data_without_derivative():
@@ -390,8 +394,7 @@ def test_l2_norm_sine_interpolant():
 _FAST_PATH_DATA = {
     "chi": PiecewiseFn.indicator(0.5, 1.0),
     "chi-off-grid": PiecewiseFn.indicator(0.2, 0.7),
-    "cubic": PiecewiseFn([0.0, 1.0], [[0.7, -3.0, 1.0, 4.0]]),
-    "rough-sine": PiecewiseFn([0.0, 1.0], [], smooth=False, sine_mode=3),
+    "rough-sine": PiecewiseFn.sine(3, smooth=False),
 }
 
 
@@ -452,9 +455,8 @@ def test_matvec_rejects_wrong_length():
 
 
 @pytest.mark.parametrize("make, argument", [
-    (lambda: PiecewiseFn.sine(1, math.nan), "amplitude"),
-    (lambda: PiecewiseFn([0, 1], [[math.nan]]), "coeffs"),
-], ids=["nan-amplitude", "nan-coeffs"])
+    (lambda: PiecewiseFn([0, 1], [math.nan]), "values"),
+], ids=["nan-values"])
 def test_piecewise_rejects_non_finite_data(make, argument):
     # NaN data used to surface only in a later solve, as "non-finite states"
     with pytest.raises(ValueError, match=f"{argument} must be finite"):
@@ -463,11 +465,13 @@ def test_piecewise_rejects_non_finite_data(make, argument):
 
 def test_piecewise_breakpoint_validation():
     with pytest.raises(ValueError):
-        PiecewiseFn([0.0, 0.6, 0.4, 1.0], [[1.0], [2.0], [3.0]])
+        PiecewiseFn([0.0, 0.6, 0.4, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        PiecewiseFn([0.1, 1.0], [[1.0]])
-    with pytest.raises(ValueError):
-        PiecewiseFn([0.0, 1.0], [[1.0, 0.0, 0.0, 0.0, 5.0]])  # degree > 3
+        PiecewiseFn([0.1, 1.0], [1.0])
+    with pytest.raises(ValueError, match="^values must"):  # one number per piece
+        PiecewiseFn([0.0, 1.0], [[1.0]])
+    with pytest.raises(ValueError, match="^values must"):
+        PiecewiseFn([0.0, 0.5, 1.0], [1.0])
     with pytest.raises(ValueError):
         PiecewiseFn.sine(0)
     with pytest.raises(ValueError, match="sine mode"):  # was sin(pi x)

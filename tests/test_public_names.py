@@ -28,7 +28,7 @@ CONTRACT = {
     "CQWeights": [PROPAGATES],
     "generate_weights": [(lambda: ex.generate_weights(0.5, nan, 4), "tau must")],
     "Mesh1D": [PROPAGATES],
-    "PiecewiseFn": [(lambda: ex.PiecewiseFn([0.0, 1.0], [[nan]]), "coeffs must")],
+    "PiecewiseFn": [(lambda: ex.PiecewiseFn([0.0, 1.0], [nan]), "values must")],
     "basis_integrals": [NO_NUMBERS],
     "build_mesh": [(lambda: ex.build_mesh(nan), "n_cells must")],
     "l2_norm": [PROPAGATES],
@@ -42,7 +42,7 @@ CONTRACT = {
     "CoefficientLaw": [(lambda: ex.CoefficientLaw(nan), "scale must")],
     "DiscreteRun": [PROPAGATES],
     "ProblemSpec": [(lambda: _spec(alpha=nan), "alpha must")],
-    "SourceTerm": [(lambda: ex.SourceTerm(time_scale=nan), "time scale must")],
+    "SourceTerm": [(lambda: ex.SourceTerm(time_exponent=nan), "time exponent must")],
     "project_initial": [NO_NUMBERS],
     "solve": [(lambda: ex.solve(_spec(), 4, nan), "n_steps must")],
     "RateTable": [(lambda: ex.RateTable("", "temporal", [0.5], [nan]), "errors must")],

@@ -51,8 +51,8 @@ def test_source_time_factor():
     src = SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5), time_exponent=0.1)
     assert src.time_factor(0.0) == 0.0  # q > 0 vanishes at t = 0
     assert src.time_factor(1.0) == 1.0
-    const = SourceTerm.separable(PiecewiseFn.indicator(0.0, 1.0), time_scale=2.5)
-    assert const.time_factor(0.0) == 2.5
+    const = SourceTerm.separable(PiecewiseFn.indicator(0.0, 1.0))
+    assert const.time_factor(0.0) == 1.0  # t**0 is 1, at t = 0 too
     assert SourceTerm.zero().time_factor(3.0) == 0.0
 
 
@@ -82,12 +82,12 @@ def test_coefficient_law_rejects_non_finite(scale, exponent):
         CoefficientLaw.power(scale, exponent)
 
 
-@pytest.mark.parametrize("time_scale, time_exponent", [
+@pytest.mark.parametrize("value, time_exponent", [
     (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)])
-def test_source_term_rejects_non_finite(time_scale, time_exponent):
+def test_source_term_rejects_non_finite(value, time_exponent):
     with pytest.raises(ValueError):
-        SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5),
-                             time_exponent=time_exponent, time_scale=time_scale)
+        SourceTerm.separable(PiecewiseFn([0.0, 0.5, 1.0], [value, 0.0]),
+                             time_exponent=time_exponent)
 
 
 # -- projections and loads ------------------------------------------------------
@@ -197,8 +197,9 @@ def test_superposition_over_initial_data_and_source():
     spec2 = ProblemSpec(alpha=0.5, final_time=1.0, coefficient=law,
                         initial=w0_2, source=SourceTerm.zero())
     combo = ProblemSpec(alpha=0.5, final_time=1.0, coefficient=law,
-                        initial=PiecewiseFn([0.0, 0.25, 0.5, 1.0], [[b], [0.0], [a]]),  # a w0_1 + b w0_2
-                        source=SourceTerm.separable(g, time_exponent=0.1, time_scale=a))
+                        initial=PiecewiseFn([0.0, 0.25, 0.5, 1.0], [b, 0.0, a]),  # a w0_1 + b w0_2
+                        source=SourceTerm.separable(PiecewiseFn([0.0, 0.5, 1.0], [a, 0.0]),
+                                                    time_exponent=0.1))
     r1 = solve(spec1, 32, 40)
     r2 = solve(spec2, 32, 40)
     rc = solve(combo, 32, 40)
@@ -306,7 +307,7 @@ def _random_cases(count=60, seed=16):
     128-step reach of the window first, then uniform), alpha in (0, 1] with
     alpha = 1 and log-uniform values down to 1e-6, kappa = s * t**p with
     s = 0 allowed and 0 <= p <= 3, chi, sine, rough-flagged sine and zero
-    initial data, and zero or chi sources with a time exponent."""
+    initial data, and zero or scaled chi sources with a time exponent."""
     rng = np.random.default_rng(seed)
     cases = []
     for k in range(count):
@@ -316,14 +317,15 @@ def _random_cases(count=60, seed=16):
         a, b = np.sort(rng.choice(np.arange(9) / 8, 2, replace=False))
         mode = int(rng.integers(1, 4))
         initial = [PiecewiseFn.indicator(a, b), PiecewiseFn.sine(mode),
-                   PiecewiseFn([0.0, 1.0], [], smooth=False, sine_mode=mode),
+                   PiecewiseFn.sine(mode, smooth=False),
                    PiecewiseFn.zero()][k % 4]
         source = SourceTerm.zero()
         if initial.is_sine and initial.smooth or rng.random() < 0.5:
-            source = SourceTerm.separable(PiecewiseFn.indicator(b / 2, (1 + b) / 2),
-                                          time_exponent=rng.uniform(0.0, 2.0),
-                                          time_scale=rng.uniform(-2.0, 2.0))
-        if initial.sine_mode is None and not initial.coeffs[0].any() and source.is_zero:
+            p, size = rng.uniform(0.0, 2.0), rng.uniform(-2.0, 2.0)
+            chi = PiecewiseFn.indicator(b / 2, (1 + b) / 2)
+            source = SourceTerm.separable(PiecewiseFn(chi.breakpoints, size * chi.values),
+                                          time_exponent=p)
+        if initial.sine_mode is None and not initial.values.any() and source.is_zero:
             source = SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5))
         spec = ProblemSpec(alpha=alpha, final_time=10 ** rng.uniform(-0.6, 0.6),
                            coefficient=CoefficientLaw.power(scale, rng.uniform(0.0, 3.0)),
@@ -378,7 +380,7 @@ def test_far_field_of_huge_states_stays_finite():
     # unscaled, 4,000 rows of 1e305 overflow them
     unit = _table2_like(exponent=0.0)
     huge = ProblemSpec(alpha=unit.alpha, final_time=1.0, coefficient=unit.coefficient,
-                       initial=PiecewiseFn([0.0, 0.5, 1.0], [[0.0], [1e305]]), source=unit.source)
+                       initial=PiecewiseFn([0.0, 0.5, 1.0], [0.0, 1e305]), source=unit.source)
     final = solve(huge, 16, 4000).final
     assert np.abs(final - 1e305 * solve(unit, 16, 4000).final).max() <= 1e-13 * np.abs(final).max()
 
@@ -391,7 +393,7 @@ def test_scaled_states_keep_their_headroom(scale):
     # at 1e-300 that division must not flush the small states
     unit = _table2_like(alpha=0.4, scale=1.0, exponent=2.01)
     scaled = ProblemSpec(alpha=unit.alpha, final_time=1.0, coefficient=unit.coefficient,
-                         initial=PiecewiseFn([0.0, 0.5, 1.0], [[0.0], [scale]]), source=unit.source)
+                         initial=PiecewiseFn([0.0, 0.5, 1.0], [0.0, scale]), source=unit.source)
     final = final_states(scaled, [128], 20000)[0]
     ref = scale * final_states(unit, [128], 20000)[0]
     assert np.abs(final - ref).max() <= 1e-13 * np.abs(final).max()
@@ -402,8 +404,7 @@ def test_non_finite_solve_raises():
     spec = ProblemSpec(alpha=0.5, final_time=1.0,
                        coefficient=CoefficientLaw.constant(0.0),
                        initial=PiecewiseFn.zero(),
-                       source=SourceTerm.separable(PiecewiseFn.indicator(0, 0.5),
-                                                   time_scale=1e308))
+                       source=SourceTerm.separable(PiecewiseFn([0.0, 0.5, 1.0], [1e308, 0.0])))
     with pytest.raises(ValueError, match="non-finite"):
         solve(spec, 16, 50)
 
@@ -415,8 +416,7 @@ def test_solve_raises_when_only_the_nodal_final_state_overflows():
     spec = ProblemSpec(alpha=0.5, final_time=1.0,
                        coefficient=CoefficientLaw.constant(0.0),
                        initial=PiecewiseFn.zero(),
-                       source=SourceTerm.separable(PiecewiseFn.indicator(0, 0.5),
-                                                   time_scale=1e307))
+                       source=SourceTerm.separable(PiecewiseFn([0.0, 0.5, 1.0], [1e307, 0.0])))
     with pytest.raises(ValueError, match="non-finite"):
         solve(spec, 16, 4).final
 
@@ -427,7 +427,7 @@ def test_overflowing_initial_state_raises(scale):
     # datum overflows: one ValueError and no numpy warning
     spec = ProblemSpec(alpha=0.5, final_time=1.0,
                        coefficient=CoefficientLaw.constant(1.0),
-                       initial=PiecewiseFn([0.0, 0.5, 1.0], [[scale], [0.0]]),
+                       initial=PiecewiseFn([0.0, 0.5, 1.0], [scale, 0.0]),
                        source=SourceTerm.zero())
     with pytest.raises(ValueError, match="non-finite"):
         solve(spec, 16, 8)
@@ -438,7 +438,7 @@ def test_reading_an_overflowing_row_raises():
     # finite, but the back transform of row 0 overflows when it is read
     spec = ProblemSpec(alpha=0.5, final_time=1.0,
                        coefficient=CoefficientLaw.constant(1.0),
-                       initial=PiecewiseFn([0.0, 0.5, 1.0], [[1.2e307], [0.0]]),
+                       initial=PiecewiseFn([0.0, 0.5, 1.0], [1.2e307, 0.0]),
                        source=SourceTerm.zero())
     run = solve(spec, 16, 8)
     final = run.final
@@ -492,8 +492,7 @@ def test_rows_read_back_agree_bitwise(n_steps, blocked):
     rng = np.random.default_rng(n_steps)
     coeffs = rng.standard_normal((n_steps + 1, n_cells - 1))
     expected = 2.0 / n_cells * sine_transform(coeffs)
-    run = DiscreteRun(mesh=build_mesh(n_cells), n_steps=n_steps, tau=1.0 / n_steps,
-                      coefficients=coeffs.copy())
+    run = DiscreteRun(mesh=build_mesh(n_cells), tau=1.0 / n_steps, coefficients=coeffs.copy())
     assert np.array_equal(run.final, expected[-1])
     for n in range(n_steps + 1):
         assert np.array_equal(run.state(n), expected[n])
@@ -515,12 +514,20 @@ def test_rows_read_back_agree_bitwise(n_steps, blocked):
 
 
 def test_discrete_run_takes_exactly_one_kind_of_rows():
-    # n_steps + 1 rows of sine coefficients, one column per interior node
+    # rows of sine coefficients, one column per interior node: W^0 and at
+    # least one step, so the step count is the number of rows less one
     mesh = build_mesh(4)
-    with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
-        DiscreteRun(mesh=mesh, n_steps=10, tau=0.1, coefficients=np.zeros((3, 3)))
-    with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
-        DiscreteRun(mesh=mesh, n_steps=1, tau=1.0, coefficients=np.zeros((2, 4)))
+    for shape in [(3,), (2, 4), (0, 3), (1, 3)]:
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            DiscreteRun(mesh, 1.0, np.zeros(shape))
+
+
+def test_discrete_run_reads_nested_lists_as_arrays():
+    rows = np.random.default_rng(3).standard_normal((3, 3))
+    run, ref = DiscreteRun(build_mesh(4), 0.5, rows.tolist()), DiscreteRun(build_mesh(4), 0.5, rows)
+    assert run.n_steps == ref.n_steps == 2
+    assert np.array_equal(run.trajectory, ref.trajectory)
+    assert np.array_equal(run.final, ref.final)
 
 
 @pytest.mark.parametrize("n", [-1, -9, 9, 1.5, 2.0, None])
@@ -581,8 +588,7 @@ def test_non_finite_joint_march_raises():
     spec = ProblemSpec(alpha=0.5, final_time=1.0,
                        coefficient=CoefficientLaw.constant(0.0),
                        initial=PiecewiseFn.zero(),
-                       source=SourceTerm.separable(PiecewiseFn.indicator(0, 0.5),
-                                                   time_scale=1e308))
+                       source=SourceTerm.separable(PiecewiseFn([0.0, 0.5, 1.0], [1e308, 0.0])))
     with pytest.raises(ValueError, match="non-finite states"):
         final_states(spec, [8, 16], 50)
 
