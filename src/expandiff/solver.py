@@ -20,9 +20,10 @@ read.  Modes never couple, so ``final_states`` marches several meshes that
 share the step size at once, their modes side by side in one coefficient
 array, and keeps no rows; studies read nothing else.  Its memory still grows
 by 48 bytes per step, for six arrays of N + 1 numbers: the weights and the
-march's time factors.  A march works in a buffer of 1 + 2 * 64 rows, and
-history older than the previous chunk enters through a sum of Q exponentials
-of the weights, so N steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
+march's time factors.  A march works in a buffer of Q + 1 + 2 * 64 rows,
+where Q running sums, from a sum of Q exponentials of the weights, carry the
+history older than the previous chunk: a chunk takes its history in one
+product, so N steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ class SourceTerm:
         return self.spatial is None
 
     def time_factor(self, t):
-        """Time factor at a time or an array of times; 0.0 for the zero source."""
+        """Time factor at a time or an array of times; zero for the zero source."""
         if self.is_zero:
-            return 0.0
+            return np.zeros(np.shape(t))[()]
         return _power_law("source time factor", 1.0, self.time_exponent, t)
 
 
@@ -190,13 +191,12 @@ def project_initial(spec: ProblemSpec, mesh: Mesh1D) -> np.ndarray:
     return l2_project(w0, mesh)
 
 
-_WORK_ROWS = 2 * cq.CHUNK + 1  # the rows a march holds: see _march
 _LAGS = abs(np.arange(2 * cq.CHUNK, -cq.CHUNK, -1))  # lags 128 .. 0 .. 63: see _march
+_NO_SUMS = np.empty((cq.CHUNK + 1, 0)), np.empty((0, cq.CHUNK)), np.empty((0, 1))  # see _march
 
 
-def _march(w0: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float,
-           spec: ProblemSpec, weights: cq.CQWeights, n_rows: int,
-           out: np.ndarray | None = None) -> np.ndarray:
+def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
+           weights: cq.CQWeights, n_rows: int, out: np.ndarray | None = None) -> np.ndarray:
     """March the sine coefficients of W^0 .. W^{n_rows-1} by the implicit
     scheme from ``w0``, the row of W^0; return the last row, and copy rows
     1 .. into ``out`` if one is given.
@@ -211,25 +211,26 @@ def _march(w0: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float,
 
     with rho = lam_M / (tau lam_S), divided by a power of two s (see
     ``_scaled_modes``).  Steps go in chunks of 64 from n = 1, whose divisors
-    rho + d_0 kappa_n take one pass.  The march keeps 2 * 64 + 1 rows in
-    ``work``, whatever n_rows: a slot for the source, the previous chunk and
-    the current one.  Each chunk scales its weight block, -kappa_n d at the
-    lag of each of these rows and 1 where a step meets its own row.  The
-    block's left part weighs the previous chunk's rows, for all steps at
-    once, in one product.  Older rows meet lags > 64 only, where
-    d_i = sum_q c_q e^{-(i-65) x_q} (``CQWeights.exponentials``): they enter
-    as Q running sums per mode, c_q sum_j e^{-(origin-1-j) x_q} W^j, and one
-    more product, with decay rows scaled by -kappa_n, gives the chunk's
-    share.  Both products, and the source as one more row of the first, go
-    into the chunk's rows before it starts; then the previous chunk, always
-    64 rows, folds into the running sums in one product, with weights set
-    once per march, and its last row, W^{n0-1}, becomes ``carry``,
-    rho W^{n-1}.  A step's dot, with weight 1 on ``carry`` and on its own
-    row, gives the right-hand side, so a step is three array operations: the
-    dot, the division and rho W^n into ``carry``.  A run of up to 128 steps
-    has no older rows and builds no exponentials.  M counts the columns of
-    all meshes.  Raises ValueError, naming the mesh, as soon as a chunk holds
-    a non-finite coefficient.
+    rho + d_0 kappa_n take one pass.  Rows before the previous chunk meet
+    lags > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q}
+    (``CQWeights.exponentials``), so they reach the chunk from n0 as Q
+    running sums per mode, c_q sum_j e^{-(n0-65-j) x_q} W^j.  ``work`` holds
+    Q + 1 + 2 * 64 rows, whatever n_rows: the sums, the load b / lam_S (zero
+    without a source), the previous chunk, whose last row W^{n0-1} is
+    ``carry``, and the current chunk.  Row k of each chunk's weight block,
+    for step n0 + k, holds -kappa_n e^{-k x_q} on the sums, f(t_n) on the
+    load, -kappa_n d at the lag of each chunk row and 1 on the step's own
+    row.  One product of the block's left part with the rows above the chunk
+    puts each step's older history and source into its row before the chunk
+    starts; in the first chunk it ends at the load, for W^0 is no part of
+    the history.  Then the previous chunk, always 64 rows, folds into the
+    sums in one more product, with weights set once per march, and ``carry``
+    becomes rho W^{n-1}.  A step's dot, with weight 1 on ``carry`` and on its
+    own row, gives the right-hand side, so a step is three array operations:
+    the dot, the division and rho W^n into ``carry``.  A run of up to 128
+    steps has no rows before its previous chunk, so Q = 0 and it builds no
+    exponentials.  M counts the columns of all meshes.  Raises ValueError,
+    naming the mesh, as soon as a chunk holds a non-finite coefficient.
     """
     n_modes = w0.size
     rho, scale, load = _scaled_modes(meshes, tau, spec)
@@ -238,57 +239,49 @@ def _march(w0: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float,
     f = spec.source.time_factor(times) / scale
     lead = -weights.d[0] * hist_factor  # d_0 kappa_n / s
     chunk = cq.CHUNK
-    # work[j], j >= 1, holds W^{n0-chunk-1+j} while the chunk from n0 runs:
-    # the previous chunk, then the current one; work[0] is the source's slot
-    work[chunk] = w0
-    carry = work[chunk]  # W^{n0-1}, until the chunk's products and fold have read it
-    # column j of the weight block meets work[j], at lag |here + k - j| for
-    # step k: the block scales a Toeplitz view of d (a lag beyond the run is
-    # never read), and work[here + k] is the step's own row
-    here = chunk + 1
+    powers, fold, shift = _NO_SUMS
+    if n_rows - 1 > 2 * chunk:  # some chunk meets rows before its previous chunk
+        x, amp = weights.exponentials
+        powers = np.exp(-np.arange(chunk + 1.0)[:, None] * x)  # e^{-k x_q}, k = 0 .. 64
+        fold = (amp * powers[chunk - 1::-1]).T  # c_q e^{-(63-j) x_q} on previous row j
+        shift = powers[chunk, :, None]
+    q = len(fold)
+    # work[here + j], j >= -chunk, holds W^{n0+j} while the chunk from n0 runs
+    here = q + chunk + 1
+    work = _coefficients(here + chunk, n_modes, meshes, n_rows - 1)
+    y, work[q], work[here - 1] = work[:q], load, w0
+    y.fill(0.0)  # the running sums, scaled by c_q like the weights
+    carry = work[here - 1]  # W^{n0-1}, until the chunk's product and fold have read it
+    # column j of the weight block meets work[j]; from the load's column q on
+    # it scales a Toeplitz view of d, at lag |here + k - j| for step k (a lag
+    # beyond the run is never read), and work[here + k] is the step's own row
     d = np.take(weights.d, _LAGS, mode="clip")
-    lags = np.ndarray((chunk, _WORK_ROWS), buffer=d, offset=d.itemsize * (chunk - 1),
+    lags = np.ndarray((chunk, 2 * chunk + 1), buffer=d, offset=d.itemsize * (chunk - 1),
                       strides=(-d.itemsize, d.itemsize))
-    block = np.empty_like(lags)
-    own = block.reshape(-1)[here::_WORK_ROWS + 1]  # the diagonal: weight 1
+    block = np.empty((chunk, here + chunk))
+    own = block.reshape(-1)[here::here + chunk + 1]  # the diagonal: weight 1
+    scratch = np.empty_like(y)  # the fold's output: fresh Q x M arrays per chunk fragment the heap
     span = min(chunk, n_rows - 1)  # the rows of the longest chunk
     den = np.empty((span, n_modes))
     hist = np.empty(n_modes)
     # step k's dot, sliced once: carry, then the chunk's rows up to its own
-    ws = [w[:k] for k, w in enumerate(block[:span, chunk:], 2)]
-    olds = [work[chunk:chunk + k] for k in range(2, span + 2)]
-    if n_rows - 1 > 2 * chunk:  # some chunk meets rows before its previous chunk
-        x, amp = weights.exponentials
-        decay = np.exp(-np.outer(np.arange(span), x))
-        fold = amp[:, None] * np.exp(np.outer(x, np.arange(1 - chunk, 1)))  # c_q e^{(j-63) x_q}
-        shift = np.exp(-chunk * x)[:, None]
-        # y: the running sums, scaled by c_q like the weights; fixed buffers,
-        # because fresh (Q or 64) x M arrays per chunk fragment the heap
-        y, scratch = np.zeros((x.size, n_modes)), np.empty((max(x.size, chunk), n_modes))
+    ws = [w[:k] for k, w in enumerate(block[:span, here - 1:], 2)]
+    olds = [work[here - 1:here - 1 + k] for k in range(2, span + 2)]
+    reach = 0  # the previous chunk's rows in the chunk's product: none in the first
     for n0 in range(1, n_rows, chunk):
         n1 = min(n0 + chunk, n_rows)
         r = n1 - n0
         weight, rows, dn = block[:r], work[here:here + r], den[:r]
-        origin = max(1, n0 - chunk)  # the previous chunk's rows from W^origin on
-        a = origin - n0 + here  # their first column
-        np.multiply(hist_factor[n0:n1, None], lags[:r, a:here + r], out=weight[:, a:here + r])
+        np.multiply(hist_factor[n0:n1, None], powers[:r], out=weight[:, :q])
+        weight[:, q] = f[n0:n1]
+        np.multiply(hist_factor[n0:n1, None], lags[:r, chunk + 1 - reach:chunk + 1 + r],
+                    out=weight[:, here - reach:here + r])
         own[:r] = 1.0
-        near = work[a:here]
-        if origin < n0:
-            if load is not None:  # the source: one more row, with weights f(t_n)
-                a -= 1
-                work[a], weight[:, a] = load, f[n0:n1]
-            np.matmul(weight[:, a:here], work[a:here], out=rows)
-            if origin > 1:
-                rows += np.matmul(hist_factor[n0:n1, None] * decay[:r], y, out=scratch[:r])
-            if n1 < n_rows:  # a later chunk meets these rows in the far field
-                y *= shift
-                y += np.matmul(fold, near, out=scratch[:x.size])
-        elif load is not None:
-            np.multiply(f[n0:n1, None], load, out=rows)
-        else:
-            rows.fill(0.0)
-        weight[:, chunk] = 1.0
+        np.matmul(weight[:, :q + 1 + reach], work[:q + 1 + reach], out=rows)
+        if reach and n1 < n_rows:  # a later chunk meets these rows through the sums
+            y *= shift
+            y += np.matmul(fold, work[here - chunk:here], out=scratch)
+        weight[:, here - 1] = 1.0
         np.multiply(rho, carry, carry)
         np.add(lead[n0:n1, None], rho, out=dn)
         for w, older, dk, row in zip(ws, olds, dn, rows):
@@ -301,18 +294,19 @@ def _march(w0: np.ndarray, work: np.ndarray, meshes: list[Mesh1D], tau: float,
         if out is not None:
             out[n0:n1] = rows
         if n1 < n_rows:
-            work[1:chunk + 1] = work[chunk + 1:]  # disjoint rows: a plain copy
+            work[here - chunk:here] = work[here:]  # disjoint rows: a plain copy
+        reach = chunk
     return rows[-1]
 
 
 def _scaled_modes(meshes: list[Mesh1D], tau: float, spec: ProblemSpec):
-    """The meshes' joint rho = lam_M / (tau lam_S) over s, s, and the load b / lam_S or None:
+    """The meshes' joint rho = lam_M / (tau lam_S) over s, s, and the load b / lam_S:
     s is the least power of two above max rho if that is > 1, else 1, so rho / s <= 1 exactly."""
     lam_m, lam_s = (np.concatenate(lams) for lams in zip(*map(mode_eigenvalues, meshes)))
     rho = lam_m / (tau * lam_s)
     scale = math.ldexp(1.0, math.frexp(rho.max())[1]) if rho.max() > 1.0 else 1.0
     rho /= scale
-    load = None if spec.source.is_zero else np.concatenate(
+    load = np.zeros_like(rho) if spec.source.is_zero else np.concatenate(
         [sine_transform(basis_integrals(spec.source.spatial, mesh)) for mesh in meshes]) / lam_s
     return rho, scale, load
 
@@ -346,7 +340,6 @@ def _joint_march(spec: ProblemSpec, cells, n_steps: int, keep: bool):
         raise ValueError("cells must not be empty")
     columns = _columns(meshes)
     rows = _coefficients(n_steps + 1 if keep else 1, columns[-1].stop, meshes, n_steps)
-    work = _coefficients(_WORK_ROWS, columns[-1].stop, meshes, n_steps)
     tau = spec.final_time / n_steps
     try:
         weights = cq.generate(spec.alpha, tau, n_steps + 1)
@@ -356,7 +349,7 @@ def _joint_march(spec: ProblemSpec, cells, n_steps: int, keep: bool):
     with np.errstate(over="ignore", invalid="ignore"):
         for mesh, cols in zip(meshes, columns):
             rows[0, cols] = sine_transform(project_initial(spec, mesh))
-        final = _march(rows[0], work, meshes, tau, spec, weights, n_steps + 1,
+        final = _march(rows[0], meshes, tau, spec, weights, n_steps + 1,
                        out=rows if keep else None)
     return n_steps, meshes, columns, rows if keep else final
 

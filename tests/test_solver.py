@@ -54,6 +54,8 @@ def test_source_time_factor():
     const = SourceTerm.separable(PiecewiseFn.indicator(0.0, 1.0))
     assert const.time_factor(0.0) == 1.0  # t**0 is 1, at t = 0 too
     assert SourceTerm.zero().time_factor(3.0) == 0.0
+    zero = SourceTerm.zero().time_factor(np.linspace(0.0, 1.0, 5))  # a row of the march's block
+    assert np.shape(zero) == (5,) and not np.any(zero)
 
 
 def test_problem_spec_rejects_degenerate_time_and_order():
@@ -282,20 +284,23 @@ def test_modal_solve_matches_dense_nodal_reference(alpha, n_cells):
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
-@pytest.mark.parametrize("n_steps", [63, 64, 65, 129, 300])
-@pytest.mark.parametrize("blocked", [False, True], ids=["cached", "blocked"])
-def test_solve_matches_direct_history_sum(alpha, n_steps, blocked):
-    # narrow and wide runs (n_steps * M below and above 2**18); the step
-    # counts hit a lone partial chunk of 64, one full chunk, a one-row last
-    # chunk, the first chunk with a far field and a partial last chunk
-    n_cells = 2 ** 18 // n_steps + 2 if blocked else 24
+@pytest.mark.parametrize("n_steps", [63, 64, 65, 129, 300, 2000])
+# few and many modes, under their earlier ids
+@pytest.mark.parametrize("many", [False, True], ids=["cached", "blocked"])
+def test_solve_matches_direct_history_sum(alpha, n_steps, many):
+    # few and many modes: 23, and more than the 2 * 64 rows of the previous
+    # and the current chunk, so that the history product and the fold are
+    # wider than deep; the step counts hit a lone partial chunk of 64, one
+    # full chunk, a one-row last chunk, the first chunk with running sums, a
+    # partial last chunk and about 30 folds
+    n_cells = 2 ** 18 // n_steps + 2 if many else 24
     spec = ProblemSpec(alpha=alpha, final_time=1.0,
                        coefficient=CoefficientLaw.power(2.0, 1.5),
                        initial=PiecewiseFn.indicator(0.3, 0.8),
                        source=SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5),
                                                    time_exponent=0.1))
     run = solve(spec, n_cells, n_steps)
-    assert (n_steps * (n_cells - 1) > 2 ** 18) == blocked
+    assert (n_cells - 1 > 2 * cq.CHUNK) == many
     ref = direct_history_solve(spec, n_cells, n_steps)
     assert np.abs(run.trajectory - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -482,13 +487,14 @@ def test_trajectory_shape_and_times():
 
 
 @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 130])
-@pytest.mark.parametrize("blocked", [False, True], ids=["cached", "blocked"])
-def test_rows_read_back_agree_bitwise(n_steps, blocked):
+# few and many modes, under their earlier ids
+@pytest.mark.parametrize("many", [False, True], ids=["cached", "blocked"])
+def test_rows_read_back_agree_bitwise(n_steps, many):
     # final and state(n) transform one row, trajectory all rows in blocks;
     # each is 2/n times the sine transform of the coefficient row; 5 * 2**16
-    # cells give wide runs (n_steps x M above 2**18) at a transform length
-    # with small factors
-    n_cells = 5 * 2 ** 16 // n_steps if blocked else 24
+    # cells give many modes, over 2 * 64 and so rows of thousands of values,
+    # at a transform length with small factors
+    n_cells = 5 * 2 ** 16 // n_steps if many else 24
     rng = np.random.default_rng(n_steps)
     coeffs = rng.standard_normal((n_steps + 1, n_cells - 1))
     expected = 2.0 / n_cells * sine_transform(coeffs)
@@ -501,10 +507,10 @@ def test_rows_read_back_agree_bitwise(n_steps, blocked):
     assert np.array_equal(run.state(n_steps // 2), expected[n_steps // 2])
     # a solved run: the pure-Python projection onto 5 * 2**16 cells would
     # dominate the suite, so the one-step solve stays narrow
-    if blocked and n_steps == 1:
+    if many and n_steps == 1:
         return
     solved = solve(_forced(), n_cells, n_steps)
-    assert (n_steps * (n_cells - 1) > 2 ** 18) == blocked
+    assert (n_cells - 1 > 2 * cq.CHUNK) == many
     rows = [solved.state(n) for n in range(n_steps + 1)]
     final = solved.final
     trajectory = solved.trajectory
@@ -561,13 +567,14 @@ def _chi_forced(alpha=0.35):
 
 
 @pytest.mark.parametrize("spec", [_sine_forced(), _chi_forced()], ids=["sine", "chi"])
-@pytest.mark.parametrize("cells, n_steps, blocked",
+# few and many modes, under their earlier ids
+@pytest.mark.parametrize("cells, n_steps, many",
                          [([8, 16, 32], 50, False), ([128, 256, 512], 300, True)],
                          ids=["cached", "blocked"])
-def test_joint_march_matches_separate_solves(spec, cells, n_steps, blocked):
-    # the wide case marches three meshes for 300 steps, so their modes share
-    # one far field
-    assert (n_steps * sum(n - 1 for n in cells) > 2 ** 18) == blocked
+def test_joint_march_matches_separate_solves(spec, cells, n_steps, many):
+    # the case with many modes marches three meshes for 300 steps, so their
+    # modes share the running sums
+    assert (min(sum(n - 1 for n in cells), n_steps) > 2 * cq.CHUNK) == many
     finals = final_states(spec, cells, n_steps)
     assert [final.shape for final in finals] == [(n - 1,) for n in cells]
     for n_cells, final in zip(cells, finals):
