@@ -12,8 +12,12 @@ diagonal in the discrete sine basis, so the stepper advances sine
 coefficients, and time enters only through kappa(t_n) and the source's
 f(t_n).  Divided by the stiffness eigenvalue and a power of two, a step is
 one dot, one division and one product, with or without a source: chunks of
-64 steps carry kappa(t_n) and f(t_n) in their weight block, and a buffer row
-carries rho W^{n-1} (see ``_march``).
+64 steps carry kappa(t_n) and f(t_n) in their weight block and run in
+sub-blocks of 8 to 64 steps, fewer the more modes march, and the row before
+each sub-block carries rho W^{n-1}, so that a step's dot reads at most one
+more row than a sub-block holds.  The march runs on W^0 and the load divided
+by a power of two that brings them near 1, so small states do not fall into
+the slow subnormal numbers (see ``_march``).
 ``solve`` keeps every row of one mesh's march in a run, which holds its
 sine coefficients and transforms rows back to nodal values when they are
 read.  Modes never couple, so ``final_states`` marches several meshes that
@@ -22,8 +26,10 @@ array, and keeps no rows; studies read nothing else.  Its memory still grows
 by 48 bytes per step, for six arrays of N + 1 numbers: the weights and the
 march's time factors.  A march works in a buffer of Q + 1 + 2 * 64 rows,
 where Q running sums, from a sum of Q exponentials of the weights, carry the
-history older than the previous chunk: a chunk takes its history in one
-product, so N steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
+history older than the previous chunk: a chunk takes its history from
+before it in one product, and each later sub-block the history of the
+chunk's earlier rows in one more, so N steps cost O(N Q M) work, not
+O(N^2 M) (see ``_march``).
 """
 
 from __future__ import annotations
@@ -210,9 +216,14 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
                                   + f(t_n) b / lam_S
 
     with rho = lam_M / (tau lam_S), divided by a power of two s (see
-    ``_scaled_modes``).  Steps go in chunks of 64 from n = 1, whose divisors
-    rho + d_0 kappa_n take one pass.  Rows before the previous chunk meet
-    lags > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q}
+    ``_scaled_modes``).  The scheme is linear, so the march divides W^0 and
+    the load by the power of two 2**e that puts the larger of their largest
+    magnitudes in [0.5, 1), or by 1 when both are zero, and multiplies the
+    rows it copies out and returns by it.  That is exact for normal numbers,
+    and keeps states near 1e-300 out of the subnormal numbers, which cost
+    some 25 times more; a solution that decays into subnormals by itself
+    still pays.  Steps go in chunks of 64 from n = 1.  Rows before the
+    previous chunk meet lags > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q}
     (``CQWeights.exponentials``), so they reach the chunk from n0 as Q
     running sums per mode, c_q sum_j e^{-(n0-65-j) x_q} W^j.  ``work`` holds
     Q + 1 + 2 * 64 rows, whatever n_rows: the sums, the load b / lam_S (zero
@@ -225,20 +236,39 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
     starts; in the first chunk it ends at the load, for W^0 is no part of
     the history.  Then the previous chunk, always 64 rows, folds into the
     sums in one more product, with weights set once per march, and ``carry``
-    becomes rho W^{n-1}.  A step's dot, with weight 1 on ``carry`` and on its
-    own row, gives the right-hand side, so a step is three array operations:
-    the dot, the division and rho W^n into ``carry``.  A run of up to 128
-    steps has no rows before its previous chunk, so Q = 0 and it builds no
-    exponentials.  M counts the columns of all meshes.  Raises ValueError,
-    naming the mesh, as soon as a chunk holds a non-finite coefficient.
+    becomes rho W^{n-1}.
+
+    A chunk runs in sub-blocks of b steps, where b follows from M, the
+    columns of all meshes, alone: the largest power of two in [8, 64] with
+    b M <= 2**14, or 8, so that the rows a sub-block re-reads stay in cache;
+    b = 64, one sub-block per chunk, up to M = 256.  Before each later
+    sub-block, one product of the block's lag weights with the chunk's
+    earlier rows adds their history to the sub-block's rows, and the row
+    before the sub-block, saved and restored around it, is its carry slot,
+    as ``carry`` is the first sub-block's.  A step's dot, with weight 1 on
+    its carry slot, rho W^{n-1}, and on its own row, reads at most b + 1
+    rows and gives the right-hand side, so a step is three array
+    operations: the dot, the division by rho + d_0 kappa_n, whose rows are
+    built just before the sub-block, and rho W^n into the carry slot.  Each
+    step's operands are sliced once per march.  A run of up to 128 steps has
+    no rows before its previous chunk, so Q = 0 and it builds no
+    exponentials.  Raises ValueError, naming the mesh, as soon as a chunk
+    holds a non-finite coefficient, and when the four arrays of n_rows time
+    factors cannot be allocated.
     """
     n_modes = w0.size
     rho, scale, load = _scaled_modes(meshes, tau, spec)
-    times = tau * np.arange(n_rows)
-    hist_factor = -spec.coefficient(times) / scale
-    f = spec.source.time_factor(times) / scale
-    lead = -weights.d[0] * hist_factor  # d_0 kappa_n / s
+    try:
+        times = tau * np.arange(n_rows)
+        hist_factor = -spec.coefficient(times) / scale
+        f = spec.source.time_factor(times) / scale
+        lead = -weights.d[0] * hist_factor  # d_0 kappa_n / s
+    except MemoryError:
+        raise _unallocated("time factors", 32 * n_rows, meshes, n_rows - 1) from None
     chunk = cq.CHUNK
+    sub = chunk  # steps per sub-block: its rows hold at most 2**14 numbers, or 8 rows
+    while sub > 8 and sub * n_modes > 2 ** 14:
+        sub //= 2
     powers, fold, shift = _NO_SUMS
     if n_rows - 1 > 2 * chunk:  # some chunk meets rows before its previous chunk
         x, amp = weights.exponentials
@@ -246,10 +276,13 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
         fold = (amp * powers[chunk - 1::-1]).T  # c_q e^{-(63-j) x_q} on previous row j
         shift = powers[chunk, :, None]
     q = len(fold)
-    # work[here + j], j >= -chunk, holds W^{n0+j} while the chunk from n0 runs
+    # work[here + j], j >= -chunk, holds 2**-e W^{n0+j} while the chunk from n0 runs
     here = q + chunk + 1
     work = _coefficients(here + chunk, n_modes, meshes, n_rows - 1)
     y, work[q], work[here - 1] = work[:q], load, w0
+    ends = work[q:here:chunk]  # the load and W^0, times 2**-e, which puts their peak in [0.5, 1)
+    e = math.frexp(np.abs(ends).max())[1]
+    np.ldexp(ends, -e, out=ends)
     y.fill(0.0)  # the running sums, scaled by c_q like the weights
     carry = work[here - 1]  # W^{n0-1}, until the chunk's product and fold have read it
     # column j of the weight block meets work[j]; from the load's column q on
@@ -262,16 +295,25 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
     own = block.reshape(-1)[here::here + chunk + 1]  # the diagonal: weight 1
     scratch = np.empty_like(y)  # the fold's output: fresh Q x M arrays per chunk fragment the heap
     span = min(chunk, n_rows - 1)  # the rows of the longest chunk
-    den = np.empty((span, n_modes))
+    den = np.empty((min(sub, span), n_modes))  # a sub-block's divisors
+    part = np.empty_like(den)  # a sub-block's history from the chunk's earlier rows
+    saved = np.empty(n_modes)  # the row under a later sub-block's carry slot
     hist = np.empty(n_modes)
-    # step k's dot, sliced once: carry, then the chunk's rows up to its own
-    ws = [w[:k] for k, w in enumerate(block[:span, here - 1:], 2)]
-    olds = [work[here - 1:here - 1 + k] for k in range(2, span + 2)]
+    # step k's operands, sliced once: the dot's weights and rows, from the
+    # carry slot of its sub-block, the row before the sub-block, to its own
+    # row; its divisor; its own row; the carry slot
+    tail = work[here - 1:]  # tail[s0] is the carry slot of the sub-block from s0
+    steps = []
+    for s0 in range(0, span, sub):
+        s1 = min(s0 + sub, span)
+        steps += zip([w[s0:k] for k, w in enumerate(block[s0:s1, here - 1:], s0 + 2)],
+                     [tail[s0:k] for k in range(s0 + 2, s1 + 2)], den, tail[s0 + 1:s1 + 1],
+                     [tail[s0]] * (s1 - s0))
     reach = 0  # the previous chunk's rows in the chunk's product: none in the first
     for n0 in range(1, n_rows, chunk):
         n1 = min(n0 + chunk, n_rows)
         r = n1 - n0
-        weight, rows, dn = block[:r], work[here:here + r], den[:r]
+        weight, rows = block[:r], work[here:here + r]
         np.multiply(hist_factor[n0:n1, None], powers[:r], out=weight[:, :q])
         weight[:, q] = f[n0:n1]
         np.multiply(hist_factor[n0:n1, None], lags[:r, chunk + 1 - reach:chunk + 1 + r],
@@ -281,22 +323,31 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
         if reach and n1 < n_rows:  # a later chunk meets these rows through the sums
             y *= shift
             y += np.matmul(fold, work[here - chunk:here], out=scratch)
-        weight[:, here - 1] = 1.0
         np.multiply(rho, carry, carry)
-        np.add(lead[n0:n1, None], rho, out=dn)
-        for w, older, dk, row in zip(ws, olds, dn, rows):
-            np.dot(w, older, hist)  # out by position: parsed faster than out=
-            np.divide(hist, dk, row)
-            np.multiply(rho, row, carry)
+        for s0 in range(0, r, sub):
+            s1 = min(s0 + sub, r)
+            if s0:  # the chunk's earlier rows enter in one product; the last is the carry slot
+                rows[s0:s1] += np.matmul(weight[s0:s1, here:here + s0], rows[:s0],
+                                         out=part[:s1 - s0])
+                np.copyto(saved, rows[s0 - 1])
+                np.multiply(rho, saved, rows[s0 - 1])
+            weight[s0:s1, here + s0 - 1] = 1.0
+            np.add(lead[n0 + s0:n0 + s1, None], rho, out=den[:s1 - s0])
+            for w, older, dk, row, slot in steps[s0:s1]:
+                np.dot(w, older, hist)  # out by position: parsed faster than out=
+                np.divide(hist, dk, row)
+                np.multiply(rho, row, slot)
+            if s0:
+                np.copyto(rows[s0 - 1], saved)
         if not np.isfinite(rows).all():  # name the first mesh at fault
             for mesh, cols in zip(meshes, _columns(meshes)):
                 _require_finite(rows[:, cols], mesh, n_rows - 1)
         if out is not None:
-            out[n0:n1] = rows
+            np.ldexp(rows, e, out=out[n0:n1])
         if n1 < n_rows:
             work[here - chunk:here] = work[here:]  # disjoint rows: a plain copy
         reach = chunk
-    return rows[-1]
+    return np.ldexp(rows[-1], e)
 
 
 def _scaled_modes(meshes: list[Mesh1D], tau: float, spec: ProblemSpec):
@@ -324,7 +375,7 @@ def final_states(spec: ProblemSpec, cells, n_steps: int) -> list[np.ndarray]:
     with ``solve(spec, n, n_steps).final`` of its mesh to rounding, and
     bitwise for one mesh.  Deterministic.  Raises ValueError for no meshes,
     when a coefficient or a final state comes out non-finite, or when the
-    march's buffer or the weights cannot be allocated."""
+    march's buffer, its time factors or the weights cannot be allocated."""
     n_steps, meshes, columns, final = _joint_march(spec, cells, n_steps, keep=False)
     return [_nodal(final[cols], mesh, n_steps) for mesh, cols in zip(meshes, columns)]
 
@@ -333,7 +384,7 @@ def _joint_march(spec: ProblemSpec, cells, n_steps: int, keep: bool):
     """The step count, the meshes of ``cells`` cells, their columns, and the
     sine coefficients of their joint march with tau = T / n_steps: every row
     if ``keep``, else the last.  ValueError if the rows kept, the march's
-    buffer or the weights cannot be allocated."""
+    buffer, its time factors or the weights cannot be allocated."""
     n_steps = require_count(n_steps, 1, "n_steps")
     meshes = [build_mesh(n) for n in cells]
     if not meshes:
@@ -374,8 +425,8 @@ def solve(spec: ProblemSpec, n_cells: int, n_steps: int) -> DiscreteRun:
 
     Deterministic: identical inputs produce bitwise-identical trajectories.
     Raises ValueError when a coefficient or the final state comes out
-    non-finite, or when the rows or weights cannot be allocated; any other
-    row whose nodal values overflow raises when read.
+    non-finite, or when the rows, time factors or weights cannot be
+    allocated; any other row whose nodal values overflow raises when read.
     """
     n_steps, (mesh,), _, coeffs = _joint_march(spec, [n_cells], n_steps, keep=True)
     run = DiscreteRun(mesh, spec.final_time / n_steps, coeffs)

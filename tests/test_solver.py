@@ -284,7 +284,7 @@ def test_modal_solve_matches_dense_nodal_reference(alpha, n_cells):
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
-@pytest.mark.parametrize("n_steps", [63, 64, 65, 129, 300, 2000])
+@pytest.mark.parametrize("n_steps", [63, 64, 65, 129, 300, 357, 400, 2000])
 # few and many modes, under their earlier ids
 @pytest.mark.parametrize("many", [False, True], ids=["cached", "blocked"])
 def test_solve_matches_direct_history_sum(alpha, n_steps, many):
@@ -292,7 +292,11 @@ def test_solve_matches_direct_history_sum(alpha, n_steps, many):
     # and the current chunk, so that the history product and the fold are
     # wider than deep; the step counts hit a lone partial chunk of 64, one
     # full chunk, a one-row last chunk, the first chunk with running sums, a
-    # partial last chunk and about 30 folds
+    # partial last chunk, 4 folds and a last chunk of 37 rows, 5 folds and a
+    # last chunk of 16 rows, and about 30 folds.  Many modes split the chunks
+    # into sub-blocks of 8 steps up to 129 steps, of 16 from 300 to 400 steps
+    # (so the last chunk of 37 rows ends inside its third sub-block), and
+    # not at 2000 steps
     n_cells = 2 ** 18 // n_steps + 2 if many else 24
     spec = ProblemSpec(alpha=alpha, final_time=1.0,
                        coefficient=CoefficientLaw.power(2.0, 1.5),
@@ -569,11 +573,14 @@ def _chi_forced(alpha=0.35):
 @pytest.mark.parametrize("spec", [_sine_forced(), _chi_forced()], ids=["sine", "chi"])
 # few and many modes, under their earlier ids
 @pytest.mark.parametrize("cells, n_steps, many",
-                         [([8, 16, 32], 50, False), ([128, 256, 512], 300, True)],
-                         ids=["cached", "blocked"])
+                         [([8, 16, 32], 50, False), ([128, 256, 512], 300, True),
+                          ([256, 512, 1024], 357, True)],
+                         ids=["cached", "blocked", "sub-blocked"])
 def test_joint_march_matches_separate_solves(spec, cells, n_steps, many):
-    # the case with many modes marches three meshes for 300 steps, so their
-    # modes share the running sums
+    # the cases with many modes march three meshes for 300 and 357 steps, so
+    # their modes share the running sums; the joint march of 1,789 modes
+    # takes sub-blocks of 8 steps, through 4 folds and into a last chunk of
+    # 37 rows, against separate solves in sub-blocks of 64, 32 and 16 steps
     assert (min(sum(n - 1 for n in cells), n_steps) > 2 * cq.CHUNK) == many
     finals = final_states(spec, cells, n_steps)
     assert [final.shape for final in finals] == [(n - 1,) for n in cells]
@@ -617,6 +624,17 @@ def test_impossible_allocation_raises_value_error(cells, n_steps):
     with pytest.raises(ValueError, match=rf"cannot allocate \S+ bytes for the {what} "
                                          r"\(n_cells=.*, n_steps=.*\)"):
         march()
+
+
+def test_failed_time_factor_allocation_raises_value_error(monkeypatch):
+    # kappa(t_n) is the first of the march's four arrays of n_steps + 1 numbers
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(CoefficientLaw, "__call__", exhausted)
+    with pytest.raises(ValueError, match=r"cannot allocate 352 bytes for the time factors "
+                                         r"\(n_cells=8, 16, n_steps=10\)"):
+        final_states(_forced(), [8, 16], 10)
 
 
 def test_failed_weight_allocation_raises_value_error(monkeypatch):
