@@ -12,7 +12,7 @@ w = generate_weights(alpha, tau, 2000)
 
 print(f"alpha = {alpha}, tau = {tau}")
 print("g[0..6]  =", np.round(w.g[:7], 6))
-print("d[0]     =", w.d[0], " (tau^(alpha-1))")
+print("d[0]     =", tau ** (alpha - 1) * w.g[0], " (tau^(alpha-1))")
 
 # All weights after the first are negative and the partial sums decrease
 # towards zero like k^(-alpha): the scheme forgets the past slowly, which

@@ -4,8 +4,9 @@ The weights d_i are the Taylor coefficients of ((1 - z)/tau)^(1-alpha):
 d_i = tau^(alpha-1) * g_i with g_i = (-1)^i * binom(1-alpha, i).  They are
 produced by the multiplicative recurrence g_i = g_{i-1} * (i - 2 + alpha) / i,
 one cumulative product, which is O(N), overflow-free and stable for all i.
-A stepper sums the history of its current and previous chunk of ``CHUNK``
-steps directly, with weights from ``d``; the older history meets lags >
+``CQWeights`` holds g only: d is formed where it is used, at the lags it is
+read.  A stepper sums the history of its current and previous chunk of
+``CHUNK`` steps directly, with weights d; the older history meets lags >
 ``CHUNK`` only, and there it takes them from ``CQWeights.exponentials``, a
 short sum of exponentials that turns that history into running sums (the
 kernel compression of Baffet & Hesthaven, SIAM J. Numer. Anal. 55 (2017) 496).
@@ -32,7 +33,6 @@ class CQWeights:
     alpha: float
     tau: float
     g: np.ndarray  # dimensionless binomial-type coefficients, g[0] = 1
-    d: np.ndarray  # d[i] = tau^(alpha-1) * g[i]
 
     @property
     def count(self) -> int:
@@ -81,7 +81,7 @@ class CQWeights:
 
 
 def generate(alpha: float, tau: float, count: int) -> CQWeights:
-    """Weights d_0 .. d_{count-1} for order alpha in (0, 1] and step tau > 0.
+    """Weights d_0 .. d_{count-1}, held as g, for order alpha in (0, 1] and step tau > 0.
 
     alpha = 1 is the degenerate case g = (1, 0, 0, ...), which reduces the
     stepper to classical backward Euler.  ValueError, naming the argument,
@@ -94,4 +94,4 @@ def generate(alpha: float, tau: float, count: int) -> CQWeights:
     count = require_count(count, 1, "count")
     i = np.arange(1, count)
     g = np.cumprod(np.concatenate(([1.0], (i - 2 + alpha) / i)))
-    return CQWeights(alpha=float(alpha), tau=float(tau), g=g, d=tau ** (alpha - 1.0) * g)
+    return CQWeights(alpha=float(alpha), tau=float(tau), g=g)

@@ -10,26 +10,26 @@ where M and S are the P1 mass and stiffness matrices, b is the load vector
 of the source and d_i are the convolution-quadrature weights.  M and S are
 diagonal in the discrete sine basis, so the stepper advances sine
 coefficients, and time enters only through kappa(t_n) and the source's
-f(t_n).  Divided by the stiffness eigenvalue and a power of two, a step is
-one dot, one division and one product, with or without a source: chunks of
-64 steps carry kappa(t_n) and f(t_n) in their weight block and run in
-sub-blocks of 8 to 64 steps, fewer the more modes march, and the row before
-each sub-block carries rho W^{n-1}, so that a step's dot reads at most one
-more row than a sub-block holds.  The march runs on W^0 and the load divided
-by a power of two that brings them near 1, so small states do not fall into
+f(t_n).  Divided by the stiffness eigenvalue, a step is one dot, one
+division and one product, with or without a source: chunks of 64 steps
+carry kappa(t_n) and f(t_n) in their weight block and run in sub-blocks of
+8 to 64 steps, fewer the more modes march, and the row before each
+sub-block carries rho W^{n-1}, so that a step's dot reads at most one more
+row than a sub-block holds.  The march runs on W^0 and the load divided by
+a power of two that brings them near 1, so small states do not fall into
 the slow subnormal numbers (see ``_march``).
 ``solve`` keeps every row of one mesh's march in a run, which holds its
 sine coefficients and transforms rows back to nodal values when they are
 read.  Modes never couple, so ``final_states`` marches several meshes that
 share the step size at once, their modes side by side in one coefficient
 array, and keeps no rows; studies read nothing else.  Its memory still grows
-by 48 bytes per step, for six arrays of N + 1 numbers: the weights and the
-march's time factors.  A march works in a buffer of Q + 1 + 2 * 64 rows,
-where Q running sums, from a sum of Q exponentials of the weights, carry the
-history older than the previous chunk: a chunk takes its history from
-before it in one product, and each later sub-block the history of the
-chunk's earlier rows in one more, so N steps cost O(N Q M) work, not
-O(N^2 M) (see ``_march``).
+by 24 bytes per step, for three arrays of N + 1 numbers: the weights g and
+the march's two time factors, kappa(t_n) and f(t_n).  A march works in a
+buffer of Q + 1 + 2 * 64 rows, where Q running sums, from a sum of Q
+exponentials of the weights, carry the history older than the previous
+chunk: a chunk takes its history from before it in one product, and each
+later sub-block the history of the chunk's earlier rows in one more, so N
+steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
 """
 
 from __future__ import annotations
@@ -201,11 +201,12 @@ _LAGS = abs(np.arange(2 * cq.CHUNK, -cq.CHUNK, -1))  # lags 128 .. 0 .. 63: see 
 _NO_SUMS = np.empty((cq.CHUNK + 1, 0)), np.empty((0, cq.CHUNK)), np.empty((0, 1))  # see _march
 
 
-def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
-           weights: cq.CQWeights, n_rows: int, out: np.ndarray | None = None) -> np.ndarray:
-    """March the sine coefficients of W^0 .. W^{n_rows-1} by the implicit
-    scheme from ``w0``, the row of W^0; return the last row, and copy rows
-    1 .. into ``out`` if one is given.
+def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, weights: cq.CQWeights,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """March the sine coefficients of W^0 .. W^{n_rows-1}, n_rows =
+    ``weights.count``, by the implicit scheme with the step ``weights.tau``
+    from ``w0``, the row of W^0; return the last row, and copy rows 1 .. into
+    ``out`` if one is given.
 
     The columns hold the modes of each mesh in ``meshes`` side by side, in
     order.  Modes never couple, so one march advances meshes that share the
@@ -215,28 +216,30 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
         (rho + d_0 kappa_n) W^n = rho W^{n-1} + sum_{i=1}^{n-1} -kappa_n d_i W^{n-i}
                                   + f(t_n) b / lam_S
 
-    with rho = lam_M / (tau lam_S), divided by a power of two s (see
-    ``_scaled_modes``).  The scheme is linear, so the march divides W^0 and
-    the load by the power of two 2**e that puts the larger of their largest
-    magnitudes in [0.5, 1), or by 1 when both are zero, and multiplies the
-    rows it copies out and returns by it.  That is exact for normal numbers,
-    and keeps states near 1e-300 out of the subnormal numbers, which cost
-    some 25 times more; a solution that decays into subnormals by itself
-    still pays.  Steps go in chunks of 64 from n = 1.  Rows before the
-    previous chunk meet lags > 64 only, where d_i = sum_q c_q e^{-(i-65) x_q}
-    (``CQWeights.exponentials``), so they reach the chunk from n0 as Q
-    running sums per mode, c_q sum_j e^{-(n0-65-j) x_q} W^j.  ``work`` holds
-    Q + 1 + 2 * 64 rows, whatever n_rows: the sums, the load b / lam_S (zero
-    without a source), the previous chunk, whose last row W^{n0-1} is
-    ``carry``, and the current chunk.  Row k of each chunk's weight block,
-    for step n0 + k, holds -kappa_n e^{-k x_q} on the sums, f(t_n) on the
-    load, -kappa_n d at the lag of each chunk row and 1 on the step's own
-    row.  One product of the block's left part with the rows above the chunk
-    puts each step's older history and source into its row before the chunk
-    starts; in the first chunk it ends at the load, for W^0 is no part of
-    the history.  Then the previous chunk, always 64 rows, folds into the
-    sums in one more product, with weights set once per march, and ``carry``
-    becomes rho W^{n-1}.
+    with rho = lam_M / (tau lam_S) and d_i = tau^(alpha-1) g_i, formed from g
+    at the lags 0 .. 128 that the march reads.  kappa_n and f(t_n) are its
+    only arrays of n_rows numbers.  The scheme is linear, so the march
+    divides W^0 and the load by the power of two 2**e that puts the larger of
+    their largest magnitudes in [0.5, 1), or by 1 when both are zero, and
+    multiplies the rows it copies out and returns by it.  That is exact for
+    normal numbers, and keeps states near 1e-300 out of the subnormal
+    numbers, which cost some 25 times more; a solution that decays into
+    subnormals by itself still pays.  Steps go in chunks of 64 from n = 1.
+    Rows before the previous chunk meet lags > 64 only, where
+    d_i = sum_q c_q e^{-(i-65) x_q} (``CQWeights.exponentials``), so they
+    reach the chunk from n0 as Q running sums per mode,
+    -c_q sum_j e^{-(n0-65-j) x_q} W^j.  ``work`` holds Q + 1 + 2 * 64 rows,
+    whatever n_rows: the sums, the load b / lam_S (zero without a source),
+    the previous chunk, whose last row W^{n0-1} is ``carry``, and the
+    current chunk.  Row k of each chunk's weight block, for step n0 + k,
+    holds kappa_n e^{-k x_q} on the sums, f(t_n) on the load, kappa_n times
+    -d at the lag of each chunk row and 1 on the step's own row.  One
+    product of the block's left part with the rows above the chunk puts each
+    step's older history and source into its row before the chunk starts; in
+    the first chunk it ends at the load, for W^0 is no part of the history.
+    Then the previous chunk, always 64 rows, folds into the sums in one more
+    product, with weights set once per march, and ``carry`` becomes
+    rho W^{n-1}.
 
     A chunk runs in sub-blocks of b steps, where b follows from M, the
     columns of all meshes, alone: the largest power of two in [8, 64] with
@@ -249,22 +252,20 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
     its carry slot, rho W^{n-1}, and on its own row, reads at most b + 1
     rows and gives the right-hand side, so a step is three array
     operations: the dot, the division by rho + d_0 kappa_n, whose rows are
-    built just before the sub-block, and rho W^n into the carry slot.  Each
-    step's operands are sliced once per march.  A run of up to 128 steps has
-    no rows before its previous chunk, so Q = 0 and it builds no
-    exponentials.  Raises ValueError, naming the mesh, as soon as a chunk
-    holds a non-finite coefficient, and when the four arrays of n_rows time
-    factors cannot be allocated.
+    built from b values of kappa just before the sub-block, and rho W^n
+    into the carry slot.  Each step's operands are sliced once per march.
+    A run of up to 128 steps has no rows before its previous chunk, so
+    Q = 0 and it builds no exponentials.  Raises ValueError, naming the
+    mesh, as soon as a chunk holds a non-finite coefficient, and when the
+    two arrays of n_rows time factors cannot be allocated.
     """
-    n_modes = w0.size
-    rho, scale, load = _scaled_modes(meshes, tau, spec)
-    try:
-        times = tau * np.arange(n_rows)
-        hist_factor = -spec.coefficient(times) / scale
-        f = spec.source.time_factor(times) / scale
-        lead = -weights.d[0] * hist_factor  # d_0 kappa_n / s
+    n_rows, tau, n_modes = weights.count, weights.tau, w0.size
+    rho, load = _modes(meshes, tau, spec)
+    try:  # kappa(t_n) and f(t_n): the times go once both are made
+        kappa, f = (law(tau * np.arange(n_rows))
+                    for law in (spec.coefficient, spec.source.time_factor))
     except MemoryError:
-        raise _unallocated("time factors", 32 * n_rows, meshes, n_rows - 1) from None
+        raise _unallocated("time factors", 16 * n_rows, meshes, n_rows - 1) from None
     chunk = cq.CHUNK
     sub = chunk  # steps per sub-block: its rows hold at most 2**14 numbers, or 8 rows
     while sub > 8 and sub * n_modes > 2 ** 14:
@@ -273,7 +274,7 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
     if n_rows - 1 > 2 * chunk:  # some chunk meets rows before its previous chunk
         x, amp = weights.exponentials
         powers = np.exp(-np.arange(chunk + 1.0)[:, None] * x)  # e^{-k x_q}, k = 0 .. 64
-        fold = (amp * powers[chunk - 1::-1]).T  # c_q e^{-(63-j) x_q} on previous row j
+        fold = (-amp * powers[chunk - 1::-1]).T  # -c_q e^{-(63-j) x_q} on previous row j
         shift = powers[chunk, :, None]
     q = len(fold)
     # work[here + j], j >= -chunk, holds 2**-e W^{n0+j} while the chunk from n0 runs
@@ -283,14 +284,15 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
     ends = work[q:here:chunk]  # the load and W^0, times 2**-e, which puts their peak in [0.5, 1)
     e = math.frexp(np.abs(ends).max())[1]
     np.ldexp(ends, -e, out=ends)
-    y.fill(0.0)  # the running sums, scaled by c_q like the weights
+    y.fill(0.0)  # the running sums, scaled by -c_q like the weights
     carry = work[here - 1]  # W^{n0-1}, until the chunk's product and fold have read it
     # column j of the weight block meets work[j]; from the load's column q on
-    # it scales a Toeplitz view of d, at lag |here + k - j| for step k (a lag
+    # it scales a Toeplitz view of -d, at lag |here + k - j| for step k (a lag
     # beyond the run is never read), and work[here + k] is the step's own row
-    d = np.take(weights.d, _LAGS, mode="clip")
+    d = -tau ** (weights.alpha - 1.0) * np.take(weights.g, _LAGS, mode="clip")  # -d_i
     lags = np.ndarray((chunk, 2 * chunk + 1), buffer=d, offset=d.itemsize * (chunk - 1),
                       strides=(-d.itemsize, d.itemsize))
+    d0 = -d[2 * chunk]  # lag 0
     block = np.empty((chunk, here + chunk))
     own = block.reshape(-1)[here::here + chunk + 1]  # the diagonal: weight 1
     scratch = np.empty_like(y)  # the fold's output: fresh Q x M arrays per chunk fragment the heap
@@ -314,9 +316,9 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
         n1 = min(n0 + chunk, n_rows)
         r = n1 - n0
         weight, rows = block[:r], work[here:here + r]
-        np.multiply(hist_factor[n0:n1, None], powers[:r], out=weight[:, :q])
+        np.multiply(kappa[n0:n1, None], powers[:r], out=weight[:, :q])
         weight[:, q] = f[n0:n1]
-        np.multiply(hist_factor[n0:n1, None], lags[:r, chunk + 1 - reach:chunk + 1 + r],
+        np.multiply(kappa[n0:n1, None], lags[:r, chunk + 1 - reach:chunk + 1 + r],
                     out=weight[:, here - reach:here + r])
         own[:r] = 1.0
         np.matmul(weight[:, :q + 1 + reach], work[:q + 1 + reach], out=rows)
@@ -332,7 +334,7 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
                 np.copyto(saved, rows[s0 - 1])
                 np.multiply(rho, saved, rows[s0 - 1])
             weight[s0:s1, here + s0 - 1] = 1.0
-            np.add(lead[n0 + s0:n0 + s1, None], rho, out=den[:s1 - s0])
+            np.add(d0 * kappa[n0 + s0:n0 + s1, None], rho, out=den[:s1 - s0])
             for w, older, dk, row, slot in steps[s0:s1]:
                 np.dot(w, older, hist)  # out by position: parsed faster than out=
                 np.divide(hist, dk, row)
@@ -350,16 +352,12 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], tau: float, spec: ProblemSpec,
     return np.ldexp(rows[-1], e)
 
 
-def _scaled_modes(meshes: list[Mesh1D], tau: float, spec: ProblemSpec):
-    """The meshes' joint rho = lam_M / (tau lam_S) over s, s, and the load b / lam_S:
-    s is the least power of two above max rho if that is > 1, else 1, so rho / s <= 1 exactly."""
+def _modes(meshes: list[Mesh1D], tau: float, spec: ProblemSpec):
+    """The meshes' joint rho = lam_M / (tau lam_S) and load b / lam_S."""
     lam_m, lam_s = (np.concatenate(lams) for lams in zip(*map(mode_eigenvalues, meshes)))
-    rho = lam_m / (tau * lam_s)
-    scale = math.ldexp(1.0, math.frexp(rho.max())[1]) if rho.max() > 1.0 else 1.0
-    rho /= scale
-    load = np.zeros_like(rho) if spec.source.is_zero else np.concatenate(
+    load = np.zeros_like(lam_s) if spec.source.is_zero else np.concatenate(
         [sine_transform(basis_integrals(spec.source.spatial, mesh)) for mesh in meshes]) / lam_s
-    return rho, scale, load
+    return lam_m / (tau * lam_s), load
 
 
 def _columns(meshes: list[Mesh1D]) -> list[slice]:
@@ -370,12 +368,13 @@ def _columns(meshes: list[Mesh1D]) -> list[slice]:
 
 def final_states(spec: ProblemSpec, cells, n_steps: int) -> list[np.ndarray]:
     """The final states on fresh meshes of ``cells`` cells, all with
-    tau = T / n_steps, from one march that keeps no rows, though six arrays
-    of n_steps + 1 numbers grow its memory by 48 bytes per step.  Each agrees
-    with ``solve(spec, n, n_steps).final`` of its mesh to rounding, and
-    bitwise for one mesh.  Deterministic.  Raises ValueError for no meshes,
-    when a coefficient or a final state comes out non-finite, or when the
-    march's buffer, its time factors or the weights cannot be allocated."""
+    tau = T / n_steps, from one march that keeps no rows, though the weights
+    g and two time factors, arrays of n_steps + 1 numbers, grow its memory
+    by 24 bytes per step.  Each agrees with ``solve(spec, n, n_steps).final``
+    of its mesh to rounding, and bitwise for one mesh.  Deterministic.
+    Raises ValueError for no meshes, when a coefficient or a final state
+    comes out non-finite, or when the march's buffer, its time factors or
+    the weights cannot be allocated."""
     n_steps, meshes, columns, final = _joint_march(spec, cells, n_steps, keep=False)
     return [_nodal(final[cols], mesh, n_steps) for mesh, cols in zip(meshes, columns)]
 
@@ -384,7 +383,7 @@ def _joint_march(spec: ProblemSpec, cells, n_steps: int, keep: bool):
     """The step count, the meshes of ``cells`` cells, their columns, and the
     sine coefficients of their joint march with tau = T / n_steps: every row
     if ``keep``, else the last.  ValueError if the rows kept, the march's
-    buffer, its time factors or the weights cannot be allocated."""
+    buffer, its two time factors or the weights g cannot be allocated."""
     n_steps = require_count(n_steps, 1, "n_steps")
     meshes = [build_mesh(n) for n in cells]
     if not meshes:
@@ -400,8 +399,7 @@ def _joint_march(spec: ProblemSpec, cells, n_steps: int, keep: bool):
     with np.errstate(over="ignore", invalid="ignore"):
         for mesh, cols in zip(meshes, columns):
             rows[0, cols] = sine_transform(project_initial(spec, mesh))
-        final = _march(rows[0], meshes, tau, spec, weights, n_steps + 1,
-                       out=rows if keep else None)
+        final = _march(rows[0], meshes, spec, weights, out=rows if keep else None)
     return n_steps, meshes, columns, rows if keep else final
 
 
@@ -425,7 +423,7 @@ def solve(spec: ProblemSpec, n_cells: int, n_steps: int) -> DiscreteRun:
 
     Deterministic: identical inputs produce bitwise-identical trajectories.
     Raises ValueError when a coefficient or the final state comes out
-    non-finite, or when the rows, time factors or weights cannot be
+    non-finite, or when the rows, two time factors or weights g cannot be
     allocated; any other row whose nodal values overflow raises when read.
     """
     n_steps, (mesh,), _, coeffs = _joint_march(spec, [n_cells], n_steps, keep=True)

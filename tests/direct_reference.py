@@ -12,7 +12,7 @@ def direct_history_solve(spec, n_cells, n_steps, frozen_time=None):
     with kappa_n as kappa_m - (kappa_m - kappa_n) for m at ``frozen_time`` if given."""
     mesh = build_mesh(n_cells)
     tau = spec.final_time / n_steps
-    d = generate_weights(spec.alpha, tau, n_steps + 1).d
+    d = tau ** (spec.alpha - 1.0) * generate_weights(spec.alpha, tau, n_steps + 1).g
     lam_m, lam_s = mode_eigenvalues(mesh)
     load = 0.0
     if not spec.source.is_zero:

@@ -11,7 +11,6 @@ from expandiff.cq import CHUNK
 def test_alpha_one_degenerates_to_backward_euler():
     w = generate_weights(1.0, 0.25, 6)
     np.testing.assert_array_equal(w.g, [1, 0, 0, 0, 0, 0])
-    np.testing.assert_array_equal(w.d, w.g)
 
 
 def test_half_order_taylor_coefficients():
@@ -21,9 +20,12 @@ def test_half_order_taylor_coefficients():
 
 
 def test_step_scaling():
-    w = generate_weights(0.5, 0.01, 3)
-    assert w.d[0] == pytest.approx(10.0, rel=1e-14)
-    np.testing.assert_allclose(w.d, 10.0 * w.g, rtol=1e-14)
+    # d_i = tau^(alpha-1) g_i: g does not depend on tau, and of the stored
+    # data only the exponentials' amplitudes carry the factor
+    w, unit = generate_weights(0.5, 0.01, 300), generate_weights(0.5, 1.0, 300)
+    np.testing.assert_array_equal(w.g, unit.g)
+    np.testing.assert_array_equal(w.exponentials[0], unit.exponentials[0])
+    np.testing.assert_allclose(w.exponentials[1], 10.0 * unit.exponentials[1], rtol=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -97,9 +99,10 @@ def test_generate_rejects_bad_tau_and_count():
 def test_history_two_steps_of_ones():
     # d_0 + d_1 = 1/2 and d_1 = -1/2 at alpha = 1/2, tau = 1: the history sum
     # of two unit states with and without its current term
-    w = generate_weights(0.5, 1.0, 8)
-    np.testing.assert_allclose(w.d[:2] @ np.ones((2, 4)), 0.5 * np.ones(4), rtol=1e-14)
-    np.testing.assert_allclose(w.d[1:2] @ np.ones((1, 4)), -0.5 * np.ones(4), rtol=1e-14)
+    alpha, tau = 0.5, 1.0
+    d = tau ** (alpha - 1.0) * generate_weights(alpha, tau, 8).g
+    np.testing.assert_allclose(d[:2] @ np.ones((2, 4)), 0.5 * np.ones(4), rtol=1e-14)
+    np.testing.assert_allclose(d[1:2] @ np.ones((1, 4)), -0.5 * np.ones(4), rtol=1e-14)
 
 
 # -- the far field's sum of exponentials -----------------------------------------
@@ -119,7 +122,7 @@ def test_exponentials_match_weights_beyond_the_near_field(alpha, count):
     assert np.all(x > 0.0)
     lags = np.arange(CHUNK + 1, count)
     fit = np.exp(-np.outer(lags - CHUNK - 1, x)) @ c
-    assert np.abs(fit / w.d[lags] - 1.0).max() <= 1e-12
+    assert np.abs(fit / (0.37 ** (alpha - 1.0) * w.g[lags]) - 1.0).max() <= 1e-12
 
 
 def test_exponentials_check_themselves():
