@@ -285,12 +285,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="expandiff",
         description="Convergence studies for the fractional diffusion solver.")
-    parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--preset",
-                        help=f"one of {', '.join(_PRESETS)} (overrides the config)")
-    parser.add_argument("--output", help="CSV output path (overrides the config)")
-    parser.add_argument("--alpha",
-                        help="restrict a preset to a single order (overrides the config)")
+    options = {"--config": "path to a key = value config file",
+               "--preset": f"one of {', '.join(_PRESETS)} (overrides the config)",
+               "--output": "CSV output path (overrides the config)",
+               "--alpha": "restrict a preset to a single order (overrides the config)"}
+    for option, text in options.items():
+        parser.add_argument(option, help=text)
+    # each option takes the next word as its value, as getopt does, even a
+    # word argparse would take for an option, such as the -1/2 of --alpha -1/2
+    words, argv = list(sys.argv[1:] if argv is None else argv), []
+    while words:
+        word = words.pop(0)
+        argv.append(f"{word}={words.pop(0)}" if word in options and words else word)
     args = parser.parse_args(argv)
 
     text = ""

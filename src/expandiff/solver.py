@@ -22,9 +22,15 @@ the slow subnormal numbers (see ``_march``).
 sine coefficients and transforms rows back to nodal values when they are
 read.  Modes never couple, so ``final_states`` marches several meshes that
 share the step size at once, their modes side by side in one coefficient
-array, and keeps no rows; studies read nothing else.  Its memory still grows
-by 24 bytes per step, for three arrays of N + 1 numbers: the weights g and
-the march's two time factors, kappa(t_n) and f(t_n).  A march works in a
+array, and keeps no rows; studies read nothing else.  ``solve`` and
+``final_states`` are the one-count cases of one set-up, which also serves
+``final_states_over_steps``, the marches of a temporal study, one per step
+count on one mesh: it projects W^0, makes the load and the weights g of the
+largest count, whose prefix each shorter march reads, and fits one sum of
+exponentials, once for all counts (see ``_joint_march``).  A march that
+keeps no rows still grows its memory by 24 bytes per step, for three arrays
+of N + 1 numbers: the weights g and its two time factors, kappa(t_n) and
+f(t_n).  A march works in a
 buffer of Q + 1 + 2 * 64 rows, where Q running sums, from a sum of Q
 exponentials of the weights, carry the history older than the previous
 chunk: a chunk takes its history from before it in one product, and each
@@ -35,7 +41,7 @@ steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -202,16 +208,17 @@ _NO_SUMS = np.empty((cq.CHUNK + 1, 0)), np.empty((0, cq.CHUNK)), np.empty((0, 1)
 
 
 def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, weights: cq.CQWeights,
-           out: np.ndarray | None = None) -> np.ndarray:
+           modes: tuple, fit: tuple | None, out: np.ndarray | None = None) -> np.ndarray:
     """March the sine coefficients of W^0 .. W^{n_rows-1}, n_rows =
     ``weights.count``, by the implicit scheme with the step ``weights.tau``
     from ``w0``, the row of W^0; return the last row, and copy rows 1 .. into
     ``out`` if one is given.
 
     The columns hold the modes of each mesh in ``meshes`` side by side, in
-    order.  Modes never couple, so one march advances meshes that share the
-    step size as if they were one mesh with their eigenvalues and loads
-    concatenated.  Divided by lam_S, step n is, per mode,
+    order, and ``modes`` holds their joint lam_M, lam_S and load b / lam_S
+    (``_modes``).  Modes never couple, so one march advances meshes that
+    share the step size as if they were one mesh with their eigenvalues and
+    loads concatenated.  Divided by lam_S, step n is, per mode,
 
         (rho + d_0 kappa_n) W^n = rho W^{n-1} + sum_{i=1}^{n-1} -kappa_n d_i W^{n-i}
                                   + f(t_n) b / lam_S
@@ -226,7 +233,9 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, weights: cq.
     numbers, which cost some 25 times more; a solution that decays into
     subnormals by itself still pays.  Steps go in chunks of 64 from n = 1.
     Rows before the previous chunk meet lags > 64 only, where
-    d_i = sum_q c_q e^{-(i-65) x_q} (``CQWeights.exponentials``), so they
+    d_i = tau^(alpha-1) sum_q c_q e^{-(i-65) x_q}, from ``fit``, the rates
+    and dimensionless amplitudes of ``cq.exponentials`` for this count or
+    any larger one (None for runs of up to 128 steps), so they
     reach the chunk from n0 as Q running sums per mode,
     -c_q sum_j e^{-(n0-65-j) x_q} W^j.  ``work`` holds Q + 1 + 2 * 64 rows,
     whatever n_rows: the sums, the load b / lam_S (zero without a source),
@@ -255,12 +264,13 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, weights: cq.
     built from b values of kappa just before the sub-block, and rho W^n
     into the carry slot.  Each step's operands are sliced once per march.
     A run of up to 128 steps has no rows before its previous chunk, so
-    Q = 0 and it builds no exponentials.  Raises ValueError, naming the
+    Q = 0 and it reads no ``fit``.  Raises ValueError, naming the
     mesh, as soon as a chunk holds a non-finite coefficient, and when the
     two arrays of n_rows time factors cannot be allocated.
     """
     n_rows, tau, n_modes = weights.count, weights.tau, w0.size
-    rho, load = _modes(meshes, tau, spec)
+    lam_m, lam_s, load = modes
+    rho = lam_m / (tau * lam_s)
     try:  # kappa(t_n) and f(t_n): the times go once both are made
         kappa, f = (law(tau * np.arange(n_rows))
                     for law in (spec.coefficient, spec.source.time_factor))
@@ -272,7 +282,8 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, weights: cq.
         sub //= 2
     powers, fold, shift = _NO_SUMS
     if n_rows - 1 > 2 * chunk:  # some chunk meets rows before its previous chunk
-        x, amp = weights.exponentials
+        x, c = fit
+        amp = tau ** (weights.alpha - 1.0) * c
         powers = np.exp(-np.arange(chunk + 1.0)[:, None] * x)  # e^{-k x_q}, k = 0 .. 64
         fold = (-amp * powers[chunk - 1::-1]).T  # -c_q e^{-(63-j) x_q} on previous row j
         shift = powers[chunk, :, None]
@@ -352,12 +363,12 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, weights: cq.
     return np.ldexp(rows[-1], e)
 
 
-def _modes(meshes: list[Mesh1D], tau: float, spec: ProblemSpec):
-    """The meshes' joint rho = lam_M / (tau lam_S) and load b / lam_S."""
+def _modes(meshes: list[Mesh1D], spec: ProblemSpec):
+    """The meshes' joint eigenvalues lam_M and lam_S and load b / lam_S."""
     lam_m, lam_s = (np.concatenate(lams) for lams in zip(*map(mode_eigenvalues, meshes)))
     load = np.zeros_like(lam_s) if spec.source.is_zero else np.concatenate(
         [sine_transform(basis_integrals(spec.source.spatial, mesh)) for mesh in meshes]) / lam_s
-    return lam_m / (tau * lam_s), load
+    return lam_m, lam_s, load
 
 
 def _columns(meshes: list[Mesh1D]) -> list[slice]:
@@ -375,32 +386,55 @@ def final_states(spec: ProblemSpec, cells, n_steps: int) -> list[np.ndarray]:
     Raises ValueError for no meshes, when a coefficient or a final state
     comes out non-finite, or when the march's buffer, its time factors or
     the weights cannot be allocated."""
-    n_steps, meshes, columns, final = _joint_march(spec, cells, n_steps, keep=False)
-    return [_nodal(final[cols], mesh, n_steps) for mesh, cols in zip(meshes, columns)]
+    _, (finals,) = _joint_march(spec, cells, [n_steps], keep=False)
+    return finals
 
 
-def _joint_march(spec: ProblemSpec, cells, n_steps: int, keep: bool):
-    """The step count, the meshes of ``cells`` cells, their columns, and the
-    sine coefficients of their joint march with tau = T / n_steps: every row
-    if ``keep``, else the last.  ValueError if the rows kept, the march's
-    buffer, its two time factors or the weights g cannot be allocated."""
-    n_steps = require_count(n_steps, 1, "n_steps")
+def final_states_over_steps(spec: ProblemSpec, n_cells: int, counts) -> list[np.ndarray]:
+    """The final state on a fresh mesh of ``n_cells`` cells for each step
+    count n in ``counts``, with tau = T / n, from marches that share one
+    set-up.  Each is ``final_states(spec, [n_cells], n)[0]`` bitwise if n
+    is at most 128 steps or the largest count, and to rounding otherwise.
+    Raises ValueError as ``final_states`` does."""
+    _, marches = _joint_march(spec, [n_cells], counts, keep=False)
+    return [final for (final,) in marches]
+
+
+def _joint_march(spec: ProblemSpec, cells, counts, keep: bool):
+    """The meshes of ``cells`` cells and, for each step count n in
+    ``counts``, their joint march with tau = T / n: the sine coefficients of
+    every row if ``keep``, which takes one count, else each mesh's final
+    state.  The marches share one set-up: the meshes, the sine coefficients
+    of W^0, the eigenvalues and the load; the weights g of the largest
+    count, of which each march reads its own prefix; and, if that count
+    exceeds 128 steps, the one sum of exponentials, built for it, whose
+    amplitudes each march scales by its own tau^(alpha-1).  ValueError if
+    the rows kept, the march's buffer, its two time factors or the weights
+    g cannot be allocated."""
+    counts = [require_count(n, 1, "n_steps") for n in counts]
     meshes = [build_mesh(n) for n in cells]
     if not meshes:
         raise ValueError("cells must not be empty")
     columns = _columns(meshes)
-    rows = _coefficients(n_steps + 1 if keep else 1, columns[-1].stop, meshes, n_steps)
-    tau = spec.final_time / n_steps
+    largest = max(counts)
+    rows = _coefficients(largest + 1 if keep else 1, columns[-1].stop, meshes, largest)
     try:
-        weights = cq.generate(spec.alpha, tau, n_steps + 1)
+        weights = cq.generate(spec.alpha, spec.final_time / largest, largest + 1)
     except MemoryError:
-        raise _unallocated("weights", 8 * (n_steps + 1), meshes, n_steps) from None
+        raise _unallocated("weights", 8 * (largest + 1), meshes, largest) from None
+    marches = []
     # overflow surfaces once, as the ValueError of _require_finite, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for mesh, cols in zip(meshes, columns):
             rows[0, cols] = sine_transform(project_initial(spec, mesh))
-        final = _march(rows[0], meshes, spec, weights, out=rows if keep else None)
-    return n_steps, meshes, columns, rows if keep else final
+        modes = _modes(meshes, spec)
+        fit = cq.exponentials(spec.alpha, weights.g) if largest > 2 * cq.CHUNK else None
+        for n in counts:
+            own = replace(weights, tau=spec.final_time / n, g=weights.g[:n + 1])
+            final = _march(rows[0], meshes, spec, own, modes, fit, out=rows if keep else None)
+            marches.append(rows if keep else [_nodal(final[cols], mesh, n)
+                                              for mesh, cols in zip(meshes, columns)])
+    return meshes, marches
 
 
 def _coefficients(n_rows: int, n_modes: int, meshes: list[Mesh1D], n_steps: int) -> np.ndarray:
@@ -426,7 +460,7 @@ def solve(spec: ProblemSpec, n_cells: int, n_steps: int) -> DiscreteRun:
     non-finite, or when the rows, two time factors or weights g cannot be
     allocated; any other row whose nodal values overflow raises when read.
     """
-    n_steps, (mesh,), _, coeffs = _joint_march(spec, [n_cells], n_steps, keep=True)
-    run = DiscreteRun(mesh, spec.final_time / n_steps, coeffs)
+    (mesh,), (coeffs,) = _joint_march(spec, [n_cells], [n_steps], keep=True)
+    run = DiscreteRun(mesh, spec.final_time / (len(coeffs) - 1), coeffs)
     run.final  # raises now if the final nodal row overflows
     return run

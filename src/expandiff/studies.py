@@ -6,7 +6,10 @@ once-refined mesh and measure the difference there.  Both are exact L2
 norms of P1 functions.  Rates are pairwise log2 error ratios; a NaN rate
 marks a zero error (no information).  Studies read final states only, so
 their marches keep no rows (``solver.final_states``), and all meshes of a
-spatial study, which share one step size, march together.
+spatial study, which share one step size, march together.  The marches of a
+temporal study, one per step size on one mesh, share one set-up: they pay
+the projection of W^0, the load, the weights g and the sum of exponentials
+that carries the far history once, not once per step size.
 Oracle studies share the ladder checks and final states of these studies and
 measure each final state against the closed form instead.
 """
@@ -22,7 +25,7 @@ from .fem1d import (_GAUSS_W, _GAUSS_X, Mesh1D, build_mesh, l2_norm, prolong,
                     require_count)
 from .mittag_leffler import exact_solution, mittag_leffler
 from .solver import (CoefficientLaw, PiecewiseFn, ProblemSpec, SourceTerm,
-                     final_states)
+                     final_states, final_states_over_steps)
 
 
 @dataclass
@@ -78,8 +81,8 @@ def _steps_for(tau: float, final_time: float) -> int:
 
 
 def _final_states_over_tau(spec: ProblemSpec, n_cells: int, taus) -> list[np.ndarray]:
-    """Final states on one mesh, one march per step in ``taus``."""
-    return [final_states(spec, [n_cells], _steps_for(t, spec.final_time))[0] for t in taus]
+    """Final states on one mesh, one march per step in ``taus``, all from one set-up."""
+    return final_states_over_steps(spec, n_cells, [_steps_for(t, spec.final_time) for t in taus])
 
 
 def temporal_study(spec: ProblemSpec, n_cells: int, tau_list, label: str = "") -> RateTable:

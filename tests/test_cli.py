@@ -150,9 +150,13 @@ def test_parse_rejects_repeated_key():
      "error: --alpha: bad value for alpha: could not convert string to float: 'abc'"),
     # the default custom run used to stand in for a preset that failed to parse
     (["--preset", ""], "error: --preset: bad value for preset: empty value"),
-], ids=["preset", "alpha", "preset-empty"])
+    (["--preset", "oracle", "--alpha", "-1/2"],
+     "error: alpha: alpha must lie in (0, 1], got -0.5"),
+    (["--preset", "oracle", "--alpha=-1/2"], "error: alpha: alpha must lie in (0, 1], got -0.5"),
+], ids=["preset", "alpha", "preset-empty", "alpha-negative", "alpha-negative-joined"])
 def test_cli_bad_flag_exits_1_with_one_error_line(capsys, argv, line):
-    # flags go through the config reader like config lines; argparse exited 2
+    # flags go through the config reader like config lines; argparse exited 2,
+    # also for a value that starts with "-" and is no plain number, as -1/2
     assert main(argv) == 1
     assert capsys.readouterr().err == line + "\n"
 

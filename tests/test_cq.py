@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gamma, gammaln
 
 from expandiff import CQWeights, generate_weights
-from expandiff.cq import CHUNK
+from expandiff.cq import CHUNK, exponentials
 
 
 def test_alpha_one_degenerates_to_backward_euler():
@@ -20,12 +20,20 @@ def test_half_order_taylor_coefficients():
 
 
 def test_step_scaling():
-    # d_i = tau^(alpha-1) g_i: g does not depend on tau, and of the stored
-    # data only the exponentials' amplitudes carry the factor
+    # d_i = tau^(alpha-1) g_i: g does not depend on tau, and neither does its
+    # sum of exponentials, a function of alpha and g alone
     w, unit = generate_weights(0.5, 0.01, 300), generate_weights(0.5, 1.0, 300)
     np.testing.assert_array_equal(w.g, unit.g)
-    np.testing.assert_array_equal(w.exponentials[0], unit.exponentials[0])
-    np.testing.assert_allclose(w.exponentials[1], 10.0 * unit.exponentials[1], rtol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.35, 0.5, 0.8, 1.0])
+def test_shorter_runs_are_bitwise_prefixes(alpha):
+    # one cumulative product: a march of n steps may read the first n + 1
+    # weights of a longer run with another step, and read its own g bitwise
+    longest = generate_weights(alpha, 1 / 1600, 1601).g
+    for n in (0, 1, 50, 64, 65, 128, 129, 200, 800):
+        own = generate_weights(alpha, 1 / max(n, 1), n + 1).g
+        np.testing.assert_array_equal(longest[:n + 1], own)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -111,10 +119,9 @@ def test_history_two_steps_of_ones():
 @pytest.mark.parametrize("count", [129, 2_001, 20_001])
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.5, 0.999, 1.0])
 def test_exponentials_match_weights_beyond_the_near_field(alpha, count):
-    # d_i = sum_q c_q e^{-(i-65) x_q} at every lag the far field meets
+    # g_i = sum_q c_q e^{-(i-65) x_q} at every lag the far field meets
     w = generate_weights(alpha, 0.37, count)
-    x, c = w.exponentials
-    assert w.exponentials is w.exponentials  # built once
+    x, c = exponentials(alpha, w.g)
     if alpha == 1.0:
         assert x.size == c.size == 0
         return
@@ -122,7 +129,31 @@ def test_exponentials_match_weights_beyond_the_near_field(alpha, count):
     assert np.all(x > 0.0)
     lags = np.arange(CHUNK + 1, count)
     fit = np.exp(-np.outer(lags - CHUNK - 1, x)) @ c
-    assert np.abs(fit / (0.37 ** (alpha - 1.0) * w.g[lags]) - 1.0).max() <= 1e-12
+    assert np.abs(fit / w.g[lags] - 1.0).max() <= 1e-12
+
+
+def _check_lags(count):
+    """The lags of the exponentials' self-check for ``count`` weights: 65,
+    66, 68, .., 64 + 2**k for 2**k <= count, each capped at count - 1."""
+    lags = np.unique(np.minimum(CHUNK + 2 ** np.arange(count.bit_length()), count - 1))
+    return lags[lags > CHUNK]
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.3, 0.4, 0.6, 0.7, 0.999])
+def test_the_largest_fit_serves_every_shorter_count(alpha):
+    # a temporal study fits once, for its largest count; each shorter march
+    # of n steps, with tau = 1/n, scales the amplitudes by its own
+    # tau^(alpha-1), and must meet d = tau^(alpha-1) g at its own check lags
+    # within the self-check's bound max(1e-12, i eps)
+    g = generate_weights(alpha, 1 / 1600, 1601).g
+    x, c = exponentials(alpha, g)
+    for n in (129, 200, 400, 800, 1600):
+        tau, lags = 1 / n, _check_lags(n + 1)
+        assert lags.size
+        d = tau ** (alpha - 1.0) * g[lags]
+        fit = np.exp(-np.outer(lags - CHUNK - 1, x)) @ (tau ** (alpha - 1.0) * c)
+        bound = np.maximum(1e-12, lags * np.finfo(float).eps)
+        assert np.all(np.abs(fit / d - 1.0) <= bound), n
 
 
 def test_exponentials_check_themselves():
@@ -131,7 +162,7 @@ def test_exponentials_check_themselves():
     w = generate_weights(0.5, 1.0, 300)
     w.g[CHUNK + 128] *= 1 + 1e-11
     with pytest.raises(ValueError, match="exponentials miss the CQ weights"):
-        w.exponentials
+        exponentials(0.5, w.g)
 
 
 @pytest.mark.parametrize("tau, count, match", [
