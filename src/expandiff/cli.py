@@ -254,9 +254,11 @@ def print_table(table: RateTable, stream=None) -> None:
     rates = [f"{r:.4f}" for r in table.rates]
     # at least one blank between columns, also for three-digit exponents
     width = max(10, *(len(c) + 2 for c in cols), *(len(v) + 1 for v in errs + rates))
-    head = f"{table.label or table.axis:<16}" + "".join(f"{c:>{width}}" for c in cols)
-    err_row = f"{'E_' + axis:<16}" + "".join(f"{v:>{width}}" for v in errs)
-    rate_row = f"{'rate':<16}" + f"{'':>{width}}" + "".join(f"{v:>{width}}" for v in rates)
+    label = table.label or table.axis
+    pad = max(16, len(label) + 1)  # one first column for all rows, however long the label
+    head = f"{label:<{pad}}" + "".join(f"{c:>{width}}" for c in cols)
+    err_row = f"{'E_' + axis:<{pad}}" + "".join(f"{v:>{width}}" for v in errs)
+    rate_row = f"{'rate':<{pad}}" + f"{'':>{width}}" + "".join(f"{v:>{width}}" for v in rates)
     stream.write(head + "\n" + err_row + "\n" + rate_row + "\n")
 
 

@@ -49,12 +49,12 @@ class Mesh1D:
 
 def require_count(value, minimum: int, name: str) -> int:
     """``value`` as an int; ValueError unless it is an integer >= ``minimum``
-    that a float holds."""
+    that a float holds, and not a bool."""
     try:
         number = float(value)
     except OverflowError:
         raise ValueError(f"{name} must be an integer >= {minimum} that a float holds") from None
-    if not (number.is_integer() and value >= minimum):
+    if isinstance(value, (bool, np.bool_)) or not (number.is_integer() and value >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

@@ -20,28 +20,23 @@ a power of two that brings them near 1, so small states do not fall into
 the slow subnormal numbers (see ``_march``).
 ``solve`` keeps every row of one mesh's march in a run of sine coefficients,
 transforms its final row back to nodal values once, and any other row when it
-is read.  Modes never couple, so ``final_states`` marches several meshes that
-share the step size at once, their modes side by side in one coefficient
-array, and keeps no rows; studies read nothing else.  ``solve`` and
-``final_states`` are the one-count cases of one set-up, which also serves
-``final_states_over_steps``, the marches of a temporal study, one per step
-count on one mesh: it projects W^0, makes the load and the weights g of the
-largest count, whose prefix each shorter march reads, and fits one sum of
-exponentials, once for all counts (see ``_joint_march``).  A march that
-keeps no rows still grows its memory by 24 bytes per step, for three arrays
-of N + 1 numbers: the weights g and its two time factors, kappa(t_n) and
-f(t_n).  A march works in a
-buffer of Q + 1 + 2 * 64 rows, where Q running sums, from a sum of Q
-exponentials of the weights, carry the history older than the previous
-chunk: a chunk takes its history from before it in one product, and each
-later sub-block the history of the chunk's earlier rows in one more, so N
-steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
+is read.  ``final_states``, which every study reads, keeps no rows: for each
+of several step counts it marches several meshes at once, for modes never
+couple, their modes side by side in one coefficient array.  Both pay one
+set-up for all counts (see ``_joint_march``).  A march that keeps no rows
+still grows its memory by 24 bytes per step, for three arrays of N + 1
+numbers: the weights g and its two time factors, kappa(t_n) and f(t_n).  A
+march works in a buffer of Q + 1 + 2 * 64 rows, where Q running sums, from
+a sum of Q exponentials of the weights, carry the history older than the
+previous chunk: a chunk takes its history from before it in one product,
+and each later sub-block the history of the chunk's earlier rows in one
+more, so N steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -214,12 +209,13 @@ _LAGS = abs(np.arange(2 * cq.CHUNK, -cq.CHUNK, -1))  # lags 128 .. 0 .. 63: see 
 _NO_SUMS = np.empty((cq.CHUNK + 1, 0)), np.empty((0, cq.CHUNK)), np.empty((0, 1))  # see _march
 
 
-def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, weights: cq.CQWeights,
-           modes: tuple, fit: tuple | None, out: np.ndarray | None = None) -> np.ndarray:
-    """March the sine coefficients of W^0 .. W^{n_rows-1}, n_rows =
-    ``weights.count``, by the implicit scheme with the step ``weights.tau``
-    from ``w0``, the row of W^0; return the last row, and copy rows 1 .. into
-    ``out`` if one is given.
+def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarray,
+           tau: float, modes: tuple, fit: tuple | None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """March the sine coefficients of W^0 .. W^{n_rows-1}, n_rows = the
+    length of the weights ``g`` of order ``spec.alpha`` (``cq.generate``), by
+    the implicit scheme with the step ``tau`` from ``w0``, the row of W^0;
+    return the last row, and copy rows 1 .. into ``out`` if one is given.
 
     The columns hold the modes of each mesh in ``meshes`` side by side, in
     order, and ``modes`` holds their joint lam_M, lam_S and load b / lam_S
@@ -275,7 +271,7 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, weights: cq.
     mesh, as soon as a chunk holds a non-finite coefficient, and when the
     two arrays of n_rows time factors cannot be allocated.
     """
-    n_rows, tau, n_modes = weights.count, weights.tau, w0.size
+    n_rows, n_modes, alpha = g.size, w0.size, spec.alpha
     lam_m, lam_s, load = modes
     rho = lam_m / (tau * lam_s)
     try:  # kappa(t_n) and f(t_n) on one array of times, which goes once both are made
@@ -290,7 +286,7 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, weights: cq.
     powers, fold, shift = _NO_SUMS
     if n_rows - 1 > 2 * chunk:  # some chunk meets rows before its previous chunk
         x, c = fit
-        amp = tau ** (weights.alpha - 1.0) * c
+        amp = tau ** (alpha - 1.0) * c
         powers = np.exp(-np.arange(chunk + 1.0)[:, None] * x)  # e^{-k x_q}, k = 0 .. 64
         fold = (-amp * powers[chunk - 1::-1]).T  # -c_q e^{-(63-j) x_q} on previous row j
         shift = powers[chunk, :, None]
@@ -307,7 +303,7 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, weights: cq.
     # column j of the weight block meets work[j]; from the load's column q on
     # it scales a Toeplitz view of -d, at lag |here + k - j| for step k (a lag
     # beyond the run is never read), and work[here + k] is the step's own row
-    d = -tau ** (weights.alpha - 1.0) * np.take(weights.g, _LAGS, mode="clip")  # -d_i
+    d = -tau ** (alpha - 1.0) * np.take(g, _LAGS, mode="clip")  # -d_i
     lags = np.ndarray((chunk, 2 * chunk + 1), buffer=d, offset=d.itemsize * (chunk - 1),
                       strides=(-d.itemsize, d.itemsize))
     d0 = -d[2 * chunk]  # lag 0
@@ -385,27 +381,17 @@ def _columns(meshes: list[Mesh1D]) -> list[slice]:
     return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
 
 
-def final_states(spec: ProblemSpec, cells, n_steps: int) -> list[np.ndarray]:
-    """The final states on fresh meshes of ``cells`` cells, all with
-    tau = T / n_steps, from one march that keeps no rows, though the weights
-    g and two time factors, arrays of n_steps + 1 numbers, grow its memory
-    by 24 bytes per step.  Each agrees with ``solve(spec, n, n_steps).final``
-    of its mesh to rounding, and bitwise for one mesh.  Deterministic.
-    Raises ValueError for no meshes, when a coefficient or a final state
-    comes out non-finite, or when the march's buffer, its time factors or
-    the weights cannot be allocated."""
-    _, (finals,) = _joint_march(spec, cells, [n_steps], keep=False)
-    return finals
-
-
-def final_states_over_steps(spec: ProblemSpec, n_cells: int, counts) -> list[np.ndarray]:
-    """The final state on a fresh mesh of ``n_cells`` cells for each step
-    count n in ``counts``, with tau = T / n, from marches that share one
-    set-up.  Each is ``final_states(spec, [n_cells], n)[0]`` bitwise if n
-    is at most 128 steps or the largest count, and to rounding otherwise.
-    Raises ValueError as ``final_states`` does."""
-    _, marches = _joint_march(spec, [n_cells], counts, keep=False)
-    return [final for (final,) in marches]
+def final_states(spec: ProblemSpec, cells, counts) -> list[np.ndarray]:
+    """The final state on a fresh mesh of each of ``cells`` cells, in order,
+    for each step count n in ``counts``, in order, with tau = T / n, as one
+    flat list: the meshes of the first count, then of the next.  One march
+    per count advances all meshes and keeps no rows, though the weights g
+    and two time factors, arrays of n + 1 numbers, grow its memory by 24
+    bytes per step.  Each state agrees with ``solve(spec, m, n).final`` of
+    its mesh of m cells to rounding, and bitwise for one mesh and one count.
+    Deterministic.  Raises ValueError as ``_joint_march`` does."""
+    _, marches = _joint_march(spec, cells, counts, keep=False)
+    return [final for finals in marches for final in finals]
 
 
 def _joint_march(spec: ProblemSpec, cells, counts, keep: bool):
@@ -414,20 +400,25 @@ def _joint_march(spec: ProblemSpec, cells, counts, keep: bool):
     every row if ``keep``, which takes one count, else each mesh's final
     state.  The marches share one set-up: the meshes, the sine coefficients
     of W^0, the eigenvalues and the load; the weights g of the largest
-    count, of which each march reads its own prefix; and, if that count
-    exceeds 128 steps, the one sum of exponentials, built for it, whose
-    amplitudes each march scales by its own tau^(alpha-1).  ValueError if
-    the rows kept, the march's buffer, its two time factors or the weights
-    g cannot be allocated."""
+    count, whose prefix g[:n + 1] is bitwise each march's own; and, if that
+    count exceeds 128 steps, one sum of exponentials, built for it, whose
+    amplitudes each march scales by its own tau^(alpha-1).  So a march gives
+    the bits of a set-up of its own if it has at most 128 steps or the
+    largest count, and the same to rounding otherwise.  ValueError for no
+    cells or no counts, when a coefficient or a final state comes out
+    non-finite, or when the rows kept, the march's buffer, its two time
+    factors or the weights g cannot be allocated."""
     counts = [require_count(n, 1, "n_steps") for n in counts]
     meshes = [build_mesh(n) for n in cells]
     if not meshes:
         raise ValueError("cells must not be empty")
+    if not counts:
+        raise ValueError("counts must not be empty")
     columns = _columns(meshes)
     largest = max(counts)
     rows = _coefficients(largest + 1 if keep else 1, columns[-1].stop, meshes, largest)
     try:
-        weights = cq.generate(spec.alpha, spec.final_time / largest, largest + 1)
+        g = cq.generate(spec.alpha, spec.final_time / largest, largest + 1).g
     except MemoryError:
         raise _unallocated("weights", 8 * (largest + 1), meshes, largest) from None
     marches = []
@@ -436,11 +427,10 @@ def _joint_march(spec: ProblemSpec, cells, counts, keep: bool):
         for mesh, cols in zip(meshes, columns):
             rows[0, cols] = sine_transform(project_initial(spec, mesh))
         modes = _modes(meshes, spec)
-        fit = cq.exponentials(spec.alpha, weights.g) if largest > 2 * cq.CHUNK else None
+        fit = cq.exponentials(spec.alpha, g) if largest > 2 * cq.CHUNK else None
         for n in counts:
-            own = weights if n == largest else replace(weights, tau=spec.final_time / n,
-                                                       g=weights.g[:n + 1])
-            final = _march(rows[0], meshes, spec, own, modes, fit, out=rows if keep else None)
+            final = _march(rows[0], meshes, spec, g[:n + 1], spec.final_time / n, modes, fit,
+                           out=rows if keep else None)
             marches.append(rows if keep else [_nodal(final[cols], mesh, n)
                                               for mesh, cols in zip(meshes, columns)])
     return meshes, marches

@@ -4,12 +4,11 @@ Temporal errors compare final-time states of runs with step tau and tau/2
 on the same mesh; spatial errors prolong the coarse final state to the
 once-refined mesh and measure the difference there.  Both are exact L2
 norms of P1 functions.  Rates are pairwise log2 error ratios; a NaN rate
-marks a zero error (no information).  Studies read final states only, so
-their marches keep no rows (``solver.final_states``), and all meshes of a
-spatial study, which share one step size, march together.  The marches of a
-temporal study, one per step size on one mesh, share one set-up: they pay
-the projection of W^0, the load, the weights g and the sum of exponentials
-that carries the far history once, not once per step size.
+marks a zero error (no information).  Studies read final states only,
+from ``solver.final_states``: their marches keep no rows, all meshes of a
+spatial study march together, and all step sizes of a temporal study share
+one set-up, the projection of W^0, the load, the weights g and the sum of
+exponentials that carries the far history.
 Oracle studies share the ladder checks and final states of these studies and
 measure each final state against the closed form instead.
 """
@@ -25,7 +24,7 @@ from .fem1d import (_GAUSS_W, _GAUSS_X, Mesh1D, build_mesh, l2_norm, prolong,
                     require_count)
 from .mittag_leffler import exact_solution, mittag_leffler
 from .solver import (CoefficientLaw, PiecewiseFn, ProblemSpec, SourceTerm,
-                     final_states, final_states_over_steps)
+                     final_states)
 
 
 @dataclass
@@ -80,15 +79,11 @@ def _steps_for(tau: float, final_time: float) -> int:
     return n
 
 
-def _final_states_over_tau(spec: ProblemSpec, n_cells: int, taus) -> list[np.ndarray]:
-    """Final states on one mesh, one march per step in ``taus``, all from one set-up."""
-    return final_states_over_steps(spec, n_cells, [_steps_for(t, spec.final_time) for t in taus])
-
-
 def temporal_study(spec: ProblemSpec, n_cells: int, tau_list, label: str = "") -> RateTable:
     """E_tau = ||W^L_tau - W^{2L}_{tau/2}|| at the final time on a fixed mesh."""
     taus = _ladder([float(t) for t in tau_list], "tau_list")
-    finals = _final_states_over_tau(spec, n_cells, taus + [taus[-1] / 2.0])
+    counts = [_steps_for(t, spec.final_time) for t in taus + [taus[-1] / 2.0]]
+    finals = final_states(spec, [n_cells], counts)
     mesh = build_mesh(n_cells)
     errors = [l2_norm(mesh, a - b) for a, b in zip(finals[:-1], finals[1:])]
     return RateTable(label=label, axis="temporal", resolutions=taus, errors=errors)
@@ -97,8 +92,7 @@ def temporal_study(spec: ProblemSpec, n_cells: int, tau_list, label: str = "") -
 def spatial_study(spec: ProblemSpec, tau: float, n_cells_list, label: str = "") -> RateTable:
     """E_h = ||prolong(W_h) - W_{h/2}|| at the final time, on the finer mesh."""
     cells, hs = _cell_ladder(n_cells_list)
-    steps = _steps_for(tau, spec.final_time)
-    finals = final_states(spec, cells + [2 * cells[-1]], steps)
+    finals = final_states(spec, cells + [2 * cells[-1]], [_steps_for(tau, spec.final_time)])
     errors = []
     for n, coarse, fine_final in zip(cells, finals[:-1], finals[1:]):
         fine = build_mesh(2 * n)
@@ -152,12 +146,12 @@ def oracle_study(alpha: float, kappa: float, mode: int, *, final_time: float,
     mittag_leffler(alpha, 0.0)  # checks alpha against the closed form's range
     if tau_list is not None:
         axis, resolutions = "temporal", _ladder([float(t) for t in tau_list], "tau_list")
-        meshes = [build_mesh(n_cells)] * len(resolutions)
-        finals = _final_states_over_tau(spec, n_cells, resolutions)
+        cells, counts = [n_cells], [_steps_for(t, final_time) for t in resolutions]
     else:
         cells, resolutions = _cell_ladder(n_cells_list)
-        axis, meshes = "spatial", [build_mesh(n) for n in cells]
-        finals = final_states(spec, cells, _steps_for(tau, final_time))
+        axis, counts = "spatial", [_steps_for(tau, final_time)]
+    meshes = [build_mesh(n) for n in cells] * len(counts)
+    finals = final_states(spec, cells, counts)
     errors = [mode_error(mesh, final, alpha, kappa, mode, final_time)
               for mesh, final in zip(meshes, finals)]
     return RateTable(label=label, axis=axis, resolutions=resolutions, errors=errors)

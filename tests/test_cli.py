@@ -412,6 +412,18 @@ def test_print_table_keeps_three_digit_exponents_apart():
     assert buf.getvalue().splitlines()[1].split() == ["E_h", "1.507E-153", "6.774E-154"]
 
 
+def test_print_table_aligns_columns_after_a_long_label():
+    # the oracle preset's labels run to 18 characters, past the first
+    # column's 16, which pushed the header 2 characters right of its values
+    table = RateTable(label="alpha=0.5 temporal", axis="temporal",
+                      resolutions=[1 / 50, 1 / 100, 1 / 200], errors=[3e-4, 1.5e-4, 7e-5])
+    buf = io.StringIO()
+    print_table(table, buf)
+    head, errs, rates = ([m.end() for m in re.finditer(r"\S+", line)]
+                         for line in buf.getvalue().splitlines())
+    assert head[-3:] == errs[-3:] and head[-2:] == rates[-2:]
+
+
 def test_cli_unwritable_output(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text(CUSTOM)

@@ -9,7 +9,7 @@ from expandiff import (CoefficientLaw, DiscreteRun, PiecewiseFn, ProblemSpec,
                        l2_project, project_initial, solve, temporal_study)
 from expandiff import cq, solver
 from expandiff.fem1d import assemble_mass, assemble_stiffness, sine_transform
-from expandiff.solver import final_states, final_states_over_steps
+from expandiff.solver import final_states
 from direct_reference import direct_history_solve
 
 
@@ -160,7 +160,7 @@ def test_stiff_limit_damps_every_state_to_exactly_zero():
         run = solve(spec, 16, n_steps)
         assert run.trajectory[0].any()
         np.testing.assert_array_equal(run.trajectory[1:], 0.0)
-        np.testing.assert_array_equal(final_states(spec, [16], n_steps)[0], 0.0)
+        np.testing.assert_array_equal(final_states(spec, [16], [n_steps])[0], 0.0)
 
 
 def test_alpha_one_matches_independent_backward_euler_heat():
@@ -376,7 +376,7 @@ def test_random_marches_match_direct_history_sum(spec, cells, n_steps, n):
     # one mesh the march that keeps no rows gives the solve's final state bitwise
     refs = [direct_history_solve(spec, n_cells, n_steps) for n_cells in cells]
     runs = [solve(spec, n_cells, n_steps) for n_cells in cells]
-    for run, final, ref in zip(runs, final_states(spec, cells, n_steps), refs):
+    for run, final, ref in zip(runs, final_states(spec, cells, [n_steps]), refs):
         assert np.abs(run.trajectory - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(final - ref[-1]).max() <= 1e-12 * np.abs(ref).max()
         if len(cells) == 1:
@@ -398,7 +398,7 @@ def test_runs_of_up_to_128_steps_build_no_exponentials(monkeypatch):
     # the near field spans two chunks of 64, so only a later chunk needs a
     # far field; a temporal study whose counts are all at most 128 builds none
     monkeypatch.setattr(cq, "exponentials", lambda *args: pytest.fail("built"))
-    final_states(_forced(), [8, 16], 128)
+    final_states(_forced(), [8, 16], [128])
     temporal_study(_forced(), 16, [1 / 16, 1 / 32, 1 / 64])  # 16 .. 128 steps
     with pytest.raises(pytest.fail.Exception, match="built"):
         solve(_forced(), 8, 129)
@@ -448,8 +448,8 @@ def test_one_set_up_for_many_counts_matches_separate_marches(spec):
     # amplitudes scaled by the largest count's tau instead of the march's
     # own read 0.1 of the largest state
     counts = [50, 100, 200, 400, 800, 1600]
-    for n, final in zip(counts, final_states_over_steps(spec, 128, counts)):
-        (ref,) = final_states(spec, [128], n)
+    for n, final in zip(counts, final_states(spec, [128], counts)):
+        (ref,) = final_states(spec, [128], [n])
         if n <= 2 * cq.CHUNK or n == counts[-1]:
             assert np.array_equal(final, ref), n
         else:
@@ -476,8 +476,8 @@ def test_scaled_states_keep_their_headroom(scale):
     unit = _table2_like(alpha=0.4, scale=1.0, exponent=2.01)
     scaled = ProblemSpec(alpha=unit.alpha, final_time=1.0, coefficient=unit.coefficient,
                          initial=PiecewiseFn([0.0, 0.5, 1.0], [0.0, scale]), source=unit.source)
-    final = final_states(scaled, [128], 20000)[0]
-    ref = scale * final_states(unit, [128], 20000)[0]
+    final = final_states(scaled, [128], [20000])[0]
+    ref = scale * final_states(unit, [128], [20000])[0]
     assert np.abs(final - ref).max() <= 1e-13 * np.abs(final).max()
 
 
@@ -550,7 +550,8 @@ def test_solve_rejects_bad_steps():
         solve(_forced(), 8, 10**400)
 
 
-@pytest.mark.parametrize("n_steps", [2.5, math.inf, math.nan])
+@pytest.mark.parametrize("n_steps", [2.5, math.inf, math.nan, True,
+                                     pytest.param(np.True_, id="np.True_")])
 def test_solve_rejects_non_integer_steps(n_steps):
     with pytest.raises(ValueError, match="n_steps must be an integer"):
         solve(_forced(), 8, n_steps)
@@ -663,27 +664,28 @@ def _chi_forced(alpha=0.35):
 
 @pytest.mark.parametrize("spec", [_sine_forced(), _chi_forced()], ids=["sine", "chi"])
 # few and many modes, under their earlier ids
-@pytest.mark.parametrize("cells, n_steps, many",
-                         [([8, 16, 32], 50, False), ([128, 256, 512], 300, True),
-                          ([256, 512, 1024], 357, True)],
-                         ids=["cached", "blocked", "sub-blocked"])
-def test_joint_march_matches_separate_solves(spec, cells, n_steps, many):
+@pytest.mark.parametrize("cells, counts, many",
+                         [([8, 16, 32], [50], False), ([128, 256, 512], [300], True),
+                          ([256, 512, 1024], [357], True), ([8, 16], [50, 200], False)],
+                         ids=["cached", "blocked", "sub-blocked", "grid"])
+def test_joint_march_matches_separate_solves(spec, cells, counts, many):
     # the cases with many modes march three meshes for 300 and 357 steps, so
     # their modes share the running sums; the joint march of 1,789 modes
     # takes sub-blocks of 8 steps, through 4 folds and into a last chunk of
-    # 37 rows, against separate solves in sub-blocks of 64, 32 and 16 steps
-    assert (min(sum(n - 1 for n in cells), n_steps) > 2 * cq.CHUNK) == many
-    finals = final_states(spec, cells, n_steps)
-    assert [final.shape for final in finals] == [(n - 1,) for n in cells]
-    for n_cells, final in zip(cells, finals):
-        ref = solve(spec, n_cells, n_steps)
+    # 37 rows, against separate solves in sub-blocks of 64, 32 and 16 steps.
+    # The grid of two meshes and two counts comes back count-major
+    assert (min(sum(n - 1 for n in cells), max(counts)) > 2 * cq.CHUNK) == many
+    finals = final_states(spec, cells, counts)
+    assert [final.shape for final in finals] == [(n - 1,) for n in cells] * len(counts)
+    refs = [solve(spec, n_cells, n_steps) for n_steps in counts for n_cells in cells]
+    for final, ref in zip(finals, refs):
         tol = 1e-13 * np.abs(ref.trajectory).max()
         assert np.abs(final - ref.final).max() <= tol
 
 
 def test_joint_march_is_bitwise_deterministic():
-    first = final_states(_chi_forced(), [8, 16, 32], 40)
-    again = final_states(_chi_forced(), [8, 16, 32], 40)
+    first = final_states(_chi_forced(), [8, 16, 32], [40])
+    again = final_states(_chi_forced(), [8, 16, 32], [40])
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
 
@@ -695,12 +697,14 @@ def test_non_finite_joint_march_raises():
                        initial=PiecewiseFn.zero(),
                        source=SourceTerm.separable(PiecewiseFn([0.0, 0.5, 1.0], [1e308, 0.0])))
     with pytest.raises(ValueError, match="non-finite states"):
-        final_states(spec, [8, 16], 50)
+        final_states(spec, [8, 16], [50])
 
 
-def test_solve_meshes_rejects_no_meshes():
+def test_final_states_rejects_no_meshes_or_no_counts():
     with pytest.raises(ValueError, match="cells must not be empty"):
-        final_states(_forced(), [], 10)
+        final_states(_forced(), [], [10])
+    with pytest.raises(ValueError, match="counts must not be empty"):
+        final_states(_forced(), [8], [])
 
 
 @pytest.mark.parametrize("cells, n_steps", [([16], 10 ** 15), ([8, 16], 10 ** 15),
@@ -711,7 +715,7 @@ def test_impossible_allocation_raises_value_error(cells, n_steps):
     # so it first fails on the weights
     what, march = "coefficients", lambda: solve(_forced(), cells[0], n_steps)
     if len(cells) > 1:
-        what, march = "weights", lambda: final_states(_forced(), cells, n_steps)
+        what, march = "weights", lambda: final_states(_forced(), cells, [n_steps])
     with pytest.raises(ValueError, match=rf"cannot allocate \S+ bytes for the {what} "
                                          r"\(n_cells=.*, n_steps=.*\)"):
         march()
@@ -725,7 +729,7 @@ def test_failed_time_factor_allocation_raises_value_error(monkeypatch):
     monkeypatch.setattr(CoefficientLaw, "__call__", exhausted)
     with pytest.raises(ValueError, match=r"cannot allocate 176 bytes for the time factors "
                                          r"\(n_cells=8, 16, n_steps=10\)"):
-        final_states(_forced(), [8, 16], 10)
+        final_states(_forced(), [8, 16], [10])
 
 
 def test_failed_weight_allocation_raises_value_error(monkeypatch):
@@ -737,4 +741,4 @@ def test_failed_weight_allocation_raises_value_error(monkeypatch):
     monkeypatch.setattr(cq, "generate", exhausted)
     with pytest.raises(ValueError, match=r"cannot allocate 88 bytes for the weights "
                                          r"\(n_cells=8, 16, n_steps=10\)"):
-        final_states(_forced(), [8, 16], 10)
+        final_states(_forced(), [8, 16], [10])

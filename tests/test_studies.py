@@ -120,13 +120,17 @@ def test_oracle_needs_exactly_one_axis():
                                   dict(tau=1 / 50, n_cells_list=[8, 16])],
                          ids=["temporal", "spatial"])
 def test_oracle_below_its_range_fails_before_marching(monkeypatch, axis):
-    # the closed form rejects alpha = 1e-6, so no march can be of use
+    # the closed form rejects alpha = 1e-6, so no march can be of use; at
+    # alpha = 0.5 the same watcher sees the axis's one call, so it watches
+    # the only way either axis reaches the march
     marches = []
     monkeypatch.setattr(studies, "final_states",
                         lambda *args: marches.append(args) or final_states(*args))
     with pytest.raises(ValueError, match=r"^alpha must lie in \[0.001, 1\]"):
         oracle_study(1e-6, 1.0, 1, final_time=1.0, **axis)
     assert marches == []
+    oracle_study(0.5, 1.0, 1, final_time=1.0, **axis)
+    assert len(marches) == 1
 
 
 # -- zero-data studies ------------------------------------------------------------
@@ -184,7 +188,7 @@ def test_spatial_study_final_states_match_separate_solves(alpha, n_steps):
     spec, cells = _table3_like(alpha), [8, 16, 32, 64]
     refs = [solve(spec, n, n_steps).final for n in cells + [2 * cells[-1]]]
     bound = 1e-13 * max(np.abs(ref).max() for ref in refs)
-    for final, ref in zip(final_states(spec, cells + [2 * cells[-1]], n_steps), refs):
+    for final, ref in zip(final_states(spec, cells + [2 * cells[-1]], [n_steps]), refs):
         assert np.abs(final - ref).max() <= bound
     study = spatial_study(spec, 1 / n_steps, cells)
     for n, coarse, fine, error in zip(cells, refs[:-1], refs[1:], study.errors):
