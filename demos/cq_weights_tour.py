@@ -7,8 +7,9 @@ import numpy as np
 
 from expandiff import generate_weights
 
+# the weights d_i = tau^(alpha-1) g_i: g depends on the order alpha alone
 alpha, tau = 0.5, 0.01
-w = generate_weights(alpha, tau, 2000)
+w = generate_weights(alpha, 2000)
 
 print(f"alpha = {alpha}, tau = {tau}")
 print("g[0..6]  =", np.round(w.g[:7], 6))
@@ -35,5 +36,5 @@ print("\ncomposition with inverse weights: conv[0] =", conv[0],
       " max|conv[1:]| =", np.abs(conv[1:]).max())
 
 # alpha = 1 collapses the history entirely: plain backward Euler.
-w1 = generate_weights(1.0, tau, 5)
+w1 = generate_weights(1.0, 5)
 print("\nalpha = 1 weights:", w1.g)

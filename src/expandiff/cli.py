@@ -245,21 +245,24 @@ def _format_resolution(r: float) -> str:
     return f"{r:.6g}"
 
 
-def print_table(table: RateTable, stream=None) -> None:
-    """Aligned console block: one error row and one rate row per table."""
-    stream = stream or sys.stdout
+def _first_column(table: RateTable) -> int:
+    """The width of a printed table's first column: 16, or more for a long label."""
+    return max(16, len(table.label or table.axis) + 1)
+
+
+def print_table(table: RateTable) -> None:
+    """Aligned console block on stdout: one error row and one rate row per table."""
     axis = "tau" if table.axis == "temporal" else "h"
     cols = [_format_resolution(r) for r in table.resolutions]
     errs = [f"{e:.3E}" for e in table.errors]
     rates = [f"{r:.4f}" for r in table.rates]
     # at least one blank between columns, also for three-digit exponents
     width = max(10, *(len(c) + 2 for c in cols), *(len(v) + 1 for v in errs + rates))
-    label = table.label or table.axis
-    pad = max(16, len(label) + 1)  # one first column for all rows, however long the label
-    head = f"{label:<{pad}}" + "".join(f"{c:>{width}}" for c in cols)
+    pad = _first_column(table)
+    head = f"{table.label or table.axis:<{pad}}" + "".join(f"{c:>{width}}" for c in cols)
     err_row = f"{'E_' + axis:<{pad}}" + "".join(f"{v:>{width}}" for v in errs)
     rate_row = f"{'rate':<{pad}}" + f"{'':>{width}}" + "".join(f"{v:>{width}}" for v in rates)
-    stream.write(head + "\n" + err_row + "\n" + rate_row + "\n")
+    print(head, err_row, rate_row, sep="\n")
 
 
 def run(config: dict) -> int:
@@ -272,7 +275,7 @@ def run(config: dict) -> int:
     for tb in tables:
         print_table(tb)
         if config["preset"] == "oracle":
-            print(f"{'':<16}max error vs closed form: {max(tb.errors):.3E}")
+            print(f"{'':<{_first_column(tb)}}max error vs closed form: {max(tb.errors):.3E}")
     out = config["output"] or f"{config['preset']}.csv"
     try:
         write_csv(tables, out)

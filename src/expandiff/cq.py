@@ -1,18 +1,19 @@
 """Backward-Euler convolution-quadrature weights for fractional order 1 - alpha.
 
 The weights d_i are the Taylor coefficients of ((1 - z)/tau)^(1-alpha):
-d_i = tau^(alpha-1) * g_i with g_i = (-1)^i * binom(1-alpha, i).  They are
-produced by the multiplicative recurrence g_i = g_{i-1} * (i - 2 + alpha) / i,
-one cumulative product, which is O(N), overflow-free and stable for all i.
-``CQWeights`` holds g only: d is formed where it is used, at the lags it is
-read.  g does not depend on tau, and a shorter run's g is a bitwise prefix
-of a longer one's, for the recurrence is one cumulative product.  A stepper
-sums the history of its current and previous chunk of ``CHUNK`` steps
-directly, with weights d; the older history meets lags > ``CHUNK`` only, and
-there it takes g from ``exponentials``, a short sum of exponentials that
-turns that history into running sums (the kernel compression of Baffet &
-Hesthaven, SIAM J. Numer. Anal. 55 (2017) 496).  The sum depends on alpha
-and the count alone, and holds at every lag of a shorter run too.
+d_i = tau^(alpha-1) * g_i with g_i = (-1)^i * binom(1-alpha, i), which
+depend on alpha alone (Lubich, Numer. Math. 52 (1988) 129).  ``generate``
+makes g by the multiplicative recurrence g_i = g_{i-1} * (i - 2 + alpha) / i,
+one cumulative product, which is O(N), overflow-free and stable for all i,
+and takes no tau: d is formed where it is used, at the lags it is read.  A
+shorter run's g is a bitwise prefix of a longer one's, for the recurrence
+is one cumulative product.  A stepper sums the history of its current and
+previous chunk of ``CHUNK`` steps directly, with weights d; the older
+history meets lags > ``CHUNK`` only, and there it takes g from
+``exponentials``, a short sum of exponentials that turns that history into
+running sums (the kernel compression of Baffet & Hesthaven, SIAM J. Numer.
+Anal. 55 (2017) 496).  The sum depends on alpha and the count alone, and
+holds at every lag of a shorter run too.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ CHUNK = 64  # steps per chunk of a march; the exponentials serve lags > CHUNK
 
 @dataclass(frozen=True)
 class CQWeights:
-    """Weights of the generating function ((1 - z)/tau)^(1-alpha), built by
-    ``generate``, which checks its arguments; the fields are not: NaN propagates."""
+    """The weights g of the generating function (1 - z)^(1-alpha), built by
+    ``generate``, which checks its arguments; the field is not: NaN propagates."""
 
-    alpha: float
-    tau: float
     g: np.ndarray  # dimensionless binomial-type coefficients, g[0] = 1
 
     @property
@@ -85,18 +84,15 @@ def exponentials(alpha: float, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, c
 
 
-def generate(alpha: float, tau: float, count: int) -> CQWeights:
-    """Weights d_0 .. d_{count-1}, held as g, for order alpha in (0, 1] and step tau > 0.
+def generate(alpha: float, count: int) -> CQWeights:
+    """Weights g_0 .. g_{count-1} of order alpha in (0, 1]; d_i = tau^(alpha-1) g_i for any tau.
 
     alpha = 1 is the degenerate case g = (1, 0, 0, ...), which reduces the
     stepper to classical backward Euler.  ValueError, naming the argument,
-    for a NaN or infinite tau or a count that is not an integer >= 1.
+    for an alpha outside (0, 1] or a count that is not an integer >= 1.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be finite and positive, got {tau}")
     count = require_count(count, 1, "count")
     i = np.arange(1, count)
-    g = np.cumprod(np.concatenate(([1.0], (i - 2 + alpha) / i)))
-    return CQWeights(alpha=float(alpha), tau=float(tau), g=g)
+    return CQWeights(g=np.cumprod(np.concatenate(([1.0], (i - 2 + alpha) / i))))

@@ -17,7 +17,12 @@ import numpy as np
 
 # 4-point Gauss-Legendre rule on [-1, 1]: exact through degree 7,
 # which makes quadrature error negligible against the P1 error scales.
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
+# numpy's leggauss(4), bit for bit, without importing numpy.polynomial; the
+# closed forms differ from it in the last bit
+_GAUSS_X = np.array([-0.8611363115940526, -0.33998104358485626,
+                     0.33998104358485626, 0.8611363115940526])
+_GAUSS_W = np.array([0.34785484513745357, 0.6521451548625464,
+                     0.6521451548625464, 0.34785484513745357])
 
 
 @dataclass(frozen=True)

@@ -242,25 +242,25 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
     reach the chunk from n0 as Q running sums per mode,
     -c_q sum_j e^{-(n0-65-j) x_q} W^j.  ``work`` holds Q + 1 + 2 * 64 rows,
     whatever n_rows: the sums, the load b / lam_S (zero without a source),
-    the previous chunk, whose last row W^{n0-1} is ``carry``, and the
-    current chunk.  Row k of each chunk's weight block, for step n0 + k,
-    holds kappa_n e^{-k x_q} on the sums, f(t_n) on the load, kappa_n times
-    -d at the lag of each chunk row and 1 on the step's own row.  One
+    the previous chunk and the current chunk.  Row k of each chunk's weight
+    block, for step n0 + k, holds kappa_n e^{-k x_q} on the sums, f(t_n) on
+    the load, kappa_n times -d at the lag of each chunk row and 1 on the
+    step's own row.  One
     product of the block's left part with the rows above the chunk puts each
     step's older history and source into its row before the chunk starts; in
     the first chunk it ends at the load, for W^0 is no part of the history.
     Then the previous chunk, always 64 rows, folds into the sums in one more
-    product, with weights set once per march, and ``carry`` becomes
-    rho W^{n-1}.
+    product, with weights set once per march.
 
     A chunk runs in sub-blocks of b steps, where b follows from M, the
     columns of all meshes, alone: the largest power of two in [8, 64] with
     b M <= 2**14, or 8, so that the rows a sub-block re-reads stay in cache;
     b = 64, one sub-block per chunk, up to M = 256.  Before each later
     sub-block, one product of the block's lag weights with the chunk's
-    earlier rows adds their history to the sub-block's rows, and the row
-    before the sub-block, saved and restored around it, is its carry slot,
-    as ``carry`` is the first sub-block's.  A step's dot, with weight 1 on
+    earlier rows adds their history to the sub-block's rows.  Every
+    sub-block, the first included, has one carry slot: the row before it,
+    saved once the products have read it, set to rho times itself and
+    restored after the sub-block.  A step's dot, with weight 1 on
     its carry slot, rho W^{n-1}, and on its own row, reads at most b + 1
     rows and gives the right-hand side, so a step is three array
     operations: the dot, the division by rho + d_0 kappa_n, whose rows are
@@ -299,7 +299,6 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
     e = math.frexp(np.abs(ends).max())[1]
     np.ldexp(ends, -e, out=ends)
     y.fill(0.0)  # the running sums, scaled by -c_q like the weights
-    carry = work[here - 1]  # W^{n0-1}, until the chunk's product and fold have read it
     # column j of the weight block meets work[j]; from the load's column q on
     # it scales a Toeplitz view of -d, at lag |here + k - j| for step k (a lag
     # beyond the run is never read), and work[here + k] is the step's own row
@@ -313,7 +312,7 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
     span = min(chunk, n_rows - 1)  # the rows of the longest chunk
     den = np.empty((min(sub, span), n_modes))  # a sub-block's divisors
     part = np.empty_like(den)  # a sub-block's history from the chunk's earlier rows
-    saved = np.empty(n_modes)  # the row under a later sub-block's carry slot
+    saved = np.empty(n_modes)  # the row under a sub-block's carry slot
     hist = np.empty(n_modes)
     # step k's operands, sliced once: its weights' bound dot and its rows, from
     # the carry slot of its sub-block, the row before the sub-block, to its own
@@ -340,22 +339,20 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
         if reach and n1 < n_rows:  # a later chunk meets these rows through the sums
             y *= shift
             y += np.matmul(fold, work[here - chunk:here], out=scratch)
-        np.multiply(rho, carry, carry)
         for s0 in range(0, r, sub):
             s1 = min(s0 + sub, r)
-            if s0:  # the chunk's earlier rows enter in one product; the last is the carry slot
+            if s0:  # the chunk's earlier rows enter in one product
                 rows[s0:s1] += np.matmul(weight[s0:s1, here:here + s0], rows[:s0],
                                          out=part[:s1 - s0])
-                np.copyto(saved, rows[s0 - 1])
-                np.multiply(rho, saved, rows[s0 - 1])
+            np.copyto(saved, tail[s0])  # the carry slot, once its row has been read
+            np.multiply(rho, saved, tail[s0])
             weight[s0:s1, here + s0 - 1] = 1.0
             np.add(d0 * kappa[n0 + s0:n0 + s1, None], rho, out=den[:s1 - s0])
             for dot, older, dk, row, slot in steps[s0:s1]:
                 dot(older, hist)  # bare calls, out by position: no lookup or dispatch
                 divide(hist, dk, row)
                 multiply(rho, row, slot)
-            if s0:
-                np.copyto(rows[s0 - 1], saved)
+            np.copyto(tail[s0], saved)
         if not np.isfinite(rows).all():  # name the first mesh at fault
             for mesh, cols in zip(meshes, _columns(meshes)):
                 _require_finite(rows[:, cols], mesh, n_rows - 1)
@@ -418,7 +415,7 @@ def _joint_march(spec: ProblemSpec, cells, counts, keep: bool):
     largest = max(counts)
     rows = _coefficients(largest + 1 if keep else 1, columns[-1].stop, meshes, largest)
     try:
-        g = cq.generate(spec.alpha, spec.final_time / largest, largest + 1).g
+        g = cq.generate(spec.alpha, largest + 1).g
     except MemoryError:
         raise _unallocated("weights", 8 * (largest + 1), meshes, largest) from None
     marches = []

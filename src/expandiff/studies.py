@@ -160,14 +160,12 @@ def oracle_study(alpha: float, kappa: float, mode: int, *, final_time: float,
 # -- CSV ----------------------------------------------------------------------
 
 
-def write_csv(tables, path) -> None:
-    """Write one or more rate tables as ``resolution,error,rate`` rows.
+def write_csv(tables: list[RateTable], path) -> None:
+    """Write a list of rate tables as ``resolution,error,rate`` rows.
 
     Values use 17-significant-digit scientific notation, which round-trips
     float64 exactly; the rate cell is empty on each table's first row.
     """
-    if isinstance(tables, RateTable):
-        tables = [tables]
     lines = ["resolution,error,rate"]
     for tb in tables:
         for i, (res, err) in enumerate(zip(tb.resolutions, tb.errors)):

@@ -1,6 +1,7 @@
-"""The direct references for the tests of fast paths: the scheme in the
-sine basis with the full history sum at every step, and the L2 error against
-the closed form with the hat values formed from the mesh's nodes."""
+"""The direct references for the tests of fast paths: the dense P1 mass and
+stiffness matrices, the scheme in the sine basis with the full history sum
+at every step, and the L2 error against the closed form with the hat values
+formed from the mesh's nodes."""
 
 import numpy as np
 
@@ -9,12 +10,20 @@ from expandiff.fem1d import _GAUSS_W, _GAUSS_X, mode_eigenvalues, sine_transform
 from expandiff.mittag_leffler import exact_solution
 
 
+def dense_mass_stiffness(mesh):
+    """The P1 mass and stiffness matrices on the interior nodes as dense
+    arrays: 2h/3 and h/6, and 2/h and -1/h, on and beside the diagonal."""
+    h, m = mesh.h, mesh.n_interior
+    beside = np.eye(m, k=1) + np.eye(m, k=-1)
+    return 2 * h / 3 * np.eye(m) + h / 6 * beside, 2 / h * np.eye(m) - 1 / h * beside
+
+
 def direct_history_solve(spec, n_cells, n_steps, frozen_time=None):
     """Reference modal stepper: the direct history sum of rows 1..n-1 at every step,
     with kappa_n as kappa_m - (kappa_m - kappa_n) for m at ``frozen_time`` if given."""
     mesh = build_mesh(n_cells)
     tau = spec.final_time / n_steps
-    d = tau ** (spec.alpha - 1.0) * generate_weights(spec.alpha, tau, n_steps + 1).g
+    d = tau ** (spec.alpha - 1.0) * generate_weights(spec.alpha, n_steps + 1).g
     lam_m, lam_s = mode_eigenvalues(mesh)
     load = 0.0
     if not spec.source.is_zero:

@@ -187,7 +187,7 @@ def test_criterion_6_property_suite():
 
     # weight invariants: signs, partial sums, generating-function inverse
     for alpha in (0.3, 0.5, 0.8):
-        w = generate_weights(alpha, 1.0, 512)
+        w = generate_weights(alpha, 512)
         if not (w.g[0] == 1.0 and np.all(w.g[1:] < 0)):
             problems.append(f"weight signs broken at alpha={alpha}")
         partial = np.cumsum(w.g)

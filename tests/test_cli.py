@@ -1,4 +1,3 @@
-import io
 import math
 import re
 from pathlib import Path
@@ -235,6 +234,21 @@ def test_cli_oracle_preset_prints_max_error(tmp_path, capsys):
     assert all(e > 0 for tb in tables for e in tb.errors)
 
 
+def test_cli_oracle_max_error_line_starts_at_the_first_value_column(tmp_path, capsys):
+    # the line had a fixed indent of 16, while the labels "alpha=0.5 temporal"
+    # and "alpha=0.5 spatial" widen the first column to 19 and 18
+    assert main(["--preset", "oracle", "--alpha", "0.5",
+                 "--output", str(tmp_path / "oracle.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    blocks = [lines[k:k + 4] for k in range(0, len(lines) - 1, 4)]
+    assert len(blocks) == 2
+    for head, errs, rates, max_error in blocks:
+        first, second = [m.end() for m in re.finditer(r"\S+", errs)][1:3]
+        start = first - (second - first)  # the columns are right-aligned, all as wide
+        assert start == len(max_error) - len(max_error.lstrip()) > 16
+        assert max_error.lstrip().startswith("max error vs closed form: ")
+
+
 def test_cli_oracle_below_its_range_exits_1_without_csv(tmp_path, capsys):
     # the oracle is wrong below alpha = 1e-3: this run exited 0 with rates
     # near 0 and every error at 6.1e-2, which was the oracle's
@@ -395,32 +409,29 @@ def test_cli_overflowing_power_law_exits_nonzero(tmp_path, capsys, law, old, new
     assert err.startswith("error: " + law) and "overflows at t = " in err
 
 
-def test_print_table_huge_resolutions_are_not_one_over_zero():
+def test_print_table_huge_resolutions_are_not_one_over_zero(capsys):
     # above 1e9, round(1/r) is 0; the header printed 1/0 for every column
     table = RateTable(label="big", axis="temporal", resolutions=[2.5e299, 1.25e299],
                       errors=[1.0, 0.5])
-    buf = io.StringIO()
-    print_table(table, buf)
-    assert buf.getvalue().splitlines()[0].split() == ["big", "2.5e+299", "1.25e+299"]
+    print_table(table)
+    assert capsys.readouterr().out.splitlines()[0].split() == ["big", "2.5e+299", "1.25e+299"]
 
 
-def test_print_table_keeps_three_digit_exponents_apart():
+def test_print_table_keeps_three_digit_exponents_apart(capsys):
     table = RateTable(label="tiny", axis="spatial", resolutions=[1 / 32, 1 / 64],
                       errors=[1.507e-153, 6.774e-154])
-    buf = io.StringIO()
-    print_table(table, buf)
-    assert buf.getvalue().splitlines()[1].split() == ["E_h", "1.507E-153", "6.774E-154"]
+    print_table(table)
+    assert capsys.readouterr().out.splitlines()[1].split() == ["E_h", "1.507E-153", "6.774E-154"]
 
 
-def test_print_table_aligns_columns_after_a_long_label():
+def test_print_table_aligns_columns_after_a_long_label(capsys):
     # the oracle preset's labels run to 18 characters, past the first
     # column's 16, which pushed the header 2 characters right of its values
     table = RateTable(label="alpha=0.5 temporal", axis="temporal",
                       resolutions=[1 / 50, 1 / 100, 1 / 200], errors=[3e-4, 1.5e-4, 7e-5])
-    buf = io.StringIO()
-    print_table(table, buf)
+    print_table(table)
     head, errs, rates = ([m.end() for m in re.finditer(r"\S+", line)]
-                         for line in buf.getvalue().splitlines())
+                         for line in capsys.readouterr().out.splitlines())
     assert head[-3:] == errs[-3:] and head[-2:] == rates[-2:]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,36 +10,36 @@ from expandiff.cq import CHUNK, exponentials
 
 
 def test_alpha_one_degenerates_to_backward_euler():
-    w = generate_weights(1.0, 0.25, 6)
+    w = generate_weights(1.0, 6)
     np.testing.assert_array_equal(w.g, [1, 0, 0, 0, 0, 0])
+
+
+def test_weights_hold_g_and_its_count_alone():
+    # d_i = tau^(alpha-1) g_i: g depends on alpha alone, and no step is stored
+    w = generate_weights(0.5, 7)
+    assert [f.name for f in dataclasses.fields(CQWeights)] == ["g"]
+    assert w.count == w.g.size == 7
 
 
 def test_half_order_taylor_coefficients():
     # Taylor coefficients of (1 - z)^(1/2), exact in binary arithmetic
-    w = generate_weights(0.5, 1.0, 5)
+    w = generate_weights(0.5, 5)
     np.testing.assert_array_equal(w.g, [1.0, -0.5, -0.125, -0.0625, -0.0390625])
-
-
-def test_step_scaling():
-    # d_i = tau^(alpha-1) g_i: g does not depend on tau, and neither does its
-    # sum of exponentials, a function of alpha and g alone
-    w, unit = generate_weights(0.5, 0.01, 300), generate_weights(0.5, 1.0, 300)
-    np.testing.assert_array_equal(w.g, unit.g)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.35, 0.5, 0.8, 1.0])
 def test_shorter_runs_are_bitwise_prefixes(alpha):
     # one cumulative product: a march of n steps may read the first n + 1
     # weights of a longer run with another step, and read its own g bitwise
-    longest = generate_weights(alpha, 1 / 1600, 1601).g
+    longest = generate_weights(alpha, 1601).g
     for n in (0, 1, 50, 64, 65, 128, 129, 200, 800):
-        own = generate_weights(alpha, 1 / max(n, 1), n + 1).g
+        own = generate_weights(alpha, n + 1).g
         np.testing.assert_array_equal(longest[:n + 1], own)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_signs_and_partial_sums(alpha):
-    w = generate_weights(alpha, 1.0, 400)
+    w = generate_weights(alpha, 400)
     assert w.g[0] == 1.0
     assert np.all(w.g[1:] < 0.0)
     partial = np.cumsum(w.g)
@@ -47,7 +48,7 @@ def test_signs_and_partial_sums(alpha):
 
 
 def test_partial_sums_vanish():
-    w = generate_weights(0.5, 1.0, 10_001)
+    w = generate_weights(0.5, 10_001)
     assert np.cumsum(w.g)[-1] <= 1e-2
 
 
@@ -55,7 +56,7 @@ def test_recurrence_matches_gamma_ratio():
     # g_i = Gamma(i - (1-alpha)) / (Gamma(-(1-alpha)) * Gamma(i + 1))
     for alpha in (0.25, 0.5, 0.85):
         beta = 1.0 - alpha
-        w = generate_weights(alpha, 1.0, 101)
+        w = generate_weights(alpha, 101)
         i = np.arange(1, 101)
         ref = np.exp(gammaln(i - beta) - gammaln(i + 1.0)) / gamma(-beta)
         np.testing.assert_allclose(w.g[1:], ref, rtol=1e-10)
@@ -64,7 +65,7 @@ def test_recurrence_matches_gamma_ratio():
 def test_generate_matches_sequential_recurrence():
     # the cumulative product against the loop g_i = g_{i-1} * (i - 2 + alpha) / i
     for alpha in (0.1, 0.35, 0.5, 0.8, 1.0):
-        w = generate_weights(alpha, 1.0, 10_001)
+        w = generate_weights(alpha, 10_001)
         ref = np.empty(10_001)
         ref[0] = 1.0
         for i in range(1, 10_001):
@@ -77,7 +78,7 @@ def test_convolution_with_inverse_exponent_weights(alpha):
     # coefficients of (1-z)^(1-a) convolved with those of (1-z)^(a-1)
     # must give the identity sequence
     n = 512
-    w = generate_weights(alpha, 1.0, n)
+    w = generate_weights(alpha, n)
     inv = np.empty(n)
     inv[0] = 1.0
     for i in range(1, n):
@@ -91,14 +92,13 @@ def test_convolution_with_inverse_exponent_weights(alpha):
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, 2.0])
 def test_generate_rejects_bad_alpha(bad):
     with pytest.raises(ValueError):
-        generate_weights(bad, 1.0, 4)
+        generate_weights(bad, 4)
 
 
-def test_generate_rejects_bad_tau_and_count():
-    with pytest.raises(ValueError):
-        generate_weights(0.5, 0.0, 4)
-    with pytest.raises(ValueError):
-        generate_weights(0.5, 1.0, 0)
+@pytest.mark.parametrize("count", [0, 2.5, math.nan, math.inf])
+def test_generate_rejects_bad_count(count):
+    with pytest.raises(ValueError, match="count must be an integer"):
+        generate_weights(0.5, count)
 
 
 # -- history sums -------------------------------------------------------------
@@ -108,7 +108,7 @@ def test_history_two_steps_of_ones():
     # d_0 + d_1 = 1/2 and d_1 = -1/2 at alpha = 1/2, tau = 1: the history sum
     # of two unit states with and without its current term
     alpha, tau = 0.5, 1.0
-    d = tau ** (alpha - 1.0) * generate_weights(alpha, tau, 8).g
+    d = tau ** (alpha - 1.0) * generate_weights(alpha, 8).g
     np.testing.assert_allclose(d[:2] @ np.ones((2, 4)), 0.5 * np.ones(4), rtol=1e-14)
     np.testing.assert_allclose(d[1:2] @ np.ones((1, 4)), -0.5 * np.ones(4), rtol=1e-14)
 
@@ -120,7 +120,7 @@ def test_history_two_steps_of_ones():
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.5, 0.999, 1.0])
 def test_exponentials_match_weights_beyond_the_near_field(alpha, count):
     # g_i = sum_q c_q e^{-(i-65) x_q} at every lag the far field meets
-    w = generate_weights(alpha, 0.37, count)
+    w = generate_weights(alpha, count)
     x, c = exponentials(alpha, w.g)
     if alpha == 1.0:
         assert x.size == c.size == 0
@@ -145,7 +145,7 @@ def test_the_largest_fit_serves_every_shorter_count(alpha):
     # of n steps, with tau = 1/n, scales the amplitudes by its own
     # tau^(alpha-1), and must meet d = tau^(alpha-1) g at its own check lags
     # within the self-check's bound max(1e-12, i eps)
-    g = generate_weights(alpha, 1 / 1600, 1601).g
+    g = generate_weights(alpha, 1601).g
     x, c = exponentials(alpha, g)
     for n in (129, 200, 400, 800, 1600):
         tau, lags = 1 / n, _check_lags(n + 1)
@@ -159,15 +159,7 @@ def test_the_largest_fit_serves_every_shorter_count(alpha):
 def test_exponentials_check_themselves():
     # the construction compares the fit with g at lags 65, 66, 68, .., 192 and
     # 299: a g off by 1e-11 at one of them raises instead of reaching a march
-    w = generate_weights(0.5, 1.0, 300)
+    w = generate_weights(0.5, 300)
     w.g[CHUNK + 128] *= 1 + 1e-11
     with pytest.raises(ValueError, match="exponentials miss the CQ weights"):
         exponentials(0.5, w.g)
-
-
-@pytest.mark.parametrize("tau, count, match", [
-    (math.nan, 4, "tau must be finite"), (math.inf, 4, "tau must be finite"),
-    (1.0, 2.5, "count must be an integer")])
-def test_generate_rejects_non_finite_tau_and_fractional_count(tau, count, match):
-    with pytest.raises(ValueError, match=match):
-        generate_weights(0.5, tau, count)

@@ -6,8 +6,10 @@ from numpy.polynomial import polynomial as npoly
 
 from expandiff import (PiecewiseFn, basis_integrals, build_mesh, l2_norm,
                        l2_project, prolong, ritz_project)
-from expandiff.fem1d import (TriDiagMatrix, assemble_mass, assemble_stiffness,
-                             mode_eigenvalues, sine_transform, solve_tridiag)
+from expandiff.fem1d import (_GAUSS_W, _GAUSS_X, TriDiagMatrix, assemble_mass,
+                             assemble_stiffness, mode_eigenvalues, sine_transform,
+                             solve_tridiag)
+from direct_reference import dense_mass_stiffness
 
 
 # -- mesh ---------------------------------------------------------------------
@@ -179,7 +181,7 @@ def test_sine_transform_matches_dense_sum():
 @pytest.mark.parametrize("n", [2, 5, 16, 129])
 def test_mass_and_stiffness_act_on_sines_by_stated_eigenvalues(n):
     mesh = build_mesh(n)
-    M, S = assemble_mass(mesh), assemble_stiffness(mesh)
+    M, S = dense_mass_stiffness(mesh)
     lam_m, lam_s = mode_eigenvalues(mesh)
     for k in {1, n // 2, n - 1}:
         v = np.sin(k * np.pi * mesh.interior_nodes)
@@ -187,8 +189,8 @@ def test_mass_and_stiffness_act_on_sines_by_stated_eigenvalues(n):
         stated_m, stated_s = mesh.h / 3 * (2 + c), 2 / mesh.h * (1 - c)
         assert lam_m[k - 1] == pytest.approx(stated_m, rel=1e-14)
         assert lam_s[k - 1] == pytest.approx(stated_s, rel=1e-12)
-        np.testing.assert_allclose(M.matvec(v), stated_m * v, atol=1e-14)
-        np.testing.assert_allclose(S.matvec(v), stated_s * v, atol=1e-11 * n)
+        np.testing.assert_allclose(M @ v, stated_m * v, atol=1e-14)
+        np.testing.assert_allclose(S @ v, stated_s * v, atol=1e-11 * n)
 
 
 # -- basis integrals ----------------------------------------------------------
@@ -213,6 +215,12 @@ def _basis_integrals_exact(g, mesh):
             anti = npoly.polyint(npoly.polymul(p, [nodes[k + 1] / h, -1.0 / h]))
             b[k - 1] += npoly.polyval(bb, anti) - npoly.polyval(a, anti)
     return b
+
+
+def test_gauss_rule_is_numpy_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    assert _GAUSS_X.tobytes() == nodes.tobytes()
+    assert _GAUSS_W.tobytes() == weights.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 1024])
@@ -326,7 +334,7 @@ def test_ritz_closed_form_matches_stiffness_solve(name, n):
     (g, factor), mesh = _RITZ_DATA[name], build_mesh(n)
     v = factor * g(mesh.nodes)
     b = (2.0 * v[1:-1] - v[:-2] - v[2:]) / mesh.h
-    direct = solve_tridiag(assemble_stiffness(mesh), b)
+    direct = np.linalg.solve(dense_mass_stiffness(mesh)[1], b)
     np.testing.assert_allclose(factor * ritz_project(g, mesh), direct, rtol=0, atol=1e-12)
 
 
@@ -401,13 +409,13 @@ _FAST_PATH_DATA = {
 @pytest.mark.parametrize("n", [2, 3, 17, 256, 1024])
 @pytest.mark.parametrize("name", list(_FAST_PATH_DATA))
 def test_sine_basis_projection_and_norm_match_tridiagonal_reference(name, n):
-    # direct references: the Thomas solve of M c = b and sqrt(v' M v) by matvec
+    # direct references: the dense solve of M c = b and sqrt(v' M v)
     g, mesh = _FAST_PATH_DATA[name], build_mesh(n)
-    M = assemble_mass(mesh)
-    direct = solve_tridiag(M, basis_integrals(g, mesh))
+    M = dense_mass_stiffness(mesh)[0]
+    direct = np.linalg.solve(M, basis_integrals(g, mesh))
     c = l2_project(g, mesh)
     assert np.abs(c - direct).max() <= 1e-14 * np.abs(direct).max()
-    assert l2_norm(mesh, c) == pytest.approx(np.sqrt(c @ M.matvec(c)), rel=1e-14, abs=0)
+    assert l2_norm(mesh, c) == pytest.approx(np.sqrt(c @ M @ c), rel=1e-14, abs=0)
     with pytest.raises(ValueError):
         l2_norm(mesh, np.ones(n))
     with pytest.raises(ValueError):

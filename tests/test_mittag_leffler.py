@@ -173,11 +173,13 @@ def test_extreme_and_invalid_arguments(alpha):
 
 def test_package_import_leaves_out_heavy_modules():
     # mpmath and scipy (scipy.fft included) cost start-up time and memory on
-    # every run; importing the package and one solve must load neither
-    code = ("import sys, expandiff as xd\n"
+    # every run, and so does numpy.polynomial, whose one use was the Gauss
+    # rule; importing the package and its CLI and one solve must load none
+    code = ("import sys, expandiff as xd, expandiff.cli\n"
             "xd.solve(xd.ProblemSpec(0.5, 1.0, xd.CoefficientLaw.constant(1.0),\n"
             "    xd.PiecewiseFn.indicator(0.5, 1.0), xd.SourceTerm.zero()), 16, 4)\n"
-            "print([m for m in sys.modules if m.split('.')[0] in ('mpmath', 'scipy')])")
+            "print([m for m in sys.modules if m.split('.')[0] in ('mpmath', 'scipy')\n"
+            "       or m.startswith('numpy.polynomial')])")
     src = str(Path(expandiff.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -26,7 +26,8 @@ NO_NUMBERS = "no numbers"  # every argument is a checked object, a path or a lis
 # ValueError, PROPAGATES or NO_NUMBERS
 CONTRACT = {
     "CQWeights": [PROPAGATES],
-    "generate_weights": [(lambda: ex.generate_weights(0.5, nan, 4), "tau must")],
+    "generate_weights": [(lambda: ex.generate_weights(nan, 4), "alpha must"),
+                         (lambda: ex.generate_weights(0.5, nan), "count must")],
     "Mesh1D": [PROPAGATES],
     "PiecewiseFn": [(lambda: ex.PiecewiseFn([0.0, 1.0], [nan]), "values must")],
     "basis_integrals": [NO_NUMBERS],

@@ -293,7 +293,7 @@ def test_csv_roundtrip_single(tmp_path):
                    resolutions=[1 / 3, 1 / 6, 1 / 12],
                    errors=[1.0 / 7.0, 0.05000000000000001, 0.0])
     path = tmp_path / "table.csv"
-    write_csv(tb, path)
+    write_csv([tb], path)
     back = read_csv(path)
     assert len(back) == 1
     assert _tables_equal(tb, back[0])
@@ -314,7 +314,7 @@ def test_csv_roundtrip_stacked(tmp_path):
 def test_csv_header_and_format(tmp_path):
     tb = RateTable(label="", axis="spatial", resolutions=[0.25], errors=[1e-4])
     path = tmp_path / "t.csv"
-    write_csv(tb, path)
+    write_csv([tb], path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "resolution,error,rate"
     assert lines[1].endswith(",")  # first row carries no rate
