@@ -31,6 +31,9 @@ a sum of Q exponentials of the weights, carry the history older than the
 previous chunk: a chunk takes its history from before it in one product,
 and each later sub-block the history of the chunk's earlier rows in one
 more, so N steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
+That buffer, the weight block and each step's operands are the march's
+plan: after a march returns, one idle plan of O((Q + 129) M) numbers
+remains, whatever N, and the next march of the same shape reuses it.
 """
 
 from __future__ import annotations
@@ -71,9 +74,9 @@ class CoefficientLaw:
     exponent: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.scale < math.inf:
+        if isinstance(self.scale, (bool, np.bool_)) or not 0.0 <= self.scale < math.inf:
             raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
-        if not 0.0 <= self.exponent < math.inf:
+        if isinstance(self.exponent, (bool, np.bool_)) or not 0.0 <= self.exponent < math.inf:
             raise ValueError(f"exponent must be finite and >= 0, got {self.exponent}")
 
     @classmethod
@@ -97,7 +100,8 @@ class SourceTerm:
     time_exponent: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.time_exponent < math.inf:
+        if (isinstance(self.time_exponent, (bool, np.bool_))
+                or not 0.0 <= self.time_exponent < math.inf):
             raise ValueError(
                 f"time exponent must be finite and >= 0, got {self.time_exponent}")
 
@@ -131,9 +135,9 @@ class ProblemSpec:
     source: SourceTerm
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
+        if isinstance(self.alpha, (bool, np.bool_)) or not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 < self.final_time < math.inf:
+        if isinstance(self.final_time, (bool, np.bool_)) or not 0.0 < self.final_time < math.inf:
             raise ValueError(f"final time must be finite and > 0, got {self.final_time}")
 
 
@@ -207,6 +211,7 @@ def project_initial(spec: ProblemSpec, mesh: Mesh1D) -> np.ndarray:
 
 _LAGS = abs(np.arange(2 * cq.CHUNK, -cq.CHUNK, -1))  # lags 128 .. 0 .. 63: see _march
 _NO_SUMS = np.empty((cq.CHUNK + 1, 0)), np.empty((0, cq.CHUNK)), np.empty((0, 1))  # see _march
+_IDLE = []  # the slot for at most one idle march plan, (key, plan): see _march
 
 
 def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarray,
@@ -265,11 +270,23 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
     rows and gives the right-hand side, so a step is three array
     operations: the dot, the division by rho + d_0 kappa_n, whose rows are
     built from b values of kappa just before the sub-block, and rho W^n
-    into the carry slot.  Each step's operands are sliced once per march.
-    A run of up to 128 steps has no rows before its previous chunk, so
-    Q = 0 and it reads no ``fit``.  Raises ValueError, naming the
-    mesh, as soon as a chunk holds a non-finite coefficient, and when the
-    two arrays of n_rows time factors cannot be allocated.
+    into the carry slot.  Each step's operands are sliced once per plan.
+
+    The buffers and the operands are a plan (``_plan``), keyed by M, Q, b
+    and the rows of the longest chunk.  A march takes the idle plan from the
+    module's slot, which holds at most one; if its key differs, the march
+    drops it before making its own, so one plan is alive per running march.
+    It puts its plan back only when it returns normally, so after a march one
+    idle plan of O((Q + 129) M) numbers remains, whatever n_rows, and the
+    next march of the same shape reuses it.  The take is atomic, so
+    concurrent marches never share buffers, and a march that raises drops
+    its plan.  The march writes every entry it reads, and returns no view
+    into the plan.
+
+    A run of up to 128 steps has no rows before its previous chunk, so Q = 0
+    and it reads no ``fit``.  Raises ValueError, naming the mesh, as soon as
+    a chunk holds a non-finite coefficient, and when the two arrays of
+    n_rows time factors or a new plan cannot be allocated.
     """
     n_rows, n_modes, alpha = g.size, w0.size, spec.alpha
     lam_m, lam_s, load = modes
@@ -293,7 +310,20 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
     q = len(fold)
     # work[here + j], j >= -chunk, holds 2**-e W^{n0+j} while the chunk from n0 runs
     here = q + chunk + 1
-    work = _coefficients(here + chunk, n_modes, meshes, n_rows - 1)
+    span = min(chunk, n_rows - 1)  # the rows of the longest chunk
+    key = n_modes, q, sub, span
+    try:
+        idle, plan = _IDLE.pop()  # atomic: no other march can take the same plan
+    except IndexError:
+        idle = None
+    if idle != key:
+        plan = None  # the idle plan goes before a new one is made
+        try:  # numpy refuses a shape beyond the address space with ValueError
+            plan = _plan(*key)
+        except (MemoryError, ValueError):
+            raise _unallocated("coefficients", 8 * (here + chunk) * n_modes, meshes,
+                               n_rows - 1) from None
+    work, block, own, scratch, den, part, saved, hist, tail, steps = plan
     y, work[q], work[here - 1] = work[:q], load, w0
     ends = work[q:here:chunk]  # the load and W^0, times 2**-e, which puts their peak in [0.5, 1)
     e = math.frexp(np.abs(ends).max())[1]
@@ -306,24 +336,6 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
     lags = np.ndarray((chunk, 2 * chunk + 1), buffer=d, offset=d.itemsize * (chunk - 1),
                       strides=(-d.itemsize, d.itemsize))
     d0 = -d[2 * chunk]  # lag 0
-    block = np.empty((chunk, here + chunk))
-    own = block.reshape(-1)[here::here + chunk + 1]  # the diagonal: weight 1
-    scratch = np.empty_like(y)  # the fold's output: fresh Q x M arrays per chunk fragment the heap
-    span = min(chunk, n_rows - 1)  # the rows of the longest chunk
-    den = np.empty((min(sub, span), n_modes))  # a sub-block's divisors
-    part = np.empty_like(den)  # a sub-block's history from the chunk's earlier rows
-    saved = np.empty(n_modes)  # the row under a sub-block's carry slot
-    hist = np.empty(n_modes)
-    # step k's operands, sliced once: its weights' bound dot and its rows, from
-    # the carry slot of its sub-block, the row before the sub-block, to its own
-    # row; its divisor; its own row; the carry slot
-    tail = work[here - 1:]  # tail[s0] is the carry slot of the sub-block from s0
-    steps = []
-    for s0 in range(0, span, sub):
-        s1 = min(s0 + sub, span)
-        steps += zip([w[s0:k].dot for k, w in enumerate(block[s0:s1, here - 1:], s0 + 2)],
-                     [tail[s0:k] for k in range(s0 + 2, s1 + 2)], den, tail[s0 + 1:s1 + 1],
-                     [tail[s0]] * (s1 - s0))
     divide, multiply = np.divide, np.multiply  # the step loop's calls, looked up once
     reach = 0  # the previous chunk's rows in the chunk's product: none in the first
     for n0 in range(1, n_rows, chunk):
@@ -361,7 +373,37 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
         if n1 < n_rows:
             work[here - chunk:here] = work[here:]  # disjoint rows: a plain copy
         reach = chunk
-    return np.ldexp(rows[-1], e) if out is None else out[n_rows - 1]
+    last = np.ldexp(rows[-1], e) if out is None else out[n_rows - 1]
+    _IDLE[:] = [(key, plan)]  # one assignment: the slot never holds two plans
+    return last
+
+
+def _plan(n_modes: int, q: int, sub: int, span: int) -> tuple:
+    """A march's buffers for ``n_modes`` columns, ``q`` running sums,
+    sub-blocks of ``sub`` steps and chunks of at most ``span`` steps, and
+    each step's operands, sliced once (see ``_march``).  Every entry is
+    written by the march before it is read."""
+    chunk = cq.CHUNK
+    here = q + chunk + 1
+    work = np.empty((here + chunk, n_modes))
+    block = np.empty((chunk, here + chunk))
+    own = block.reshape(-1)[here::here + chunk + 1]  # the diagonal: weight 1
+    scratch = np.empty((q, n_modes))  # the fold's output: fresh arrays per chunk fragment the heap
+    den = np.empty((min(sub, span), n_modes))  # a sub-block's divisors
+    part = np.empty_like(den)  # a sub-block's history from the chunk's earlier rows
+    saved = np.empty(n_modes)  # the row under a sub-block's carry slot
+    hist = np.empty(n_modes)
+    # step k's operands: its weights' bound dot and its rows, from the carry
+    # slot of its sub-block, the row before the sub-block, to its own row; its
+    # divisor; its own row; the carry slot
+    tail = work[here - 1:]  # tail[s0] is the carry slot of the sub-block from s0
+    steps = []
+    for s0 in range(0, span, sub):
+        s1 = min(s0 + sub, span)
+        steps += zip([w[s0:k].dot for k, w in enumerate(block[s0:s1, here - 1:], s0 + 2)],
+                     [tail[s0:k] for k in range(s0 + 2, s1 + 2)], den, tail[s0 + 1:s1 + 1],
+                     [tail[s0]] * (s1 - s0))
+    return work, block, own, scratch, den, part, saved, hist, tail, steps
 
 
 def _modes(meshes: list[Mesh1D], spec: ProblemSpec):
@@ -402,9 +444,10 @@ def _joint_march(spec: ProblemSpec, cells, counts, keep: bool):
     amplitudes each march scales by its own tau^(alpha-1).  So a march gives
     the bits of a set-up of its own if it has at most 128 steps or the
     largest count, and the same to rounding otherwise.  ValueError for no
-    cells or no counts, when a coefficient or a final state comes out
-    non-finite, or when the rows kept, the march's buffer, its two time
-    factors or the weights g cannot be allocated."""
+    cells or no counts, for a step T / n that underflows to 0, when a
+    coefficient or a final state comes out non-finite, or when the rows
+    kept, the march's buffer, its two time factors or the weights g cannot
+    be allocated."""
     counts = [require_count(n, 1, "n_steps") for n in counts]
     meshes = [build_mesh(n) for n in cells]
     if not meshes:
@@ -413,6 +456,9 @@ def _joint_march(spec: ProblemSpec, cells, counts, keep: bool):
         raise ValueError("counts must not be empty")
     columns = _columns(meshes)
     largest = max(counts)
+    if not spec.final_time / largest > 0.0:
+        raise ValueError(f"the step T / n underflows to 0 (n_steps={largest}, "
+                         f"final_time={spec.final_time})")
     rows = _coefficients(largest + 1 if keep else 1, columns[-1].stop, meshes, largest)
     try:
         g = cq.generate(spec.alpha, largest + 1).g

@@ -10,6 +10,8 @@ from scipy.special import erfc, erfcx, rgamma
 
 import expandiff
 from expandiff import exact_solution, mittag_leffler
+from expandiff.mittag_leffler import _sweep
+from direct_reference import direct_mittag_leffler
 
 # Reference values computed once at 60-digit precision with the
 # branch-cut integral representation
@@ -188,12 +190,38 @@ def test_package_import_leaves_out_heavy_modules():
     assert out.stdout.strip() == "[]"
 
 
+# the orders on both sides of the branch at 1/2, and the sweep's least order
+_SWEEP_ORDERS = [1e-3, 0.3, 0.5, float(np.nextafter(0.5, 1.0)), 0.7, 0.95]
+
+
+def test_cached_sweep_matches_the_direct_sweep_bitwise():
+    # the orders interleaved, so every call replaces the cached sweep, then
+    # each order's arguments in a row, so every call after its first reuses it
+    xs = list(np.logspace(-6, 8, 57)) + [math.inf]
+    for x in xs:
+        for alpha in _SWEEP_ORDERS:
+            assert mittag_leffler(alpha, -x) == direct_mittag_leffler(alpha, -x), (alpha, x)
+    for alpha in _SWEEP_ORDERS:
+        for x in xs:
+            assert mittag_leffler(alpha, -x) == direct_mittag_leffler(alpha, -x), (alpha, x)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_cached_sweep_is_read_only(alpha):
+    arrays = [part for part in _sweep(alpha) if isinstance(part, np.ndarray)]
+    assert len(arrays) == 2
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_rejects_positive_argument():
     with pytest.raises(ValueError):
         mittag_leffler(0.5, 0.5)
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.2, 1.2])
+# True used to read as 1
+@pytest.mark.parametrize("bad", [0.0, -0.2, 1.2, True, pytest.param(np.True_, id="np.True_")])
 def test_rejects_bad_order(bad):
     with pytest.raises(ValueError):
         mittag_leffler(bad, -1.0)
@@ -246,6 +274,11 @@ def test_exact_solution_validation():
         exact_solution(0.5, 1.0, 1.9, 0.5, 0.0)
     with pytest.raises(ValueError):
         exact_solution(0.5, 1.0, 1, 0.5, -1.0)
+    # booleans read as 1 and 0
+    with pytest.raises(ValueError, match="^kappa must be"):
+        exact_solution(0.5, True, 1, 0.5, True)
+    with pytest.raises(ValueError, match="^t must be"):
+        exact_solution(0.5, 1.0, 1, 0.5, np.True_)
 
 
 @pytest.mark.parametrize("kappa, t, name", [(math.nan, 1.0, "kappa"), (1.0, math.nan, "t")])

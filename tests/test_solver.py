@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -45,6 +47,10 @@ def test_coefficient_law_validation():
         CoefficientLaw.power(-1.0, 1.0)
     with pytest.raises(ValueError):
         CoefficientLaw.power(1.0, -0.5)
+    # booleans read as 1 and 0
+    for scale, exponent in [(True, 0.0), (1.0, False), (np.True_, 0.0), (1.0, np.False_)]:
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            CoefficientLaw(scale=scale, exponent=exponent)
 
 
 def test_source_time_factor():
@@ -67,6 +73,13 @@ def test_problem_spec_rejects_degenerate_time_and_order():
         ProblemSpec(alpha=1.5, final_time=1.0,
                     coefficient=CoefficientLaw.constant(1.0),
                     initial=PiecewiseFn.zero(), source=SourceTerm.zero())
+    # booleans read as 1 and 0: an all-boolean spec used to solve and exit cleanly
+    for alpha, final_time, name in [(True, 1.0, "alpha"), (np.True_, 1.0, "alpha"),
+                                    (0.5, True, "final time"), (0.5, np.True_, "final time")]:
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            ProblemSpec(alpha=alpha, final_time=final_time,
+                        coefficient=CoefficientLaw.constant(1.0),
+                        initial=PiecewiseFn.zero(), source=SourceTerm.zero())
 
 
 @pytest.mark.parametrize("final_time", [math.nan, math.inf])
@@ -90,6 +103,13 @@ def test_source_term_rejects_non_finite(value, time_exponent):
     with pytest.raises(ValueError):
         SourceTerm.separable(PiecewiseFn([0.0, 0.5, 1.0], [value, 0.0]),
                              time_exponent=time_exponent)
+
+
+@pytest.mark.parametrize("time_exponent", [True, False,
+                                           pytest.param(np.True_, id="np.True_")])
+def test_source_term_rejects_boolean_exponent(time_exponent):
+    with pytest.raises(ValueError, match="time exponent must be finite"):
+        SourceTerm(PiecewiseFn.indicator(0.0, 0.5), time_exponent=time_exponent)
 
 
 # -- projections and loads ------------------------------------------------------
@@ -575,6 +595,13 @@ def test_solve_rejects_bad_steps():
         solve(_forced(), 10**400, 4)
     with pytest.raises(ValueError, match="n_steps must be an integer"):
         solve(_forced(), 8, 10**400)
+    # tau = T / n underflowed to 0 and leaked a division warning and a ZeroDivisionError
+    tiny = ProblemSpec(alpha=0.5, final_time=5e-324, coefficient=CoefficientLaw.constant(1.0),
+                       initial=PiecewiseFn.indicator(0.5, 1.0), source=SourceTerm.zero())
+    with pytest.raises(ValueError, match=r"underflows to 0 \(n_steps=4, final_time=5e-324\)"):
+        solve(tiny, 8, 4)
+    with pytest.raises(ValueError, match=r"n_steps=4, final_time=5e-324"):
+        final_states(tiny, [8, 16], [1, 4])
 
 
 @pytest.mark.parametrize("n_steps", [2.5, math.inf, math.nan, True,
@@ -725,6 +752,88 @@ def test_non_finite_joint_march_raises():
                        source=SourceTerm.separable(PiecewiseFn([0.0, 0.5, 1.0], [1e308, 0.0])))
     with pytest.raises(ValueError, match="non-finite states"):
         final_states(spec, [8, 16], [50])
+
+
+# -- the reused march plan ----------------------------------------------------------
+
+
+# a short march of one sub-block, no sums; a wide one in sub-blocks of 16
+# with running sums and a short last chunk; a joint march that keeps no rows
+_PLAN_MARCHES = {
+    "short": lambda: [solve(_table2_like(), 32, 100).trajectory],
+    "wide": lambda: [solve(_forced(), 600, 300).trajectory],
+    "joint": lambda: final_states(_forced(), [8, 16, 32], [200]),
+}
+
+
+@pytest.mark.parametrize("march", _PLAN_MARCHES.values(), ids=_PLAN_MARCHES.keys())
+def test_poisoned_idle_plan_gives_the_fresh_plan_bits(march):
+    # every buffer of the idle plan set to NaN between two marches of its
+    # shape: the second march reuses it and writes all it reads
+    solver._IDLE.clear()
+    fresh = march()
+    (_, plan), = solver._IDLE
+    for buffer in plan:
+        if isinstance(buffer, np.ndarray):
+            buffer.fill(np.nan)
+    again = march()
+    assert solver._IDLE[0][1] is plan  # reused, not rebuilt
+    for a, b in zip(fresh, again, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_threads_marching_one_shape_give_the_serial_bits():
+    # each march takes the idle plan or makes its own, so threads, more than
+    # the cores, that march the same shapes at once never share buffers
+    shapes = [(_table2_like(), 32, 100), (_forced(), 32, 100), (_forced(), 16, 200)]
+    serial = [solve(*shape).trajectory for shape in shapes]
+    n_threads, n_runs = 4, 24
+    start, results = threading.Barrier(n_threads), [[] for _ in range(n_threads)]
+
+    def worker(k):
+        start.wait()
+        for i in range(n_runs):
+            results[k].append(solve(*shapes[(i + k) % 3]).trajectory)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, within steps
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, runs in enumerate(results):
+        assert len(runs) == n_runs
+        for i, run in enumerate(runs):
+            assert np.array_equal(run, serial[(i + k) % 3])
+
+
+def test_one_plan_per_shape_and_none_kept_by_a_failed_march(monkeypatch):
+    made, plan = [], solver._plan
+    monkeypatch.setattr(solver, "_plan", lambda *key: made.append(key) or plan(*key))
+    solver._IDLE.clear()
+    for _ in range(3):
+        solve(_table2_like(), 32, 100)
+    assert len(made) == 1
+    final_states(_forced(), [32], [100, 100])  # the same shape: 31 modes, 100 steps
+    assert len(made) == 1
+    solve(_table2_like(), 64, 100)  # more modes
+    solve(_table2_like(), 64, 50)  # a shorter chunk
+    assert len(made) == 3 and made[1][0] == 63 and made[2][3] == 50
+    assert len(solver._IDLE) == 1
+    # d_1 kappa overflows, so the first chunk's coefficients are NaN
+    overflowing = ProblemSpec(alpha=0.5, final_time=1.0,
+                              coefficient=CoefficientLaw.constant(1e308),
+                              initial=PiecewiseFn.indicator(0.5, 1.0), source=SourceTerm.zero())
+    with pytest.raises(ValueError, match="non-finite states"):
+        final_states(overflowing, [8, 16], [50])
+    assert solver._IDLE == []
+    final_states(_forced(), [8, 16], [50])  # the failed march's shape, made anew
+    assert len(made) == 5 and len(solver._IDLE) == 1
 
 
 def test_final_states_rejects_no_meshes_or_no_counts():

@@ -8,7 +8,7 @@ from expandiff import (CoefficientLaw, PiecewiseFn, ProblemSpec, RateTable,
                        SourceTerm, build_mesh, l2_norm, mode_error, observed_rates,
                        oracle_study, prolong, ritz_project, solve, spatial_study,
                        temporal_study, write_csv)
-from expandiff import studies
+from expandiff import solver, studies
 from expandiff.solver import final_states
 from direct_reference import direct_mode_error
 from test_cli import read_csv
@@ -159,6 +159,7 @@ def _table3_like(alpha=0.3):
 
 def _traced_peak(run) -> int:
     run()  # first-call allocations (imports, caches) out of the way
+    solver._IDLE.clear()  # the traced march makes its own buffers, not the warm-up's
     tracemalloc.start()
     try:
         run()
