@@ -3,6 +3,8 @@
 Run with:  python demos/cq_weights_tour.py
 """
 
+import math
+
 import numpy as np
 
 from expandiff import generate_weights
@@ -16,13 +18,17 @@ print("g[0..6]  =", np.round(w.g[:7], 6))
 print("d[0]     =", tau ** (alpha - 1) * w.g[0], " (tau^(alpha-1))")
 
 # All weights after the first are negative and the partial sums decrease
-# towards zero like k^(-alpha): the scheme forgets the past slowly, which
-# is exactly the long-memory character of the fractional derivative.
-partial = np.cumsum(w.g)
-print("\npartial sums at k = 1, 10, 100, 1000:",
-      [f"{partial[k]:.5f}" for k in (1, 10, 100, 1000)])
-print("k^(-alpha)/Gamma(1-alpha) at same k:",
-      [f"{k ** -alpha / 1.7724538509055159:.5f}" for k in (1, 10, 100, 1000)])
+# towards zero like k^(alpha-1)/Gamma(alpha): the scheme forgets the past
+# slowly, which is exactly the long-memory character of the fractional
+# derivative.  The partial sums are the Taylor coefficients of (1-z)^(-alpha),
+# and the solver's march reads them, not g: it steps the increments
+# W^n - W^(n-1), whose history weights they are.
+for a in (alpha, 0.8):
+    partial = np.cumsum(generate_weights(a, 2000).g)
+    print(f"\nalpha = {a}: partial sums at k = 1, 10, 100, 1000:",
+          [f"{partial[k]:.5f}" for k in (1, 10, 100, 1000)])
+    print("      k^(alpha-1)/Gamma(alpha) at same k:",
+          [f"{k ** (a - 1) / math.gamma(a):.5f}" for k in (1, 10, 100, 1000)])
 
 # Convolving with the weights of the inverse exponent gives the identity
 # sequence: discretized composition of the half-derivative with the

@@ -10,14 +10,15 @@ where M and S are the P1 mass and stiffness matrices, b is the load vector
 of the source and d_i are the convolution-quadrature weights.  M and S are
 diagonal in the discrete sine basis, so the stepper advances sine
 coefficients, and time enters only through kappa(t_n) and the source's
-f(t_n).  Divided by the stiffness eigenvalue, a step is one dot, one
-division and one product, with or without a source: chunks of 64 steps
-carry kappa(t_n) and f(t_n) in their weight block and run in sub-blocks of
-8 to 64 steps, fewer the more modes march, and the row before each
-sub-block carries rho W^{n-1}, so that a step's dot reads at most one more
-row than a sub-block holds.  The march runs on W^0 and the load divided by
-a power of two that brings them near 1, so small states do not fall into
-the slow subnormal numbers (see ``_march``).
+f(t_n).  The stepper marches the increments W^n - W^{n-1}, whose history
+weights G_i are the partial sums of the d_i, and the mass term joins the
+step's divisor.  Divided by the stiffness eigenvalue, a step is one dot and
+one division, with or without a source: chunks of 64 steps carry kappa(t_n)
+and f(t_n) in their weight block and run in sub-blocks of 8 to 64 steps,
+fewer the more modes march, and a running total sums the increments once
+per chunk.  The march runs on W^0 and the load divided by a power of two
+that brings them near 1, so small states do not fall into the slow
+subnormal numbers (see ``_march``).
 ``solve`` keeps every row of one mesh's march in a run of sine coefficients,
 transforms its final row back to nodal values once, and any other row when it
 is read.  ``final_states``, which every study reads, keeps no rows: for each
@@ -25,8 +26,8 @@ of several step counts it marches several meshes at once, for modes never
 couple, their modes side by side in one coefficient array.  Both pay one
 set-up for all counts (see ``_joint_march``).  A march that keeps no rows
 still grows its memory by 24 bytes per step, for three arrays of N + 1
-numbers: the weights g and its two time factors, kappa(t_n) and f(t_n).  A
-march works in a buffer of Q + 1 + 2 * 64 rows, where Q running sums, from
+numbers: the weights Gamma and its two time factors, kappa(t_n) and f(t_n).
+A march works in a buffer of Q + 1 + 2 * 64 rows, where Q running sums, from
 a sum of Q exponentials of the weights, carry the history older than the
 previous chunk: a chunk takes its history from before it in one product,
 and each later sub-block the history of the chunk's earlier rows in one
@@ -62,6 +63,11 @@ def _power_law(law: str, scale: float, exponent: float, t):
     return scale * power
 
 
+def _as_float(value):
+    """float(value), but a bool as it is, for the constructors to refuse."""
+    return value if isinstance(value, (bool, np.bool_)) else float(value)
+
+
 @dataclass(frozen=True)
 class CoefficientLaw:
     """Diffusivity kappa(t) = scale * t**exponent (constant when exponent = 0).
@@ -81,11 +87,11 @@ class CoefficientLaw:
 
     @classmethod
     def constant(cls, value: float) -> "CoefficientLaw":
-        return cls(scale=float(value), exponent=0.0)
+        return cls(scale=_as_float(value), exponent=0.0)
 
     @classmethod
     def power(cls, scale: float, exponent: float) -> "CoefficientLaw":
-        return cls(scale=float(scale), exponent=float(exponent))
+        return cls(scale=_as_float(scale), exponent=_as_float(exponent))
 
     def __call__(self, t):
         """kappa(t) at a time, or elementwise at an array of times."""
@@ -111,7 +117,7 @@ class SourceTerm:
 
     @classmethod
     def separable(cls, g: PiecewiseFn, time_exponent: float = 0.0) -> "SourceTerm":
-        return cls(spatial=g, time_exponent=float(time_exponent))
+        return cls(spatial=g, time_exponent=_as_float(time_exponent))
 
     @property
     def is_zero(self) -> bool:
@@ -214,63 +220,70 @@ _NO_SUMS = np.empty((cq.CHUNK + 1, 0)), np.empty((0, cq.CHUNK)), np.empty((0, 1)
 _IDLE = []  # the slot for at most one idle march plan, (key, plan): see _march
 
 
-def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarray,
+def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, gammas: np.ndarray,
            tau: float, modes: tuple, fit: tuple | None,
            out: np.ndarray | None = None) -> np.ndarray:
     """March the sine coefficients of W^0 .. W^{n_rows-1}, n_rows = the
-    length of the weights ``g`` of order ``spec.alpha`` (``cq.generate``), by
-    the implicit scheme with the step ``tau`` from ``w0``, the row of W^0;
-    return the last row, and copy rows 1 .. into ``out`` if one is given.
+    length of the weights ``gammas`` of order ``spec.alpha``
+    (``cq.partial_sums``), by the implicit scheme with the step ``tau`` from
+    ``w0``, the row of W^0; return the last row, and copy rows 1 .. into
+    ``out`` if one is given.
 
     The columns hold the modes of each mesh in ``meshes`` side by side, in
     order, and ``modes`` holds their joint lam_M, lam_S and load b / lam_S
     (``_modes``).  Modes never couple, so one march advances meshes that
     share the step size as if they were one mesh with their eigenvalues and
-    loads concatenated.  Divided by lam_S, step n is, per mode,
+    loads concatenated.  The march steps the increments e_1 = W^1 and
+    e_n = W^n - W^{n-1}: divided by lam_S, step n is, per mode,
 
-        (rho + d_0 kappa_n) W^n = rho W^{n-1} + sum_{i=1}^{n-1} -kappa_n d_i W^{n-i}
-                                  + f(t_n) b / lam_S
+        (rho + G_0 kappa_n) e_n = sum_{l=1}^{n-1} -kappa_n G_{n-l} e_l
+                                  + f(t_n) b / lam_S  (+ rho W^0 at n = 1)
 
-    with rho = lam_M / (tau lam_S) and d_i = tau^(alpha-1) g_i, formed from g
-    at the lags 0 .. 128 that the march reads.  kappa_n and f(t_n) are its
+    with rho = lam_M / (tau lam_S) and G_i = tau^(alpha-1) Gamma_i, the
+    partial sums of the weights d, formed from ``gammas`` at the lags
+    0 .. 128 that the march reads; W^n = e_1 + .. + e_n.  It is the scheme's
+    step, rho (W^n - W^{n-1}) + kappa_n sum_{i=0}^{n-1} d_i W^{n-i} = f(t_n)
+    b / lam_S, with the history summed by parts.  kappa_n and f(t_n) are its
     only arrays of n_rows numbers.  The scheme is linear, so the march
     divides W^0 and the load by the power of two 2**e that puts the larger of
     their largest magnitudes in [0.5, 1), or by 1 when both are zero, and
     multiplies the rows it copies out and returns by it.  That is exact for
     normal numbers, and keeps states near 1e-300 out of the subnormal
     numbers, which cost some 25 times more; a solution that decays into
-    subnormals by itself still pays.  Steps go in chunks of 64 from n = 1.
+    subnormals by itself still pays, and so, at alpha = 1, do increments
+    that decay exponentially while the state settles.  Steps go in chunks of
+    64 from n = 1.
     Rows before the previous chunk meet lags > 64 only, where
-    d_i = tau^(alpha-1) sum_q c_q e^{-(i-65) x_q}, from ``fit``, the rates
+    G_i = tau^(alpha-1) sum_q c_q e^{-(i-65) x_q}, from ``fit``, the rates
     and dimensionless amplitudes of ``cq.exponentials`` for this count or
     any larger one (None for runs of up to 128 steps), so they
     reach the chunk from n0 as Q running sums per mode,
-    -c_q sum_j e^{-(n0-65-j) x_q} W^j.  ``work`` holds Q + 1 + 2 * 64 rows,
+    -c_q sum_j e^{-(n0-65-j) x_q} e_j.  ``work`` holds Q + 1 + 2 * 64 rows,
     whatever n_rows: the sums, the load b / lam_S (zero without a source),
-    the previous chunk and the current chunk.  Row k of each chunk's weight
-    block, for step n0 + k, holds kappa_n e^{-k x_q} on the sums, f(t_n) on
-    the load, kappa_n times -d at the lag of each chunk row and 1 on the
-    step's own row.  One
-    product of the block's left part with the rows above the chunk puts each
-    step's older history and source into its row before the chunk starts; in
-    the first chunk it ends at the load, for W^0 is no part of the history.
-    Then the previous chunk, always 64 rows, folds into the sums in one more
-    product, with weights set once per march.
+    the previous chunk and the current chunk of increments.  Row k of each
+    chunk's weight block, for step n0 + k, holds kappa_n e^{-k x_q} on the
+    sums, f(t_n) on the load, kappa_n times -G at the lag of each chunk row
+    and 1 on the step's own row.  One product of the block's left part with
+    the rows above the chunk puts each step's older history and source into
+    its row before the chunk starts; in the first chunk it ends at the load,
+    and rho W^0 joins row 0 after it.  Then the previous chunk, always 64
+    rows, folds into the sums in one more product, with weights set once per
+    march.
 
     A chunk runs in sub-blocks of b steps, where b follows from M, the
     columns of all meshes, alone: the largest power of two in [8, 64] with
     b M <= 2**14, or 8, so that the rows a sub-block re-reads stay in cache;
     b = 64, one sub-block per chunk, up to M = 256.  Before each later
     sub-block, one product of the block's lag weights with the chunk's
-    earlier rows adds their history to the sub-block's rows.  Every
-    sub-block, the first included, has one carry slot: the row before it,
-    saved once the products have read it, set to rho times itself and
-    restored after the sub-block.  A step's dot, with weight 1 on
-    its carry slot, rho W^{n-1}, and on its own row, reads at most b + 1
-    rows and gives the right-hand side, so a step is three array
-    operations: the dot, the division by rho + d_0 kappa_n, whose rows are
-    built from b values of kappa just before the sub-block, and rho W^n
-    into the carry slot.  Each step's operands are sliced once per plan.
+    earlier rows adds their history to the sub-block's rows, and one
+    product of the b pairs (G_0 kappa_n, 1) with the rows 1 and rho gives
+    its divisors rho + G_0 kappa_n, exactly.  A step's dot, with weight 1 on
+    its own row, reads at most b rows and gives the right-hand side, so a
+    step is two array operations: the dot and the division.  Each step's
+    operands are sliced once per plan.  The running total, W at the end of
+    the chunk before, takes each chunk's increments in one sum, and the rows
+    copied out are the total plus the chunk's cumulative sums, so their
+    last row is the total's bits.
 
     The buffers and the operands are a plan (``_plan``), keyed by M, Q, b
     and the rows of the longest chunk.  A march takes the idle plan from the
@@ -285,10 +298,11 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
 
     A run of up to 128 steps has no rows before its previous chunk, so Q = 0
     and it reads no ``fit``.  Raises ValueError, naming the mesh, as soon as
-    a chunk holds a non-finite coefficient, and when the two arrays of
-    n_rows time factors or a new plan cannot be allocated.
+    the running total holds a non-finite coefficient, which a non-finite
+    increment makes it do, and when the two arrays of n_rows time factors or
+    a new plan cannot be allocated.
     """
-    n_rows, n_modes, alpha = g.size, w0.size, spec.alpha
+    n_rows, n_modes, alpha = gammas.size, w0.size, spec.alpha
     lam_m, lam_s, load = modes
     rho = lam_m / (tau * lam_s)
     try:  # kappa(t_n) and f(t_n) on one array of times, which goes once both are made
@@ -308,7 +322,7 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
         fold = (-amp * powers[chunk - 1::-1]).T  # -c_q e^{-(63-j) x_q} on previous row j
         shift = powers[chunk, :, None]
     q = len(fold)
-    # work[here + j], j >= -chunk, holds 2**-e W^{n0+j} while the chunk from n0 runs
+    # work[here + j], j >= -chunk, holds 2**-e e_{n0+j} while the chunk from n0 runs
     here = q + chunk + 1
     span = min(chunk, n_rows - 1)  # the rows of the longest chunk
     key = n_modes, q, sub, span
@@ -323,20 +337,23 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
         except (MemoryError, ValueError):
             raise _unallocated("coefficients", 8 * (here + chunk) * n_modes, meshes,
                                n_rows - 1) from None
-    work, block, own, scratch, den, part, saved, hist, tail, steps = plan
+    work, block, own, scratch, pairs, unit_rho, den, part, hist, total, steps = plan
     y, work[q], work[here - 1] = work[:q], load, w0
     ends = work[q:here:chunk]  # the load and W^0, times 2**-e, which puts their peak in [0.5, 1)
     e = math.frexp(np.abs(ends).max())[1]
     np.ldexp(ends, -e, out=ends)
     y.fill(0.0)  # the running sums, scaled by -c_q like the weights
+    total.fill(0.0)
+    pairs[:, 1] = unit_rho[0] = 1.0  # (G_0 kappa_n, 1) times the rows 1 and rho
+    unit_rho[1] = rho
     # column j of the weight block meets work[j]; from the load's column q on
-    # it scales a Toeplitz view of -d, at lag |here + k - j| for step k (a lag
+    # it scales a Toeplitz view of -G, at lag |here + k - j| for step k (a lag
     # beyond the run is never read), and work[here + k] is the step's own row
-    d = -tau ** (alpha - 1.0) * np.take(g, _LAGS, mode="clip")  # -d_i
+    d = -tau ** (alpha - 1.0) * np.take(gammas, _LAGS, mode="clip")  # -G_i
     lags = np.ndarray((chunk, 2 * chunk + 1), buffer=d, offset=d.itemsize * (chunk - 1),
                       strides=(-d.itemsize, d.itemsize))
     d0 = -d[2 * chunk]  # lag 0
-    divide, multiply = np.divide, np.multiply  # the step loop's calls, looked up once
+    divide = np.divide  # the step loop's call, looked up once
     reach = 0  # the previous chunk's rows in the chunk's product: none in the first
     for n0 in range(1, n_rows, chunk):
         n1 = min(n0 + chunk, n_rows)
@@ -348,6 +365,8 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
                     out=weight[:, here - reach:here + r])
         own[:r] = 1.0
         np.matmul(weight[:, :q + 1 + reach], work[:q + 1 + reach], out=rows)
+        if not reach:  # W^0 enters the first step alone
+            rows[0] += rho * work[here - 1]
         if reach and n1 < n_rows:  # a later chunk meets these rows through the sums
             y *= shift
             y += np.matmul(fold, work[here - chunk:here], out=scratch)
@@ -356,26 +375,27 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, g: np.ndarra
             if s0:  # the chunk's earlier rows enter in one product
                 rows[s0:s1] += np.matmul(weight[s0:s1, here:here + s0], rows[:s0],
                                          out=part[:s1 - s0])
-            np.copyto(saved, tail[s0])  # the carry slot, once its row has been read
-            np.multiply(rho, saved, tail[s0])
-            weight[s0:s1, here + s0 - 1] = 1.0
-            np.add(d0 * kappa[n0 + s0:n0 + s1, None], rho, out=den[:s1 - s0])
-            for dot, older, dk, row, slot in steps[s0:s1]:
-                dot(older, hist)  # bare calls, out by position: no lookup or dispatch
+            np.multiply(d0, kappa[n0 + s0:n0 + s1], out=pairs[:s1 - s0, 0])
+            np.matmul(pairs[:s1 - s0], unit_rho, out=den[:s1 - s0])
+            for dot, block_rows, dk, row in steps[s0:s1]:
+                dot(block_rows, hist)  # bare calls, out by position: no lookup or dispatch
                 divide(hist, dk, row)
-                multiply(rho, row, slot)
-            np.copyto(tail[s0], saved)
-        if not np.isfinite(rows).all():  # name the first mesh at fault
+        if out is not None:  # W^n: the total before the chunk plus the chunk's increments
+            kept = out[n0:n1]
+            np.cumsum(rows[:-1], axis=0, out=kept[:-1])
+            kept[:-1] += total
+        total += np.add.reduce(rows, axis=0, out=hist)
+        if not np.isfinite(total).all():  # name the first mesh at fault
             for mesh, cols in zip(meshes, _columns(meshes)):
-                _require_finite(rows[:, cols], mesh, n_rows - 1)
-        if out is not None:
-            np.ldexp(rows, e, out=out[n0:n1])
+                _require_finite(total[cols], mesh, n_rows - 1)
+        if out is not None:  # the total's own bits: at M = 1 add.reduce sums pairwise, cumsum not
+            kept[-1] = total
+            np.ldexp(kept, e, out=kept)
         if n1 < n_rows:
             work[here - chunk:here] = work[here:]  # disjoint rows: a plain copy
         reach = chunk
-    last = np.ldexp(rows[-1], e) if out is None else out[n_rows - 1]
     _IDLE[:] = [(key, plan)]  # one assignment: the slot never holds two plans
-    return last
+    return np.ldexp(total, e)
 
 
 def _plan(n_modes: int, q: int, sub: int, span: int) -> tuple:
@@ -389,21 +409,21 @@ def _plan(n_modes: int, q: int, sub: int, span: int) -> tuple:
     block = np.empty((chunk, here + chunk))
     own = block.reshape(-1)[here::here + chunk + 1]  # the diagonal: weight 1
     scratch = np.empty((q, n_modes))  # the fold's output: fresh arrays per chunk fragment the heap
+    pairs = np.empty((min(sub, span), 2))  # a sub-block's (G_0 kappa_n, 1)
+    unit_rho = np.empty((2, n_modes))  # the rows 1 and rho
     den = np.empty((min(sub, span), n_modes))  # a sub-block's divisors
     part = np.empty_like(den)  # a sub-block's history from the chunk's earlier rows
-    saved = np.empty(n_modes)  # the row under a sub-block's carry slot
     hist = np.empty(n_modes)
-    # step k's operands: its weights' bound dot and its rows, from the carry
-    # slot of its sub-block, the row before the sub-block, to its own row; its
-    # divisor; its own row; the carry slot
-    tail = work[here - 1:]  # tail[s0] is the carry slot of the sub-block from s0
+    total = np.empty(n_modes)  # the running total of the increments
+    # step k's operands: its weights' bound dot and its rows, from the first
+    # row of its sub-block to its own row; its divisor; its own row
+    rows = work[here:]
     steps = []
     for s0 in range(0, span, sub):
         s1 = min(s0 + sub, span)
-        steps += zip([w[s0:k].dot for k, w in enumerate(block[s0:s1, here - 1:], s0 + 2)],
-                     [tail[s0:k] for k in range(s0 + 2, s1 + 2)], den, tail[s0 + 1:s1 + 1],
-                     [tail[s0]] * (s1 - s0))
-    return work, block, own, scratch, den, part, saved, hist, tail, steps
+        steps += zip([block[k, here + s0:here + k + 1].dot for k in range(s0, s1)],
+                     [rows[s0:k + 1] for k in range(s0, s1)], den, rows[s0:s1])
+    return work, block, own, scratch, pairs, unit_rho, den, part, hist, total, steps
 
 
 def _modes(meshes: list[Mesh1D], spec: ProblemSpec):
@@ -438,16 +458,16 @@ def _joint_march(spec: ProblemSpec, cells, counts, keep: bool):
     ``counts``, their joint march with tau = T / n: the sine coefficients of
     every row if ``keep``, which takes one count, else each mesh's final
     state.  The marches share one set-up: the meshes, the sine coefficients
-    of W^0, the eigenvalues and the load; the weights g of the largest
-    count, whose prefix g[:n + 1] is bitwise each march's own; and, if that
-    count exceeds 128 steps, one sum of exponentials, built for it, whose
-    amplitudes each march scales by its own tau^(alpha-1).  So a march gives
-    the bits of a set-up of its own if it has at most 128 steps or the
-    largest count, and the same to rounding otherwise.  ValueError for no
-    cells or no counts, for a step T / n that underflows to 0, when a
-    coefficient or a final state comes out non-finite, or when the rows
-    kept, the march's buffer, its two time factors or the weights g cannot
-    be allocated."""
+    of W^0, the eigenvalues and the load; the weights Gamma of the largest
+    count (``cq.partial_sums``), whose prefix Gamma[:n + 1] is bitwise each
+    march's own; and, if that count exceeds 128 steps, one sum of
+    exponentials, built for it, whose amplitudes each march scales by its
+    own tau^(alpha-1).  So a march gives the bits of a set-up of its own if
+    it has at most 128 steps or the largest count, and the same to rounding
+    otherwise.  ValueError for no cells or no counts, for a step T / n that
+    underflows to 0 or whose tau^(alpha-1) overflows, when a coefficient or
+    a final state comes out non-finite, or when the rows kept, the march's
+    buffer, its two time factors or the weights Gamma cannot be allocated."""
     counts = [require_count(n, 1, "n_steps") for n in counts]
     meshes = [build_mesh(n) for n in cells]
     if not meshes:
@@ -459,9 +479,14 @@ def _joint_march(spec: ProblemSpec, cells, counts, keep: bool):
     if not spec.final_time / largest > 0.0:
         raise ValueError(f"the step T / n underflows to 0 (n_steps={largest}, "
                          f"final_time={spec.final_time})")
+    try:  # the largest tau^(alpha-1) of all marches, at the smallest step
+        (spec.final_time / largest) ** (spec.alpha - 1.0)
+    except OverflowError:
+        raise ValueError(f"the weight tau^(alpha-1) overflows at the step T / n "
+                         f"(n_steps={largest}, final_time={spec.final_time})") from None
     rows = _coefficients(largest + 1 if keep else 1, columns[-1].stop, meshes, largest)
     try:
-        g = cq.generate(spec.alpha, largest + 1).g
+        gammas = cq.partial_sums(spec.alpha, largest + 1)
     except MemoryError:
         raise _unallocated("weights", 8 * (largest + 1), meshes, largest) from None
     marches = []
@@ -470,10 +495,10 @@ def _joint_march(spec: ProblemSpec, cells, counts, keep: bool):
         for mesh, cols in zip(meshes, columns):
             rows[0, cols] = sine_transform(project_initial(spec, mesh))
         modes = _modes(meshes, spec)
-        fit = cq.exponentials(spec.alpha, g) if largest > 2 * cq.CHUNK else None
+        fit = cq.exponentials(spec.alpha, gammas) if largest > 2 * cq.CHUNK else None
         for n in counts:
-            final = _march(rows[0], meshes, spec, g[:n + 1], spec.final_time / n, modes, fit,
-                           out=rows if keep else None)
+            final = _march(rows[0], meshes, spec, gammas[:n + 1], spec.final_time / n, modes,
+                           fit, out=rows if keep else None)
             marches.append(rows if keep else [_nodal(final[cols], mesh, n)
                                               for mesh, cols in zip(meshes, columns)])
     return meshes, marches

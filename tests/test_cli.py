@@ -279,7 +279,11 @@ SPATIAL = CUSTOM.replace("cells = 16", "steps = 4").replace("tau_list = 1/4 1/8 
     SPATIAL.replace("h_list = 1/4 1/8", "h_list = inf"),
     SPATIAL.replace("h_list = 1/4 1/8", "h_list = 0.0312 0.0156"),
     CUSTOM.replace("cells = 16", "cells = 1" + "0" * 400),  # was an OverflowError traceback
-], ids=["tau-zero", "tau-tiny", "h-zero", "h-inf", "h-not-one-over-n", "cells-huge"])
+    # tau^(alpha-1) overflows: was an OverflowError traceback
+    CUSTOM.replace("alpha = 0.5", "alpha = 0.01").replace("final_time = 1", "final_time = 1e-310")
+    .replace("tau_list = 1/4 1/8 1/16", "tau_list = 2.5e-314 1.25e-314"),
+], ids=["tau-zero", "tau-tiny", "h-zero", "h-inf", "h-not-one-over-n", "cells-huge",
+        "tau-power-overflows"])
 def test_cli_degenerate_resolutions_exit_with_one_error_line(tmp_path, capsys, cfg_text):
     cfgfile = tmp_path / "degenerate.txt"
     out = tmp_path / "never.csv"

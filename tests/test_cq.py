@@ -6,7 +6,7 @@ import pytest
 from scipy.special import gamma, gammaln
 
 from expandiff import CQWeights, generate_weights
-from expandiff.cq import CHUNK, exponentials
+from expandiff.cq import CHUNK, exponentials, partial_sums
 
 
 def test_alpha_one_degenerates_to_backward_euler():
@@ -113,23 +113,58 @@ def test_history_two_steps_of_ones():
     np.testing.assert_allclose(d[1:2] @ np.ones((1, 4)), -0.5 * np.ones(4), rtol=1e-14)
 
 
+# -- the march's weights: the partial sums Gamma ------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.1, 0.35, 0.5, 0.8, 1.0])
+def test_partial_sums_are_bitwise_prefixes_and_sum_g(alpha):
+    # one cumulative product: a march of n steps reads the first n + 1 of a
+    # longer run's Gamma bitwise.  g_i = Gamma_i - Gamma_{i-1}
+    # = Gamma_{i-1} (alpha - 1) / i, where each recurrence carries up to i
+    # rounding errors: the difference meets g_i within i eps of Gamma_i, the
+    # ratio within i eps of g_i
+    longest = partial_sums(alpha, 1601)
+    for n in (0, 1, 50, 64, 65, 128, 129, 200, 800):
+        np.testing.assert_array_equal(longest[:n + 1], partial_sums(alpha, n + 1))
+    assert longest[0] == 1.0 and np.all(longest > 0.0)
+    g = generate_weights(alpha, 1601).g[1:]
+    i_eps = np.arange(1, 1601) * np.finfo(float).eps
+    assert np.all(np.abs(np.diff(longest) - g) <= i_eps * longest[1:])
+    assert np.all(np.abs(longest[:-1] * (alpha - 1.0) / np.arange(1, 1601) - g)
+                  <= i_eps * np.abs(g))
+
+
+def test_partial_sums_match_gamma_ratio():
+    # Gamma_i = Gamma(i + alpha) / (Gamma(alpha) Gamma(i + 1)), the Taylor
+    # coefficients of (1 - z)^(-alpha)
+    for alpha in (0.25, 0.5, 0.85):
+        i = np.arange(101)
+        ref = np.exp(gammaln(i + alpha) - gammaln(i + 1.0)) / gamma(alpha)
+        np.testing.assert_allclose(partial_sums(alpha, 101), ref, rtol=1e-10)
+    np.testing.assert_array_equal(partial_sums(1.0, 6), 1.0)
+
+
 # -- the far field's sum of exponentials -----------------------------------------
 
 
+_ALPHAS = [1e-6, 0.01, 0.5, 0.999, 0.999999, 1 - 1e-9, 1.0]
+
+
 @pytest.mark.parametrize("count", [129, 2_001, 20_001])
-@pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.5, 0.999, 1.0])
+@pytest.mark.parametrize("alpha", _ALPHAS)
 def test_exponentials_match_weights_beyond_the_near_field(alpha, count):
-    # g_i = sum_q c_q e^{-(i-65) x_q} at every lag the far field meets
-    w = generate_weights(alpha, count)
-    x, c = exponentials(alpha, w.g)
+    # Gamma_i = sum_q c_q e^{-(i-65) x_q} at every lag the far field meets;
+    # at alpha = 1, where Gamma_i = 1, the sum is one term, x = 0 and c = 1
+    gammas = partial_sums(alpha, count)
+    x, c = exponentials(alpha, gammas)
     if alpha == 1.0:
-        assert x.size == c.size == 0
-        return
+        np.testing.assert_array_equal(x, [0.0])
+        np.testing.assert_array_equal(c, [1.0])
     assert x.size == c.size <= 50
-    assert np.all(x > 0.0)
+    assert np.all(x >= 0.0)
     lags = np.arange(CHUNK + 1, count)
     fit = np.exp(-np.outer(lags - CHUNK - 1, x)) @ c
-    assert np.abs(fit / w.g[lags] - 1.0).max() <= 1e-12
+    assert np.abs(fit / gammas[lags] - 1.0).max() <= 1e-12
 
 
 def _check_lags(count):
@@ -139,27 +174,28 @@ def _check_lags(count):
     return lags[lags > CHUNK]
 
 
-@pytest.mark.parametrize("alpha", [1e-6, 0.3, 0.4, 0.6, 0.7, 0.999])
+@pytest.mark.parametrize("alpha", [1e-6, 0.3, 0.4, 0.6, 0.7, 0.999, 0.999999, 1 - 1e-9])
 def test_the_largest_fit_serves_every_shorter_count(alpha):
     # a temporal study fits once, for its largest count; each shorter march
     # of n steps, with tau = 1/n, scales the amplitudes by its own
-    # tau^(alpha-1), and must meet d = tau^(alpha-1) g at its own check lags
-    # within the self-check's bound max(1e-12, i eps)
-    g = generate_weights(alpha, 1601).g
-    x, c = exponentials(alpha, g)
+    # tau^(alpha-1), and must meet G = tau^(alpha-1) Gamma at its own check
+    # lags within the self-check's bound max(1e-12, i eps)
+    gammas = partial_sums(alpha, 1601)
+    x, c = exponentials(alpha, gammas)
     for n in (129, 200, 400, 800, 1600):
         tau, lags = 1 / n, _check_lags(n + 1)
         assert lags.size
-        d = tau ** (alpha - 1.0) * g[lags]
+        weights = tau ** (alpha - 1.0) * gammas[lags]
         fit = np.exp(-np.outer(lags - CHUNK - 1, x)) @ (tau ** (alpha - 1.0) * c)
         bound = np.maximum(1e-12, lags * np.finfo(float).eps)
-        assert np.all(np.abs(fit / d - 1.0) <= bound), n
+        assert np.all(np.abs(fit / weights - 1.0) <= bound), n
 
 
 def test_exponentials_check_themselves():
-    # the construction compares the fit with g at lags 65, 66, 68, .., 192 and
-    # 299: a g off by 1e-11 at one of them raises instead of reaching a march
-    w = generate_weights(0.5, 300)
-    w.g[CHUNK + 128] *= 1 + 1e-11
+    # the construction compares the fit with Gamma at lags 65, 66, 68, ..,
+    # 192 and 299: a Gamma off by 1e-11 at one of them raises instead of
+    # reaching a march
+    gammas = partial_sums(0.5, 300)
+    gammas[CHUNK + 128] *= 1 + 1e-11
     with pytest.raises(ValueError, match="exponentials miss the CQ weights"):
-        exponentials(0.5, w.g)
+        exponentials(0.5, gammas)

@@ -10,7 +10,7 @@ from expandiff import (CoefficientLaw, DiscreteRun, PiecewiseFn, ProblemSpec,
                        SourceTerm, basis_integrals, build_mesh, generate_weights,
                        l2_project, project_initial, solve, temporal_study)
 from expandiff import cq, solver
-from expandiff.fem1d import sine_transform
+from expandiff.fem1d import mode_eigenvalues, sine_transform
 from expandiff.solver import final_states
 from direct_reference import dense_mass_stiffness, direct_history_solve
 
@@ -47,10 +47,15 @@ def test_coefficient_law_validation():
         CoefficientLaw.power(-1.0, 1.0)
     with pytest.raises(ValueError):
         CoefficientLaw.power(1.0, -0.5)
-    # booleans read as 1 and 0
+    # booleans read as 1 and 0, in the constructor and through the factories
     for scale, exponent in [(True, 0.0), (1.0, False), (np.True_, 0.0), (1.0, np.False_)]:
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             CoefficientLaw(scale=scale, exponent=exponent)
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            CoefficientLaw.power(scale, exponent)
+    for value in (True, False, np.True_):
+        with pytest.raises(ValueError, match="scale must be finite and >= 0"):
+            CoefficientLaw.constant(value)
 
 
 def test_source_time_factor():
@@ -110,6 +115,8 @@ def test_source_term_rejects_non_finite(value, time_exponent):
 def test_source_term_rejects_boolean_exponent(time_exponent):
     with pytest.raises(ValueError, match="time exponent must be finite"):
         SourceTerm(PiecewiseFn.indicator(0.0, 0.5), time_exponent=time_exponent)
+    with pytest.raises(ValueError, match="time exponent must be finite"):
+        SourceTerm.separable(PiecewiseFn.indicator(0.0, 0.5), time_exponent)
 
 
 # -- projections and loads ------------------------------------------------------
@@ -171,9 +178,9 @@ def test_vanishing_diffusivity_freezes_state():
 
 def test_stiff_limit_damps_every_state_to_exactly_zero():
     # kappa(t) = t over T = 1e300, the problem of test_cli_zero_errors_write_nan_rate:
-    # rho W^0 / (rho + d_0 kappa_1) underflows to 0 and the history meets only
-    # zeros, so each state after W^0 is 0.0 exactly.  A step in increment form,
-    # W^{n-1} + q_n (history - d_0 kappa_n W^{n-1}), leaves residues of about 1e-17
+    # the first increment, rho W^0 / (rho + G_0 kappa_1), underflows to 0, and
+    # each later one meets a history of zeros, so each state after W^0, a sum
+    # of zeros, is 0.0 exactly
     spec = ProblemSpec(alpha=0.5, final_time=1e300, coefficient=CoefficientLaw.power(1.0, 1.0),
                        initial=PiecewiseFn.indicator(0.5, 1.0), source=SourceTerm.zero())
     for n_steps in (4, 8, 16):
@@ -602,6 +609,16 @@ def test_solve_rejects_bad_steps():
         solve(tiny, 8, 4)
     with pytest.raises(ValueError, match=r"n_steps=4, final_time=5e-324"):
         final_states(tiny, [8, 16], [1, 4])
+    # tau^(alpha-1) overflowed Python's float power with a bare OverflowError;
+    # the check runs at the smallest step, before any march
+    subnormal = ProblemSpec(alpha=0.01, final_time=1e-310,
+                            coefficient=CoefficientLaw.constant(1.0),
+                            initial=PiecewiseFn.indicator(0.5, 1.0), source=SourceTerm.zero())
+    with pytest.raises(ValueError, match=r"tau\^\(alpha-1\) overflows at the step T / n "
+                                         r"\(n_steps=4000, final_time=1e-310\)"):
+        solve(subnormal, 8, 4000)
+    with pytest.raises(ValueError, match=r"overflows .*\(n_steps=4000, final_time=1e-310\)"):
+        final_states(subnormal, [8], [4, 4000])
 
 
 @pytest.mark.parametrize("n_steps", [2.5, math.inf, math.nan, True,
@@ -782,6 +799,25 @@ def test_poisoned_idle_plan_gives_the_fresh_plan_bits(march):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("sub, n_modes", [(8, 2010), (64, 127), (64, 31)])
+def test_divisors_of_one_rank_two_product_equal_the_broadcast_sum(sub, n_modes):
+    # a sub-block's divisors rho + G_0 kappa_n are the product of its pairs
+    # (G_0 kappa_n, 1) with the rows 1 and rho: one rounding per entry, as in
+    # the broadcast sum.  Read from the plan after a march of 64 steps, they
+    # are the last sub-block's, steps 65 - sub .. 64
+    spec = _forced()
+    solver._IDLE.clear()
+    final_states(spec, [n_modes + 1], [64])
+    (key, plan), = solver._IDLE
+    assert key == (n_modes, 0, sub, 64)
+    work, block, own, scratch, pairs, unit_rho, den, part, hist, total, steps = plan
+    tau = spec.final_time / 64
+    lam_m, lam_s = mode_eigenvalues(build_mesh(n_modes + 1))
+    rho = lam_m / (tau * lam_s)
+    kappa = spec.coefficient(tau * np.arange(65))[65 - sub:]
+    assert np.array_equal(den, tau ** (spec.alpha - 1.0) * kappa[:, None] + rho)
+
+
 def test_threads_marching_one_shape_give_the_serial_bits():
     # each march takes the idle plan or makes its own, so threads, more than
     # the cores, that march the same shapes at once never share buffers
@@ -825,7 +861,7 @@ def test_one_plan_per_shape_and_none_kept_by_a_failed_march(monkeypatch):
     solve(_table2_like(), 64, 50)  # a shorter chunk
     assert len(made) == 3 and made[1][0] == 63 and made[2][3] == 50
     assert len(solver._IDLE) == 1
-    # d_1 kappa overflows, so the first chunk's coefficients are NaN
+    # G_0 kappa and G_1 kappa overflow, so the first chunk's increments are NaN
     overflowing = ProblemSpec(alpha=0.5, final_time=1.0,
                               coefficient=CoefficientLaw.constant(1e308),
                               initial=PiecewiseFn.indicator(0.5, 1.0), source=SourceTerm.zero())
@@ -869,12 +905,22 @@ def test_failed_time_factor_allocation_raises_value_error(monkeypatch):
 
 
 def test_failed_weight_allocation_raises_value_error(monkeypatch):
-    from expandiff import cq
+    # the march's weights are the partial sums Gamma, made once per call
+    made, partial_sums = [], cq.partial_sums
+
+    def counted(alpha, count):
+        made.append(count)
+        return partial_sums(alpha, count)
+
+    monkeypatch.setattr(cq, "partial_sums", counted)
+    final_states(_forced(), [8, 16], [10])
+    final_states(_forced(), [8], [5, 20, 10])
+    assert made == [11, 21]  # the positive control: one call per final_states
 
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cq, "generate", exhausted)
+    monkeypatch.setattr(cq, "partial_sums", exhausted)
     with pytest.raises(ValueError, match=r"cannot allocate 88 bytes for the weights "
                                          r"\(n_cells=8, 16, n_steps=10\)"):
         final_states(_forced(), [8, 16], [10])
