@@ -17,8 +17,8 @@ chunk of ``CHUNK`` steps directly, with weights G; the older history meets
 lags > ``CHUNK`` only, and there it takes Gamma from ``exponentials``, a
 short sum of exponentials that turns that history into running sums (the
 kernel compression of Baffet & Hesthaven, SIAM J. Numer. Anal. 55 (2017)
-496).  The sum depends on alpha and the count alone, and holds at every lag
-of a shorter run too.
+496).  The sum depends on alpha and the count alone, its number of terms on
+the count alone, and it holds at every lag of a shorter run too.
 """
 
 from __future__ import annotations
@@ -56,7 +56,12 @@ def exponentials(alpha: float, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Gamma_i = (sin pi alpha / pi) int_0^inf e^{-ix} (e^x - 1)^(-alpha) dx.  The
     trapezoid rule in u = log x gives the terms down to x_min = 1e-18 / count;
     those below it lie at x = 0 for every lag, and their geometric series is
-    one term there.  The terms with x <= 4/count merge into a 12-point Gauss
+    one term there.  It stops below x = (log count + 40) / 65: a node beyond,
+    with c_q <= (sin pi alpha / pi) h x^(1-alpha) e^{-65 x} and Gamma_{count-1}
+    >= count^(alpha-1) / Gamma(alpha), weighs less than 1e-17 Gamma_{count-1}
+    at every alpha, so the count alone fixes the number of terms: 24, 35 and
+    44 at 129, 2,001 and 20,001 weights, and orders that share a count share
+    a march plan.  The terms with x <= 4/count merge into a 12-point Gauss
     rule of their measure in t = count x.  ValueError if the sum misses Gamma
     at about log2(count) lags by more than 1e-12 relative, or than i eps (the
     recurrence's own bound) at i > 4,500."""
@@ -65,7 +70,7 @@ def exponentials(alpha: float, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return np.zeros(1), np.ones(1)
     log_eps, x_min = math.log(1e-15), 1e-18 / count
     h = -0.9 * math.pi ** 2 / log_eps
-    x = np.exp(np.arange(math.log(x_min), math.log(-log_eps / (lag + alpha) + 1) + 0.5,
+    x = np.exp(np.arange(math.log(x_min), math.log((math.log(count) + 40.0) / lag),
                          h))  # u = log x
     # sin(pi min(alpha, 1 - alpha)): no cancellation in pi alpha near alpha = 1
     s = math.sin(math.pi * min(alpha, 1.0 - alpha)) / math.pi

@@ -27,14 +27,17 @@ couple, their modes side by side in one coefficient array.  Both pay one
 set-up for all counts (see ``_joint_march``).  A march that keeps no rows
 still grows its memory by 24 bytes per step, for three arrays of N + 1
 numbers: the weights Gamma and its two time factors, kappa(t_n) and f(t_n).
-A march works in a buffer of Q + 1 + 2 * 64 rows, where Q running sums, from
-a sum of Q exponentials of the weights, carry the history older than the
-previous chunk: a chunk takes its history from before it in one product,
-and each later sub-block the history of the chunk's earlier rows in one
-more, so N steps cost O(N Q M) work, not O(N^2 M) (see ``_march``).
-That buffer, the weight block and each step's operands are the march's
-plan: after a march returns, one idle plan of O((Q + 129) M) numbers
-remains, whatever N, and the next march of the same shape reuses it.
+A march works in a buffer of two halves of Q + 1 + 64 rows, where Q running
+sums, from a sum of Q exponentials of the weights, carry the history older
+than the previous chunk.  Chunks alternate between the halves, so the
+previous chunk stays where it was written: a chunk takes its history from
+before it in one product with the half it reads, folds that half into the
+other's sums in one more, and each later sub-block takes the history of the
+chunk's earlier rows in one more, so N steps cost O(N Q M) work, not
+O(N^2 M) (see ``_march``).  That buffer, the weight block and each step's
+operands are the march's plan: after a march returns, one idle plan of
+O((2 Q + 130) M) numbers remains, whatever N, and the next march of the same
+shape reuses it.
 """
 
 from __future__ import annotations
@@ -216,7 +219,7 @@ def project_initial(spec: ProblemSpec, mesh: Mesh1D) -> np.ndarray:
 
 
 _LAGS = abs(np.arange(2 * cq.CHUNK, -cq.CHUNK, -1))  # lags 128 .. 0 .. 63: see _march
-_NO_SUMS = np.empty((cq.CHUNK + 1, 0)), np.empty((0, cq.CHUNK)), np.empty((0, 1))  # see _march
+_NO_SUMS = np.empty((cq.CHUNK + 1, 0)), np.empty((0, cq.CHUNK + 1))  # see _march
 _IDLE = []  # the slot for at most one idle march plan, (key, plan): see _march
 
 
@@ -258,17 +261,23 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, gammas: np.n
     and dimensionless amplitudes of ``cq.exponentials`` for this count or
     any larger one (None for runs of up to 128 steps), so they
     reach the chunk from n0 as Q running sums per mode,
-    -c_q sum_j e^{-(n0-65-j) x_q} e_j.  ``work`` holds Q + 1 + 2 * 64 rows,
-    whatever n_rows: the sums, the load b / lam_S (zero without a source),
-    the previous chunk and the current chunk of increments.  Row k of each
+    -c_q sum_j e^{-(n0-65-j) x_q} e_j.  ``work`` holds two halves of
+    Q + 1 + 64 rows, whatever n_rows, each the sums, the load b / lam_S (zero
+    without a source) and a slot for a chunk of increments.  Chunk i reads
+    half i mod 2, whose slot holds the previous chunk, and writes its
+    increments into the other half's slot, so no row moves between chunks;
+    W^0 starts in the last row of the first half's slot.  Row k of each
     chunk's weight block, for step n0 + k, holds kappa_n e^{-k x_q} on the
-    sums, f(t_n) on the load, kappa_n times -G at the lag of each chunk row
-    and 1 on the step's own row.  One product of the block's left part with
-    the rows above the chunk puts each step's older history and source into
-    its row before the chunk starts; in the first chunk it ends at the load,
-    and rho W^0 joins row 0 after it.  Then the previous chunk, always 64
-    rows, folds into the sums in one more product, with weights set once per
-    march.
+    sums, f(t_n) on the load, kappa_n times -G at the lag of each row of the
+    previous and the current chunk and 1 on the step's own row.  One product
+    of the block's left part with the half the chunk reads puts each step's
+    older history and source into its row before the chunk starts; in the
+    first chunk it ends at the load, and rho W^0 joins row 0 after it.  Then
+    one more product, of that half with the fold, a Q x (Q + 1 + 64) matrix
+    set once per march, writes the next chunk's sums into the other half:
+    the old sums times e^{-64 x_q} plus the previous chunk, always 64 rows,
+    with weight 0 on the load.  Both halves' sums start at zero, for the
+    second chunk has no fold before it.
 
     A chunk runs in sub-blocks of b steps, where b follows from M, the
     columns of all meshes, alone: the largest power of two in [8, 64] with
@@ -280,17 +289,17 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, gammas: np.n
     its divisors rho + G_0 kappa_n, exactly.  A step's dot, with weight 1 on
     its own row, reads at most b rows and gives the right-hand side, so a
     step is two array operations: the dot and the division.  Each step's
-    operands are sliced once per plan.  The running total, W at the end of
-    the chunk before, takes each chunk's increments in one sum, and the rows
-    copied out are the total plus the chunk's cumulative sums, so their
-    last row is the total's bits.
+    operands are sliced once per plan, its rows once per half.  The running
+    total, W at the end of the chunk before, takes each chunk's increments
+    in one sum, and the rows copied out are the total plus the chunk's
+    cumulative sums, so their last row is the total's bits.
 
     The buffers and the operands are a plan (``_plan``), keyed by M, Q, b
     and the rows of the longest chunk.  A march takes the idle plan from the
     module's slot, which holds at most one; if its key differs, the march
     drops it before making its own, so one plan is alive per running march.
     It puts its plan back only when it returns normally, so after a march one
-    idle plan of O((Q + 129) M) numbers remains, whatever n_rows, and the
+    idle plan of O((2 Q + 130) M) numbers remains, whatever n_rows, and the
     next march of the same shape reuses it.  The take is atomic, so
     concurrent marches never share buffers, and a march that raises drops
     its plan.  The march writes every entry it reads, and returns no view
@@ -314,16 +323,18 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, gammas: np.n
     sub = chunk  # steps per sub-block: its rows hold at most 2**14 numbers, or 8 rows
     while sub > 8 and sub * n_modes > 2 ** 14:
         sub //= 2
-    powers, fold, shift = _NO_SUMS
+    powers, fold = _NO_SUMS
     if n_rows - 1 > 2 * chunk:  # some chunk meets rows before its previous chunk
         x, c = fit
-        amp = tau ** (alpha - 1.0) * c
         powers = np.exp(-np.arange(chunk + 1.0)[:, None] * x)  # e^{-k x_q}, k = 0 .. 64
-        fold = (-amp * powers[chunk - 1::-1]).T  # -c_q e^{-(63-j) x_q} on previous row j
-        shift = powers[chunk, :, None]
+        # the fold reads a half: e^{-64 x_q} on its sum q, 0 on its load and
+        # -c_q e^{-(63-j) x_q} on row j of its slot
+        fold = np.zeros((x.size, x.size + 1 + chunk))
+        np.multiply(-tau ** (alpha - 1.0) * c[:, None], powers[chunk - 1::-1].T,
+                    out=fold[:, -chunk:])
+        np.fill_diagonal(fold, powers[chunk])
     q = len(fold)
-    # work[here + j], j >= -chunk, holds 2**-e e_{n0+j} while the chunk from n0 runs
-    here = q + chunk + 1
+    here = q + chunk + 1  # the rows of a half
     span = min(chunk, n_rows - 1)  # the rows of the longest chunk
     key = n_modes, q, sub, span
     try:
@@ -335,20 +346,23 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, gammas: np.n
         try:  # numpy refuses a shape beyond the address space with ValueError
             plan = _plan(*key)
         except (MemoryError, ValueError):
-            raise _unallocated("coefficients", 8 * (here + chunk) * n_modes, meshes,
+            raise _unallocated("coefficients", 8 * 2 * here * n_modes, meshes,
                                n_rows - 1) from None
-    work, block, own, scratch, pairs, unit_rho, den, part, hist, total, steps = plan
-    y, work[q], work[here - 1] = work[:q], load, w0
-    ends = work[q:here:chunk]  # the load and W^0, times 2**-e, which puts their peak in [0.5, 1)
+    work, block, own, pairs, unit_rho, den, part, hist, total, steps = plan
+    work[0, q], work[0, -1] = load, w0
+    ends = work[0, q::chunk]  # the load and W^0, times 2**-e, which puts their peak in [0.5, 1)
     e = math.frexp(np.abs(ends).max())[1]
     np.ldexp(ends, -e, out=ends)
-    y.fill(0.0)  # the running sums, scaled by -c_q like the weights
+    work[1, q] = work[0, q]  # each half's own load row
+    work[:, :q] = 0.0  # the running sums, scaled by -c_q like the weights
     total.fill(0.0)
     pairs[:, 1] = unit_rho[0] = 1.0  # (G_0 kappa_n, 1) times the rows 1 and rho
     unit_rho[1] = rho
-    # column j of the weight block meets work[j]; from the load's column q on
-    # it scales a Toeplitz view of -G, at lag |here + k - j| for step k (a lag
-    # beyond the run is never read), and work[here + k] is the step's own row
+    # column j of the weight block meets row j of the half the chunk reads
+    # and, from column here on, row q + 1 + j - here of the half it writes;
+    # from the load's column q on it scales a Toeplitz view of -G, at lag
+    # |here + k - j| for step k (a lag beyond the run is never read), and
+    # column here + k meets the step's own row
     d = -tau ** (alpha - 1.0) * np.take(gammas, _LAGS, mode="clip")  # -G_i
     lags = np.ndarray((chunk, 2 * chunk + 1), buffer=d, offset=d.itemsize * (chunk - 1),
                       strides=(-d.itemsize, d.itemsize))
@@ -357,19 +371,19 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, gammas: np.n
     reach = 0  # the previous chunk's rows in the chunk's product: none in the first
     for n0 in range(1, n_rows, chunk):
         n1 = min(n0 + chunk, n_rows)
-        r = n1 - n0
-        weight, rows = block[:r], work[here:here + r]
+        r, side = n1 - n0, n0 // chunk % 2  # chunk i reads half i % 2, writes the other
+        old, new, half_steps = work[side], work[1 - side], steps[1 - side]
+        weight, rows = block[:r], new[q + 1:q + 1 + r]
         np.multiply(kappa[n0:n1, None], powers[:r], out=weight[:, :q])
         weight[:, q] = f[n0:n1]
         np.multiply(kappa[n0:n1, None], lags[:r, chunk + 1 - reach:chunk + 1 + r],
                     out=weight[:, here - reach:here + r])
         own[:r] = 1.0
-        np.matmul(weight[:, :q + 1 + reach], work[:q + 1 + reach], out=rows)
+        np.matmul(weight[:, :q + 1 + reach], old[:q + 1 + reach], out=rows)
         if not reach:  # W^0 enters the first step alone
-            rows[0] += rho * work[here - 1]
+            rows[0] += rho * old[-1]
         if reach and n1 < n_rows:  # a later chunk meets these rows through the sums
-            y *= shift
-            y += np.matmul(fold, work[here - chunk:here], out=scratch)
+            np.matmul(fold, old, out=new[:q])
         for s0 in range(0, r, sub):
             s1 = min(s0 + sub, r)
             if s0:  # the chunk's earlier rows enter in one product
@@ -377,7 +391,7 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, gammas: np.n
                                          out=part[:s1 - s0])
             np.multiply(d0, kappa[n0 + s0:n0 + s1], out=pairs[:s1 - s0, 0])
             np.matmul(pairs[:s1 - s0], unit_rho, out=den[:s1 - s0])
-            for dot, block_rows, dk, row in steps[s0:s1]:
+            for dot, block_rows, dk, row in half_steps[s0:s1]:
                 dot(block_rows, hist)  # bare calls, out by position: no lookup or dispatch
                 divide(hist, dk, row)
         if out is not None:  # W^n: the total before the chunk plus the chunk's increments
@@ -391,8 +405,6 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, gammas: np.n
         if out is not None:  # the total's own bits: at M = 1 add.reduce sums pairwise, cumsum not
             kept[-1] = total
             np.ldexp(kept, e, out=kept)
-        if n1 < n_rows:
-            work[here - chunk:here] = work[here:]  # disjoint rows: a plain copy
         reach = chunk
     _IDLE[:] = [(key, plan)]  # one assignment: the slot never holds two plans
     return np.ldexp(total, e)
@@ -401,14 +413,15 @@ def _march(w0: np.ndarray, meshes: list[Mesh1D], spec: ProblemSpec, gammas: np.n
 def _plan(n_modes: int, q: int, sub: int, span: int) -> tuple:
     """A march's buffers for ``n_modes`` columns, ``q`` running sums,
     sub-blocks of ``sub`` steps and chunks of at most ``span`` steps, and
-    each step's operands, sliced once (see ``_march``).  Every entry is
-    written by the march before it is read."""
+    each step's operands, sliced once (see ``_march``): ``work`` is two
+    halves of q + 1 + 64 rows, and ``steps`` one list of operands for the
+    slot of each, which share the weight block's bound dots and the divisor
+    rows.  Every entry is written by the march before it is read."""
     chunk = cq.CHUNK
-    here = q + chunk + 1
-    work = np.empty((here + chunk, n_modes))
+    here = q + chunk + 1  # the rows of a half: the sums, the load and a chunk's slot
+    work = np.empty((2, here, n_modes))
     block = np.empty((chunk, here + chunk))
     own = block.reshape(-1)[here::here + chunk + 1]  # the diagonal: weight 1
-    scratch = np.empty((q, n_modes))  # the fold's output: fresh arrays per chunk fragment the heap
     pairs = np.empty((min(sub, span), 2))  # a sub-block's (G_0 kappa_n, 1)
     unit_rho = np.empty((2, n_modes))  # the rows 1 and rho
     den = np.empty((min(sub, span), n_modes))  # a sub-block's divisors
@@ -416,14 +429,15 @@ def _plan(n_modes: int, q: int, sub: int, span: int) -> tuple:
     hist = np.empty(n_modes)
     total = np.empty(n_modes)  # the running total of the increments
     # step k's operands: its weights' bound dot and its rows, from the first
-    # row of its sub-block to its own row; its divisor; its own row
-    rows = work[here:]
-    steps = []
-    for s0 in range(0, span, sub):
-        s1 = min(s0 + sub, span)
-        steps += zip([block[k, here + s0:here + k + 1].dot for k in range(s0, s1)],
-                     [rows[s0:k + 1] for k in range(s0, s1)], den, rows[s0:s1])
-    return work, block, own, scratch, pairs, unit_rho, den, part, hist, total, steps
+    # row of its sub-block to its own row; its divisor; its own row.  The
+    # dots and divisors serve both halves, each of which has its own rows
+    first = [k - k % sub for k in range(span)]
+    dots = [block[k, here + s0:here + k + 1].dot for k, s0 in enumerate(first)]
+    divisors = [den[k % sub] for k in range(span)]
+    steps = tuple(list(zip(dots, [rows[s0:k + 1] for k, s0 in enumerate(first)], divisors,
+                           rows[:span]))
+                  for rows in work[:, q + 1:])
+    return work, block, own, pairs, unit_rho, den, part, hist, total, steps
 
 
 def _modes(meshes: list[Mesh1D], spec: ProblemSpec):

@@ -167,6 +167,20 @@ def test_exponentials_match_weights_beyond_the_near_field(alpha, count):
     assert np.abs(fit / gammas[lags] - 1.0).max() <= 1e-12
 
 
+@pytest.mark.parametrize("count, most", [(129, 24), (2_001, 35), (20_001, 44)])
+def test_exponentials_have_one_size_per_count(count, most):
+    # the trapezoid nodes end at x = (log count + 40) / 65, beyond which every
+    # amplitude is below 1e-17 Gamma_{count-1} for every alpha, so Q depends on
+    # the count alone and the orders of one study share a march plan
+    sizes = {exponentials(alpha, partial_sums(alpha, count))[0].size
+             for alpha in _ALPHAS if alpha != 1.0}
+    assert len(sizes) == 1 and sizes.pop() <= most
+    # alpha -> 0 needs the most terms: none of them is dead
+    gammas = partial_sums(1e-6, count)
+    _, c = exponentials(1e-6, gammas)
+    assert np.all(c > 1e-17 * gammas[-1])
+
+
 def _check_lags(count):
     """The lags of the exponentials' self-check for ``count`` weights: 65,
     66, 68, .., 64 + 2**k for 2**k <= count, each capped at count - 1."""

@@ -775,11 +775,15 @@ def test_non_finite_joint_march_raises():
 
 
 # a short march of one sub-block, no sums; a wide one in sub-blocks of 16
-# with running sums and a short last chunk; a joint march that keeps no rows
+# with running sums and a short last chunk; a joint march that keeps no rows;
+# marches of 4 and 5 chunks with running sums, whose last chunks write the
+# first and the second half of the buffer
 _PLAN_MARCHES = {
     "short": lambda: [solve(_table2_like(), 32, 100).trajectory],
     "wide": lambda: [solve(_forced(), 600, 300).trajectory],
     "joint": lambda: final_states(_forced(), [8, 16, 32], [200]),
+    "four chunks": lambda: final_states(_forced(), [16], [256]),
+    "five chunks": lambda: final_states(_forced(), [16], [320]),
 }
 
 
@@ -810,7 +814,7 @@ def test_divisors_of_one_rank_two_product_equal_the_broadcast_sum(sub, n_modes):
     final_states(spec, [n_modes + 1], [64])
     (key, plan), = solver._IDLE
     assert key == (n_modes, 0, sub, 64)
-    work, block, own, scratch, pairs, unit_rho, den, part, hist, total, steps = plan
+    work, block, own, pairs, unit_rho, den, part, hist, total, steps = plan
     tau = spec.final_time / 64
     lam_m, lam_s = mode_eigenvalues(build_mesh(n_modes + 1))
     rho = lam_m / (tau * lam_s)
@@ -861,6 +865,13 @@ def test_one_plan_per_shape_and_none_kept_by_a_failed_march(monkeypatch):
     solve(_table2_like(), 64, 50)  # a shorter chunk
     assert len(made) == 3 and made[1][0] == 63 and made[2][3] == 50
     assert len(solver._IDLE) == 1
+    # the far field's Q depends on the count alone: table3's two orders share a plan
+    for alpha in (0.2, 0.7):
+        final_states(ProblemSpec(alpha=alpha, final_time=2.0,
+                                 coefficient=CoefficientLaw.power(10.0, 1.01),
+                                 initial=PiecewiseFn.indicator(0.5, 1.0),
+                                 source=_forced().source), [32, 64, 128, 256, 512, 1024], [2000])
+    assert len(made) == 4 and made[3][:2] == (2010, 35)
     # G_0 kappa and G_1 kappa overflow, so the first chunk's increments are NaN
     overflowing = ProblemSpec(alpha=0.5, final_time=1.0,
                               coefficient=CoefficientLaw.constant(1e308),
@@ -869,7 +880,7 @@ def test_one_plan_per_shape_and_none_kept_by_a_failed_march(monkeypatch):
         final_states(overflowing, [8, 16], [50])
     assert solver._IDLE == []
     final_states(_forced(), [8, 16], [50])  # the failed march's shape, made anew
-    assert len(made) == 5 and len(solver._IDLE) == 1
+    assert len(made) == 6 and len(solver._IDLE) == 1
 
 
 def test_final_states_rejects_no_meshes_or_no_counts():
